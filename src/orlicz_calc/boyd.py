@@ -58,7 +58,7 @@ def dilation(A: YoungFn, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     s = A.table.t
-    inv_s = A.inverse_on_grid()
+    inv_s = A.inverse_on_grid
     inv_st = A.inverse_many(s * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inv_st / inv_s
@@ -74,7 +74,7 @@ def dilation(A: YoungFn, t: float) -> float:
 
 
 def _symbolic_indices(A: YoungFn) -> tuple[float, float] | None:
-    closed = A.symbolic if A.symbolic is not None else A.profile_hint
+    closed = A.closed_form
     if closed is None:
         return None
     orders = []

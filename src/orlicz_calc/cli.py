@@ -3,8 +3,8 @@
 Subcommands: target, domain, bounded, boyd, conjugate, probe.  Space
 descriptions use the small DSL from ``specdsl``.  Reports are deterministic
 JSON (fixed field order, floats at 12 significant digits) or CSV grid dumps.
-Exit codes: 0 decision reached (negative verdicts included), 2 parse error,
-3 numeric indeterminacy.
+Exit codes: 0 decision reached (negative verdicts included), 1 output pipe
+closed by the reader, 2 parse or argument error, 3 numeric indeterminacy.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -55,19 +56,17 @@ def _emit_grid_csv(fn: youngmod.YoungFn) -> None:
         sys.stdout.write(f"{t:.12g},{y:.12g}\n")
 
 
-def young_record(fn: youngmod.YoungFn, *, stride: int | None = None) -> dict:
+def young_record(fn: youngmod.YoungFn) -> dict:
     """JSON record {family, params, grid} for a Young function.
 
-    The grid section is decimated to one sample per decade by default; the
-    full table is available through the CSV output format.
+    The grid section is decimated to one sample per decade; the full table
+    is available through the CSV output format.
     """
-    family = fn.symbolic.render() if fn.symbolic is not None else (
-        fn.profile_hint.render() if fn.profile_hint is not None else "tabulated")
+    closed = fn.closed_form
     tab = fn.table
-    step = stride if stride else max(1, fn.grid.points_per_decade)
-    idx = np.arange(0, len(tab.t), step)
+    idx = np.arange(0, len(tab.t), max(1, fn.grid.points_per_decade))
     return {
-        "family": family,
+        "family": closed.render() if closed is not None else "tabulated",
         "params": {
             "zero_plateau_end": fn.zero_plateau_end,
             "finite_sup": fn.finite_sup,
@@ -79,13 +78,10 @@ def young_record(fn: youngmod.YoungFn, *, stride: int | None = None) -> dict:
     }
 
 
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(t_min=args.tmin, t_max=args.tmax,
-                    points_per_decade=args.grid_points_per_decade)
-
-
-def _load(text: str, grid: GridSpec) -> youngmod.YoungFn:
-    return parse_spec(text).to_young(grid=grid)
+def _load(text: str, grid: GridSpec) -> tuple[str, youngmod.YoungFn]:
+    """The canonical rendering of a description and its Young function."""
+    spec = parse_spec(text)
+    return render(spec), spec.to_young(grid=grid)
 
 
 def _boyd_payload(est) -> dict:
@@ -98,14 +94,12 @@ def _boyd_payload(est) -> dict:
     }
 
 
-def cmd_target(args) -> int:
-    grid = _grid_from_args(args)
-    ctx = GammaContext(args.n, args.gamma)
-    A = _load(args.spec, grid)
+def cmd_target(args, grid: GridSpec, ctx: GammaContext) -> int:
+    name, A = _load(args.spec, grid)
     result = optimality.optimal_target(A, ctx)
     payload = {
         "command": "target",
-        "input": render(parse_spec(args.spec)),
+        "input": name,
         "n": args.n,
         "gamma": args.gamma,
         "kind": result.kind,
@@ -123,14 +117,12 @@ def cmd_target(args) -> int:
     return 0
 
 
-def cmd_domain(args) -> int:
-    grid = _grid_from_args(args)
-    ctx = GammaContext(args.n, args.gamma)
-    B = _load(args.spec, grid)
+def cmd_domain(args, grid: GridSpec, ctx: GammaContext) -> int:
+    name, B = _load(args.spec, grid)
     result = optimality.optimal_domain(B, ctx)
     payload = {
         "command": "domain",
-        "input": render(parse_spec(args.spec)),
+        "input": name,
         "n": args.n,
         "gamma": args.gamma,
         "kind": result.kind,
@@ -147,16 +139,14 @@ def cmd_domain(args) -> int:
     return 0
 
 
-def cmd_bounded(args) -> int:
-    grid = _grid_from_args(args)
-    ctx = GammaContext(args.n, args.gamma)
-    A = _load(args.spec_a, grid)
-    B = _load(args.spec_b, grid)
+def cmd_bounded(args, grid: GridSpec, ctx: GammaContext) -> int:
+    name_a, A = _load(args.spec_a, grid)
+    name_b, B = _load(args.spec_b, grid)
     verdict = reduction.bounded(A, B, ctx, constant_cap=args.constant_cap)
     _emit_json({
         "command": "bounded",
-        "domain": render(parse_spec(args.spec_a)),
-        "target": render(parse_spec(args.spec_b)),
+        "domain": name_a,
+        "target": name_b,
         "n": args.n,
         "gamma": args.gamma,
         "holds": verdict.holds,
@@ -168,26 +158,24 @@ def cmd_bounded(args) -> int:
     return 0
 
 
-def cmd_boyd(args) -> int:
-    grid = _grid_from_args(args)
-    A = _load(args.spec, grid)
+def cmd_boyd(args, grid: GridSpec, ctx: GammaContext) -> int:
+    name, A = _load(args.spec, grid)
     est = boydmod.boyd_indices(A)
-    payload = {"command": "boyd", "input": render(parse_spec(args.spec))}
+    payload = {"command": "boyd", "input": name}
     payload.update(_boyd_payload(est))
     _emit_json(payload)
     return 3 if "indeterminate" in est.flags else 0
 
 
-def cmd_conjugate(args) -> int:
-    grid = _grid_from_args(args)
-    A = _load(args.spec, grid)
+def cmd_conjugate(args, grid: GridSpec, ctx: GammaContext) -> int:
+    name, A = _load(args.spec, grid)
     conj = youngmod.conjugate(A)
     if args.format == "csv":
         _emit_grid_csv(conj)
     else:
         _emit_json({
             "command": "conjugate",
-            "input": render(parse_spec(args.spec)),
+            "input": name,
             "conjugate": conj.describe(),
             "zero_plateau_end": conj.zero_plateau_end,
             "finite_sup": conj.finite_sup,
@@ -196,28 +184,30 @@ def cmd_conjugate(args) -> int:
     return 0
 
 
-def cmd_probe(args) -> int:
-    grid = _grid_from_args(args)
-    ctx = GammaContext(args.n, args.gamma)
+def cmd_probe(args, grid: GridSpec, ctx: GammaContext) -> int:
     if args.spec_a and not args.spec_b:
         print("probe needs two spec arguments", file=sys.stderr)
         return 2
     pairs = [(args.spec_a, args.spec_b)] if args.spec_a else []
     if args.fixtures:
-        with open(args.fixtures) as fh:
-            pairs.extend((e["A"], e["B"]) for e in json.load(fh))
+        try:
+            with open(args.fixtures) as fh:
+                pairs.extend((e["A"], e["B"]) for e in json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"cannot read fixtures {args.fixtures}: {exc}", file=sys.stderr)
+            return 2
     if not pairs:
         print("probe needs spec arguments or --fixtures", file=sys.stderr)
         return 2
     reports = []
     for text_a, text_b in pairs:
-        A = _load(text_a, grid)
-        B = _load(text_b, grid)
+        name_a, A = _load(text_a, grid)
+        name_b, B = _load(text_b, grid)
         rep = oracle.norm_probe(A, B, ctx)
         verdict = reduction.bounded(A, B, ctx, constant_cap=args.constant_cap)
         reports.append({
-            "domain": render(parse_spec(text_a)),
-            "target": render(parse_spec(text_b)),
+            "domain": name_a,
+            "target": name_b,
             "trend": rep.trend,
             "max_ratio": rep.max_ratio,
             "bounded_verdict": verdict.holds,
@@ -239,47 +229,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "the fractional maximal operator between Orlicz spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False):
-        if pair:
-            p.add_argument("spec_a", help="domain space description")
-            p.add_argument("spec_b", help="target space description")
-        else:
-            p.add_argument("spec", help="space description, e.g. 'Zygmund(2,1,2,1)'")
+    def common(p, *, csv: bool = False):
+        """The flags every subcommand takes; --format where a CSV dump exists."""
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--grid-points-per-decade", type=int, default=24)
         p.add_argument("--tmin", type=float, default=1e-12)
         p.add_argument("--tmax", type=float, default=1e12)
         p.add_argument("--constant-cap", type=float, default=1e6)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("target", help="optimal Orlicz target space")
-    common(p)
-    p.set_defaults(func=cmd_target)
-    p = sub.add_parser("domain", help="optimal Orlicz domain space")
-    common(p)
-    p.set_defaults(func=cmd_domain)
-    p = sub.add_parser("bounded", help="decide boundedness between two spaces")
-    common(p, pair=True)
-    p.set_defaults(func=cmd_bounded)
-    p = sub.add_parser("boyd", help="Boyd indices of a space description")
-    common(p)
-    p.set_defaults(func=cmd_boyd)
-    p = sub.add_parser("conjugate", help="Young conjugate of a description")
-    common(p)
-    p.set_defaults(func=cmd_conjugate)
-    p = sub.add_parser("probe", help="independent norm-ratio probe")
-    p.add_argument("spec_a", nargs="?", default=None)
-    p.add_argument("spec_b", nargs="?", default=None)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--grid-points-per-decade", type=int, default=24)
-    p.add_argument("--tmin", type=float, default=1e-12)
-    p.add_argument("--tmax", type=float, default=1e12)
-    p.add_argument("--constant-cap", type=float, default=1e6)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--fixtures", help="JSON file with [{'A': spec, 'B': spec}, ...]")
-    p.set_defaults(func=cmd_probe)
+    one = (("spec", dict(help="space description, e.g. 'Zygmund(2,1,2,1)'")),)
+    pair = (("spec_a", dict(help="domain space description")),
+            ("spec_b", dict(help="target space description")))
+    optional_pair = (("spec_a", dict(nargs="?", default=None)),
+                     ("spec_b", dict(nargs="?", default=None)))
+    for name, func, text, positionals, csv in (
+            ("target", cmd_target, "optimal Orlicz target space", one, True),
+            ("domain", cmd_domain, "optimal Orlicz domain space", one, True),
+            ("bounded", cmd_bounded, "decide boundedness between two spaces", pair, False),
+            ("boyd", cmd_boyd, "Boyd indices of a space description", one, False),
+            ("conjugate", cmd_conjugate, "Young conjugate of a description", one, True),
+            ("probe", cmd_probe, "independent norm-ratio probe", optional_pair, False)):
+        p = sub.add_parser(name, help=text)
+        for dest, kwargs in positionals:
+            p.add_argument(dest, **kwargs)
+        common(p, csv=csv)
+        p.set_defaults(func=func)
+    sub.choices["probe"].add_argument(
+        "--fixtures", help="JSON file with [{'A': spec, 'B': spec}, ...]")
     return parser
 
 
@@ -287,13 +266,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        grid = GridSpec(t_min=args.tmin, t_max=args.tmax,
+                        points_per_decade=args.grid_points_per_decade)
+        ctx = GammaContext(args.n, args.gamma)
+        youngmod.constant_ladder(args.constant_cap)  # rejects a cap below 1
+    except ValueError as exc:
+        print(f"orlicz-calc: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        code = args.func(args, grid, ctx)
+        sys.stdout.flush()
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except optimality.IndeterminateIndexError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed the pipe: send the unwritten rest to /dev/null so
+        # that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

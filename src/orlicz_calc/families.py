@@ -395,6 +395,25 @@ def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
     return 0
 
 
+def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
+    """Does the integral of pc(s) * s**weight ds converge toward the end?
+
+    Decided from the factor exponents: the power against the critical
+    -1 - weight, then at the critical power the l(t) exponent against -1,
+    then the l(l(t)) exponent against -1.
+    """
+    tol = 1e-9
+    gap = pc.effective_power(end) + weight + 1.0  # > 0 converges at zero
+    if end == "infinity":
+        gap = -gap
+    if math.isinf(gap) or abs(gap) > tol:
+        return gap > 0
+    alpha = pc.log_exponent(end)
+    if math.isinf(alpha) or abs(alpha + 1.0) > tol:
+        return alpha < -1.0
+    return pc.loglog_exponent() < -1.0 - tol
+
+
 def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     """Is a(t)/b(lambda t) unbounded toward the end, for every lambda >= 1?
 

@@ -39,8 +39,8 @@ class GridSpec:
     points_per_decade: int = DEFAULT_POINTS_PER_DECADE
 
     def __post_init__(self):
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
+        if not (0.0 < self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 < t_min < t_max < inf")
         if self.points_per_decade < 2:
             raise ValueError("points_per_decade must be >= 2")
 
@@ -161,13 +161,6 @@ class GridFn:
             self._logy = np.log(y)
 
     # -- basic structure ---------------------------------------------------
-
-    def with_values(self, y: np.ndarray, tail_zero: TailFit | None = None,
-                    tail_infinity: TailFit | None = None) -> "GridFn":
-        return GridFn(self.t, y, tail_zero, tail_infinity)
-
-    def running_max(self) -> "GridFn":
-        return GridFn(self.t, np.maximum.accumulate(self.y))
 
     def nondecreasing(self, rtol: float = 0.0) -> bool:
         prev, nxt = self.y[:-1], self.y[1:]

@@ -27,7 +27,14 @@ import numpy as np
 from . import transforms as tr
 from .boyd import boyd_indices
 from .grid import GridFn
-from .young import GammaContext, YoungFn, equivalent, from_callable
+from .young import (
+    GammaContext,
+    YoungFn,
+    equivalent,
+    from_callable,
+    grid_leq,
+    least_constant,
+)
 
 
 class IndeterminateIndexError(ValueError):
@@ -105,7 +112,7 @@ def reiterate_range(B: YoungFn, ctx: GammaContext) -> RangeReiteration:
 
 @dataclass(frozen=True)
 class DomainReiteration:
-    improved: YoungFn
+    improved: YoungFn | None
     improvement_strict: bool
     target_optimal: bool
     target_preserved: bool
@@ -115,6 +122,8 @@ class DomainReiteration:
 def reiterate_domain(A: YoungFn, ctx: GammaContext) -> DomainReiteration:
     """Improved domain via the supremum construction; optimality of the pair
     is governed by the improved domain's lower Boyd index exceeding 1."""
+    if not tr.check_acond(A, ctx):
+        return DomainReiteration(None, False, False, False, ("acond-failed",))
     AS = tr.a_sup(A, ctx)
     est = boyd_indices(AS)
     strict = not equivalent(A, AS).holds
@@ -264,14 +273,15 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
     bg = GridFn(scan, np.atleast_1d(np.asarray(B._monotone_eval(scan), dtype=float)),
                 tail_zero=tr._exact_zero_tail(B))
     prefix = bg.prefix_integral(-q_star - 1.0)
-    c_found = math.nan
-    for cval in np.power(2.0, np.arange(-6.0, 21.0)):
-        dvals = np.array([d_ratio(float(x) * cval) * cval ** q_star for x in scan])
-        # D(c t)/t^q* = c^q* * D(ct)/(ct)^q*
-        if np.all(prefix <= dvals * (1 + 1e-9) + 1e-300):
-            c_found = float(cval)
-            break
-    if math.isnan(c_found):
+
+    def d_scaled(c: float) -> np.ndarray:
+        """D(c t)/t^q* on the scan, as c^q* * D(ct)/(ct)^q*."""
+        ct = scan * c
+        return D_used._monotone_eval(ct) / ct ** q_star * c ** q_star
+
+    c_found = least_constant(lambda c: grid_leq(prefix, d_scaled(c)),
+                             np.power(2.0, np.arange(-6.0, 21.0)))
+    if c_found is None:
         flags.append("defining-inequality-unverified")
         c_found = 1.0
 
@@ -327,15 +337,14 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
     B1 = from_callable(b1, grid=B.grid, label=f"witness({B.label})",
                        breakpoints=bps, normalize=False)
     # the chords live on a compact ladder: the end behaviour stays B's
-    B1.profile_hint = B.symbolic if B.symbolic is not None else B.profile_hint
+    B1.profile_hint = B.closed_form
 
     # growth evidence along the ladder and the 5C bound on (0, 1)
     dom_ratios = tuple(float(b1(np.array([2 * tk[i]]))[0] / b_at(k_ * tk[i]))
                        for i, k_ in enumerate(range(1, len(tk) + 1)))
     b1g = GridFn(scan, b1(scan))
     prefix1 = b1g.prefix_integral(-q_star - 1.0)
-    rhs = np.array([d_ratio(float(x) * 5.0 * c_found) * (5.0 * c_found) ** q_star
-                    for x in scan])
+    rhs = d_scaled(5.0 * c_found)
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(rhs > 0, prefix1 / rhs, np.inf)
     bound_margin = float(np.nanmax(margins))

@@ -213,12 +213,12 @@ def maximal_2d(f: np.ndarray, gamma: float, cell: float = 1.0) -> np.ndarray:
     return out
 
 
-def _embedded(f: np.ndarray, pad_factor: int = 1) -> tuple[np.ndarray, slice]:
+def _embedded(f: np.ndarray) -> np.ndarray:
+    """f centred on a zero canvas three times its side."""
     n = f.shape[0]
-    pad = pad_factor * n
-    canvas = np.zeros((n + 2 * pad, n + 2 * pad))
-    canvas[pad:pad + n, pad:pad + n] = f
-    return canvas, slice(pad, pad + n)
+    canvas = np.zeros((3 * n, 3 * n))
+    canvas[n:2 * n, n:2 * n] = f
+    return canvas
 
 
 def modular_probe(A: YoungFn, B: YoungFn, ctx: GammaContext, f: np.ndarray,
@@ -229,8 +229,7 @@ def modular_probe(A: YoungFn, B: YoungFn, ctx: GammaContext, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     if ctx.n != 2:
         raise ValueError("the brute-force operator supports n = 2 only")
-    canvas, _ = _embedded(f)
-    m = maximal_2d(canvas, ctx.gamma, cell)
+    m = maximal_2d(_embedded(f), ctx.gamma, cell)
     rhs_vals = np.atleast_1d(np.asarray(A.eval(np.abs(f).ravel()), dtype=float))
     rhs = float(np.sum(rhs_vals)) * cell ** 2
     if rhs == 0.0:
@@ -265,8 +264,7 @@ def rearrangement_bound_check(f: np.ndarray, ctx: GammaContext,
     if ctx.n != 2:
         raise ValueError("the brute-force operator supports n = 2 only")
     gamma = ctx.gamma
-    canvas, _ = _embedded(f)
-    m = maximal_2d(canvas, gamma, cell)
+    m = maximal_2d(_embedded(f), gamma, cell)
     area = cell ** 2
     mstar = rearrangement([(val, area) for val in m.ravel() if val > 0])
     fstar = rearrangement([(val, area) for val in f.ravel() if val > 0])
@@ -307,26 +305,3 @@ def rearrangement_bound_check(f: np.ndarray, ctx: GammaContext,
     return RearrangementBoundReport(float(ratios[idx]), float(s_all[idx]),
                                     len(s_all))
 
-
-# ---------------------------------------------------------------------------
-# CSV interchange for value grids
-
-
-def write_grid_csv(path, f: np.ndarray, gamma: float) -> None:
-    f = np.asarray(f, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"{f.shape[0]},{gamma:.12g}\n")
-        for row in f:
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
-
-def read_grid_csv(path) -> tuple[np.ndarray, float]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n, gamma = int(header[0]), float(header[1])
-        rows = [[float(x) for x in fh.readline().strip().split(",")]
-                for _ in range(n)]
-    f = np.asarray(rows, dtype=float)
-    if f.shape != (n, n):
-        raise ValueError("grid shape does not match the header")
-    return f, gamma

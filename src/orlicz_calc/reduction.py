@@ -18,20 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import families as fam
 from . import transforms as tr
-from .young import (
+# the ladder constants live with the ladder in ``young``; they are named
+# here too because the criteria below search that ladder
+from .young import (  # noqa: F401
+    CONSTANT_CAP,
+    CONSTANT_STEPS,
     EndProfile,
     GammaContext,
     YoungFn,
     _tail_admits_domination,
+    constant_ladder,
+    grid_leq,
+    least_constant,
 )
-
-CONSTANT_CAP = 1e6
-CONSTANT_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,6 @@ class Verdict:
     criterion_used: str  # "iii" | "iv" | "endpoint-i" | "endpoint-ii"
     worst_t: float
     flags: tuple[str, ...] = ()
-
-
-def _ladder(cap: float, steps: int) -> np.ndarray:
-    return np.power(10.0, np.linspace(0.0, math.log10(cap), steps))
-
-
-def _grid_leq(lhs: np.ndarray, rhs: np.ndarray) -> bool:
-    with np.errstate(invalid="ignore"):
-        ok = (lhs <= rhs * (1 + 1e-9) + 1e-300) | np.isinf(rhs)
-    return bool(np.all(ok))
 
 
 def _worst_ratio_t(t: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -95,11 +90,23 @@ def _rhs_profile(pa: EndProfile, ctx: GammaContext) -> EndProfile:
     return EndProfile("power", pa.q - ctx.q_star, pa.alpha, exact=pa.exact)
 
 
+def _ladder_verdict(criterion: str, t: np.ndarray, lhs: np.ndarray, rhs_at,
+                    ladder: np.ndarray, flags: list[str]) -> Verdict:
+    """Least ladder constant c with lhs <= rhs_at(c) on the grid."""
+    rhs_at = lru_cache(maxsize=1)(rhs_at)  # the last rung tried is read again
+    c = least_constant(lambda c: grid_leq(lhs, rhs_at(c)), ladder)
+    if c is None:
+        return Verdict(False, math.nan, criterion,
+                       _worst_ratio_t(t, lhs, rhs_at(ladder[-1])),
+                       tuple(flags) + ("constant-range-exhausted",))
+    return Verdict(True, c, criterion, _worst_ratio_t(t, lhs, rhs_at(c)), tuple(flags))
+
+
 def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
-                  constant_cap: float = CONSTANT_CAP,
-                  steps: int = CONSTANT_STEPS) -> Verdict:
+                  constant_cap: float = CONSTANT_CAP) -> Verdict:
     """Target-side criterion: the prefix integral of B against the target
     profile of A."""
+    ladder = constant_ladder(constant_cap)
     if not tr.check_acond(A, ctx):
         return Verdict(False, math.nan, "iii", A.grid.t_min, ("acond-failed",))
     AG = tr.a_gamma(A, ctx)
@@ -120,22 +127,17 @@ def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         if adm is None:
             flags.append(f"tail-indeterminate-{end}")
 
-    last_rhs = None
-    for cval in _ladder(constant_cap, steps):
+    def rhs_at(c):
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = AG._monotone_eval(cval * t) / t ** q_star
-        last_rhs = rhs
-        if _grid_leq(L.y, rhs):
-            return Verdict(True, float(cval), "iii", _worst_ratio_t(t, L.y, rhs),
-                           tuple(flags))
-    return Verdict(False, math.nan, "iii", _worst_ratio_t(t, L.y, last_rhs),
-                   tuple(flags) + ("constant-range-exhausted",))
+            return AG._monotone_eval(c * t) / t ** q_star
+
+    return _ladder_verdict("iii", t, L.y, rhs_at, ladder, flags)
 
 
 def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
-                 constant_cap: float = CONSTANT_CAP,
-                 steps: int = CONSTANT_STEPS) -> Verdict:
+                 constant_cap: float = CONSTANT_CAP) -> Verdict:
     """Domain-side criterion: the domain profile of B against A."""
+    ladder = constant_ladder(constant_cap)
     if not tr.check_bconv(B, ctx):
         return Verdict(False, math.nan, "iv", B.grid.t_min, ("bconv-failed",))
     BG = tr.b_gamma(B, ctx)
@@ -153,24 +155,16 @@ def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         if adm is None:
             flags.append(f"tail-indeterminate-{end}")
 
-    last_rhs = None
-    for cval in _ladder(constant_cap, steps):
-        rhs = A._monotone_eval(cval * t)
-        last_rhs = rhs
-        if _grid_leq(lhs, rhs):
-            return Verdict(True, float(cval), "iv", _worst_ratio_t(t, lhs, rhs),
-                           tuple(flags))
-    return Verdict(False, math.nan, "iv", _worst_ratio_t(t, lhs, last_rhs),
-                   tuple(flags) + ("constant-range-exhausted",))
+    return _ladder_verdict("iv", t, lhs, lambda c: A._monotone_eval(c * t),
+                           ladder, flags)
 
 
 def bounded(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
-            constant_cap: float = CONSTANT_CAP,
-            steps: int = CONSTANT_STEPS) -> Verdict:
+            constant_cap: float = CONSTANT_CAP) -> Verdict:
     """Both criteria, which must agree; on disagreement the conservative
     (negative) verdict is returned with a diagnostic flag."""
-    v3 = criterion_iii(A, B, ctx, constant_cap=constant_cap, steps=steps)
-    v4 = criterion_iv(A, B, ctx, constant_cap=constant_cap, steps=steps)
+    v3 = criterion_iii(A, B, ctx, constant_cap=constant_cap)
+    v4 = criterion_iv(A, B, ctx, constant_cap=constant_cap)
     if v3.holds != v4.holds:
         neg = v4 if v3.holds else v3
         return Verdict(False, neg.constant, neg.criterion_used, neg.worst_t,
@@ -227,24 +221,7 @@ def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> Verdict:
         return Verdict(False, math.nan, "endpoint-ii", B.finite_sup,
                        ("diverges-at-infinity",))
     if B.symbolic is not None:
-        pc = B.symbolic.near_infinity
-        q = pc.effective_power("infinity")
-        if math.isinf(q):
-            ok = q < 0
-        elif q < q_star - 1e-9:
-            ok = True
-        elif q > q_star + 1e-9:
-            ok = False
-        else:
-            alpha = pc.log_exponent("infinity")
-            if math.isinf(alpha):
-                ok = alpha < 0
-            elif alpha < -1.0 - 1e-9:
-                ok = True
-            elif abs(alpha + 1.0) <= 1e-9:
-                ok = pc.loglog_exponent() < -1.0 - 1e-9
-            else:
-                ok = False
+        ok = fam.integrable(B.symbolic.near_infinity, -q_star - 1.0, "infinity")
     else:
         prof = B.end_profile("infinity")
         if prof.q < q_star - 1e-3:

@@ -30,8 +30,6 @@ from .boyd import boyd_indices
 from .grid import GridFn, TailFit, ell, grid_inverse
 from .young import GammaContext, YoungFn
 
-_TOL_Q = 1e-9
-
 
 class TransformGateError(ValueError):
     """A transform's admissibility condition failed."""
@@ -43,10 +41,9 @@ class TransformGateError(ValueError):
 
 def _exact_zero_tail(B: YoungFn, t0: float | None = None) -> TailFit | None:
     """Closed-form power-log tail of B near zero, if the profile provides one."""
-    closed = B.symbolic if B.symbolic is not None else B.profile_hint
-    if closed is None:
+    if B.closed_form is None:
         return None
-    pc = closed.piece("zero")
+    pc = B.closed_form.piece("zero")
     q = pc.effective_power("zero")
     if not math.isfinite(q):
         return None
@@ -120,7 +117,7 @@ def _scaled_piece(power: float, mult: float, alpha: float, llog: float,
 
 def _target_piece(A: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
     """Closed-form piece of the target profile at one end, when derivable."""
-    closed = A.symbolic if A.symbolic is not None else A.profile_hint
+    closed = A.closed_form
     if closed is not None and end == "infinity":
         pc = closed.piece(end)
         if pc.exppower(end)[0] > 0 or pc.is_const() == math.inf:
@@ -164,7 +161,7 @@ def target_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily
 
 def _domain_piece(B: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
     """Closed-form piece of the domain profile at one end, when derivable."""
-    closed = B.symbolic if B.symbolic is not None else B.profile_hint
+    closed = B.closed_form
     if closed is not None:
         pc = closed.piece(end)
         c_ep, beta = pc.exppower(end)
@@ -219,7 +216,7 @@ def domain_profile_family(B: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily
 def improved_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily | None:
     """Profile of the improved domain: the original piece where the order sits
     below n/gamma, the pure power t^(n/gamma) beyond."""
-    closed = A.symbolic if A.symbolic is not None else A.profile_hint
+    closed = A.closed_form
     if closed is None:
         return None
     pieces = []
@@ -252,9 +249,8 @@ def check_acond(A: YoungFn, ctx: GammaContext) -> bool:
     if A.zero_plateau_end > 0.0:
         return False
     r = ctx.r_star
-    closed = A.symbolic if A.symbolic is not None else A.profile_hint
-    if closed is not None:
-        return fam.limit_sign(closed.near_zero, -r, "zero") >= 0
+    if A.closed_form is not None:
+        return fam.limit_sign(A.closed_form.near_zero, -r, "zero") >= 0
     t = A.table.t
     inside = (t > 0) & (t <= 1.0)
     vals = A.table.y[inside]
@@ -275,24 +271,8 @@ def check_bconv(B: YoungFn, ctx: GammaContext) -> bool:
     q_star = ctx.q_star
     if B.zero_plateau_end > 0.0:
         return True
-    closed = B.symbolic if B.symbolic is not None else B.profile_hint
-    if closed is not None:
-        pc = closed.near_zero
-        q = pc.effective_power("zero")
-        if math.isinf(q):
-            return q > 0
-        if q > q_star + _TOL_Q:
-            return True
-        if q < q_star - _TOL_Q:
-            return False
-        alpha = pc.log_exponent("zero")
-        if math.isinf(alpha):
-            return alpha < 0
-        if alpha < -1.0 - _TOL_Q:
-            return True
-        if abs(alpha + 1.0) <= _TOL_Q:
-            return pc.loglog_exponent() < -1.0 - _TOL_Q
-        return False
+    if B.closed_form is not None:
+        return fam.integrable(B.closed_form.near_zero, -q_star - 1.0, "zero")
     prof = B.end_profile("zero")
     if prof.kind == "plateau-zero":
         return True

@@ -1,9 +1,9 @@
 """Young functions and their calculus.
 
 A Young function is convex, left-continuous, vanishes at 0 and may take the
-value +inf.  Instances carry an optional closed-form profile (preferred for
-evaluation), an optional exact callable, and always a normalized sample table
-on a log grid.  Normalization takes the greatest convex minorant of the raw
+value +inf.  Instances carry an optional closed-form profile, an optional
+exact callable (the pointwise evaluator when given, else the closed form is),
+and always a normalized sample table on a log grid.  Normalization takes the greatest convex minorant of the raw
 samples in linear coordinates, which repairs the join of asymptotic pieces at
 t = 1 and pins the structural inequalities (monotonicity, k*A(t) <= A(k*t),
 the conjugate product bounds) to machine precision while staying within a
@@ -18,23 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import families as fam
-from .grid import (
-    DEFAULT_GRID,
-    GridFn,
-    GridSpec,
-    StepFn,
-    TailFit,
-    ell,
-    grid_inverse,
-    merge_breakpoints,
-)
+from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, merge_breakpoints
 
 _TINY = 1e-300
 _HUGE = 1e300
+
+# the constant ladder: CONSTANT_STEPS geometric rungs on [1, cap]
+CONSTANT_CAP = 1e6
+CONSTANT_STEPS = 60
 
 
 class IntegralDivergentError(ValueError):
@@ -132,38 +128,37 @@ class YoungFn:
                  grid: GridSpec = DEFAULT_GRID, label: str = "",
                  normalize: bool = True,
                  breakpoints: tuple[float, ...] = (),
-                 prefer: str = "symbolic",
                  profile_hint: fam.AsymptoticFamily | None = None):
         if symbolic is None and raw is None and table is None:
             raise ValueError("need a profile, a callable or a table")
         self.symbolic = symbolic
         self.raw = raw
         self.grid = grid
-        self.prefer = prefer
         # closed-form asymptotics known for a numerically built function;
         # metadata only (no pointwise agreement implied, unlike ``symbolic``)
         self.profile_hint = profile_hint
         self.label = label or (symbolic.render() if symbolic else "tabulated")
-        self._inv_cache: dict[int, np.ndarray] = {}
+        # the pointwise evaluator: the exact callable, else the closed form,
+        # else none (the table alone)
+        self._source = raw if raw is not None else (
+            symbolic.value if symbolic is not None else None)
 
         if table is None:
-            builder = symbolic.value if symbolic is not None else raw
             t = merge_breakpoints(grid, np.asarray(breakpoints, dtype=float)) \
                 if breakpoints else grid.abscissae()
-            vals = np.asarray(builder(t), dtype=float)
+            vals = np.asarray(self._source(t), dtype=float)
             if normalize:
                 vals = _convex_minorant(t, vals)
                 vals = np.maximum.accumulate(vals)
             table = GridFn(t, vals)
         self.table = table
 
-        # the preferred evaluator backs the monotone view only when it agrees
+        # the pointwise evaluator backs the monotone view only when it agrees
         # with the normalized table (monotone and convex-consistent); raw
         # profiles with repaired joins fall back to the table plus anchored
         # closed-form extrapolation
-        source = self._source()
-        if source is not None:
-            sv = np.asarray(source(self.table.t), dtype=float)
+        if self._source is not None:
+            sv = np.asarray(self._source(self.table.t), dtype=float)
             prev, nxt = sv[:-1], sv[1:]
             slack = np.where(np.isfinite(prev), 1e-12 * np.abs(prev) + 1e-300, 0.0)
             with np.errstate(invalid="ignore"):
@@ -181,23 +176,17 @@ class YoungFn:
 
     # -- basic views ---------------------------------------------------------
 
-    def _source(self):
-        if self.prefer == "raw" and self.raw is not None:
-            return self.raw
-        if self.prefer == "table":
-            return None
-        if self.symbolic is not None:
-            return self.symbolic.value
-        if self.raw is not None:
-            return self.raw
-        return None
+    @property
+    def closed_form(self) -> fam.AsymptoticFamily | None:
+        """Closed-form asymptotics: the exact profile, else the attached hint."""
+        return self.symbolic if self.symbolic is not None else self.profile_hint
 
     def __call__(self, t):
         return self.eval(t)
 
     def eval(self, t) -> np.ndarray | float:
-        """A(t) as an extended real; the closed form is preferred when present."""
-        src = self._source()
+        """A(t) as an extended real, from the pointwise evaluator when present."""
+        src = self._source
         if src is not None:
             out = src(np.asarray(t, dtype=float) if not np.isscalar(t) else t)
             if np.isscalar(t):
@@ -213,11 +202,10 @@ class YoungFn:
         the fitted power tails.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        src = self._source()
-        if src is not None and self._mono_source:
-            return np.atleast_1d(np.asarray(src(t), dtype=float))
+        if self._mono_source:
+            return np.atleast_1d(np.asarray(self._source(t), dtype=float))
         vals = np.atleast_1d(np.asarray(self.table(t), dtype=float))
-        closed = self.symbolic if self.symbolic is not None else self.profile_hint
+        closed = self.closed_form
         if closed is None:
             return vals
         for end, mask_fn, edge_idx in (("zero", lambda x: x < self.table.t[0], 0),
@@ -240,10 +228,6 @@ class YoungFn:
                 vals[mask] = ext
         return vals
 
-    def sample(self) -> GridFn:
-        """The normalized (monotone convex) table."""
-        return self.table
-
     def _structural_jump(self, end: str) -> bool | None:
         """Does the closed form put an actual 0/inf plateau at this end?
 
@@ -251,10 +235,9 @@ class YoungFn:
         only constant pieces and power jumps plateau, everything else is
         positive finite there (float under/overflow notwithstanding).
         """
-        closed = self.symbolic if self.symbolic is not None else self.profile_hint
-        if closed is None:
+        if self.closed_form is None:
             return None
-        pc = closed.piece(end)
+        pc = self.closed_form.piece(end)
         if pc.is_const() is not None:
             return True
         return any(isinstance(f, fam.PowerFactor) and math.isinf(f.p)
@@ -311,12 +294,10 @@ class YoungFn:
             out[work] = np.exp(wl)
         return out
 
+    @cached_property
     def inverse_on_grid(self) -> np.ndarray:
-        """Cached A^{-1} sampled at the table abscissae."""
-        key = id(self.table)
-        if key not in self._inv_cache:
-            self._inv_cache[key] = self.inverse_many(self.table.t)
-        return self._inv_cache[key]
+        """A^{-1} sampled at the table abscissae, computed once."""
+        return self.inverse_many(self.table.t)
 
     # -- structural profiles ---------------------------------------------------
 
@@ -324,9 +305,8 @@ class YoungFn:
         return end_profile(self, end)
 
     def describe(self) -> str:
-        closed = self.symbolic if self.symbolic is not None else self.profile_hint
-        if closed is not None:
-            return "~ " + closed.render()
+        if self.closed_form is not None:
+            return "~ " + self.closed_form.render()
         pz = self.end_profile("zero")
         pi = self.end_profile("infinity")
         if pz.render() == pi.render():
@@ -371,15 +351,8 @@ def _window_estimate(u: np.ndarray, logy: np.ndarray) -> tuple[float, float]:
     return float(sol[1]), float(sol[2])
 
 
-def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf,
-                   piece: fam.AsymPiece | None = None,
-                   exact: bool = False) -> EndProfile:
-    """EndProfile of a sampled function, from the windowed (q, alpha) fit.
-
-    When a closed-form ``piece`` is supplied, its log-values are fitted over
-    the same window instead of the samples, which makes exact and tabulated
-    profiles directly comparable.
-    """
+def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf) -> EndProfile:
+    """EndProfile of a sampled function, from the windowed (q, alpha) fit."""
     tail = g.tail_zero if end == "zero" else g.tail_infinity
     if tail.kind == "zero":
         return EndProfile("plateau-zero", threshold=g.t[0])
@@ -391,17 +364,14 @@ def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf,
         return EndProfile("power", tail.exponent, 0.0)
     window = t <= t[0] * 100.0 if end == "zero" else t >= t[-1] / 100.0
     u = np.log(t[window])
-    if piece is not None:
-        logy = np.asarray(piece.log_value(u), dtype=float)
-    else:
-        logy = np.log(y[window])
+    logy = np.log(y[window])
     good = np.isfinite(logy)
     if good.sum() < 8:
         return EndProfile("power", tail.exponent, 0.0)
     q, alpha = _window_estimate(u[good], logy[good])
-    if q >= _Q_SUPER and piece is None:
+    if q >= _Q_SUPER:
         return EndProfile("power", q, 0.0, 0.0)
-    return EndProfile("power", q, alpha, exact=exact)
+    return EndProfile("power", q, alpha)
 
 
 def _piece_window_profile(grid: GridSpec, pc: fam.AsymPiece, end: str) -> EndProfile:
@@ -424,7 +394,7 @@ def _piece_window_profile(grid: GridSpec, pc: fam.AsymPiece, end: str) -> EndPro
 
 
 def end_profile(A: YoungFn, end: str) -> EndProfile:
-    closed = A.symbolic if A.symbolic is not None else A.profile_hint
+    closed = A.closed_form
     if closed is not None:
         # structural profile first: a float-saturated table must not disguise
         # a finite-order or exponential profile as a genuine plateau
@@ -458,15 +428,22 @@ def end_profile(A: YoungFn, end: str) -> EndProfile:
 # factory functions
 
 
+def _with_plateau_breakpoints(breakpoints: tuple[float, ...] = (),
+                              **kwargs) -> YoungFn:
+    """Build once to locate the plateau ends, then rebuild with the interior
+    ones among the breakpoints, so that the table resolves the jumps."""
+    probe = YoungFn(breakpoints=breakpoints, **kwargs)
+    special = {x for x in (probe.zero_plateau_end, probe.finite_sup)
+               if 0.0 < x < math.inf}
+    if special - set(breakpoints):
+        return YoungFn(breakpoints=tuple(sorted(special | set(breakpoints))),
+                       **kwargs)
+    return probe
+
+
 def from_family(family: fam.AsymptoticFamily, grid: GridSpec = DEFAULT_GRID,
                 label: str = "") -> YoungFn:
-    probe = YoungFn(symbolic=family, grid=grid, label=label)
-    special = [x for x in (probe.zero_plateau_end, probe.finite_sup)
-               if 0.0 < x < math.inf]
-    if special:
-        probe = YoungFn(symbolic=family, grid=grid, label=label,
-                        breakpoints=tuple(special))
-    return probe
+    return _with_plateau_breakpoints(symbolic=family, grid=grid, label=label)
 
 
 def from_table(table: GridFn, grid: GridSpec = DEFAULT_GRID, label: str = "") -> YoungFn:
@@ -475,15 +452,8 @@ def from_table(table: GridFn, grid: GridSpec = DEFAULT_GRID, label: str = "") ->
 
 def from_callable(fn, grid: GridSpec = DEFAULT_GRID, label: str = "",
                   breakpoints: tuple[float, ...] = (), normalize: bool = True) -> YoungFn:
-    probe = YoungFn(raw=fn, grid=grid, label=label, normalize=normalize,
-                    breakpoints=breakpoints)
-    special = [x for x in (probe.zero_plateau_end, probe.finite_sup)
-               if 0.0 < x < math.inf]
-    extra = tuple(sorted(set(special) | set(breakpoints)))
-    if set(extra) - set(breakpoints):
-        probe = YoungFn(raw=fn, grid=grid, label=label, normalize=normalize,
-                        breakpoints=extra)
-    return probe
+    return _with_plateau_breakpoints(breakpoints, raw=fn, grid=grid, label=label,
+                                     normalize=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +467,7 @@ def conjugate(A: YoungFn) -> YoungFn:
     """Young conjugate sup_s { s t - A(s) }.
 
     Computed exactly for the tabulated representation: node candidates
-    (extended several decades beyond the grid through the preferred
+    (extended several decades beyond the grid through the pointwise
     evaluator), closed-form interior maxima of the power cells, and analytic
     power tails.  The result is a supremum of affine functions of t, hence
     exactly convex; conjugating twice recovers the convex envelope of the
@@ -581,7 +551,7 @@ def conjugate(A: YoungFn) -> YoungFn:
             # the computed supremum stays the evaluation path; the factor-level
             # conjugate rides along as the asymptotic (metadata) view
             return YoungFn(symbolic=mapped, raw=raw, table=numeric.table,
-                           grid=A.grid, label=f"conj({A.label})", prefer="raw")
+                           grid=A.grid, label=f"conj({A.label})")
     return numeric
 
 
@@ -685,9 +655,31 @@ def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     return _compare_power_profiles(pa, pb, end)
 
 
-def dominates(A: YoungFn, B: YoungFn, *, c_max: float = 1e6,
-              steps: int = 60) -> DominationVerdict:
-    """Least c in a geometric ladder on [1, c_max] with B(t) <= A(c t) on the grid.
+def constant_ladder(cap: float) -> np.ndarray:
+    """CONSTANT_STEPS geometric rungs from 1 to ``cap``."""
+    if not 1.0 <= cap < math.inf:
+        raise ValueError(f"constant cap must be a finite number >= 1, got {cap:g}")
+    return np.power(10.0, np.linspace(0.0, math.log10(cap), CONSTANT_STEPS))
+
+
+def least_constant(ok, ladder) -> float | None:
+    """The first rung c of the ladder with ok(c), or None."""
+    for c in ladder:
+        if ok(c):
+            return float(c)
+    return None
+
+
+def grid_leq(lhs: np.ndarray, rhs: np.ndarray, floor: float = 1e-300) -> bool:
+    """lhs <= rhs at every sample, up to a 1e-9 relative slack plus ``floor``;
+    an infinite right-hand side admits anything."""
+    with np.errstate(invalid="ignore"):
+        ok = (lhs <= rhs * (1 + 1e-9) + floor) | np.isinf(rhs)
+    return bool(np.all(ok))
+
+
+def dominates(A: YoungFn, B: YoungFn) -> DominationVerdict:
+    """Least c in the constant ladder with B(t) <= A(c t) on the grid.
 
     Beyond-grid behaviour is screened with the fitted/exact end profiles, so a
     crossing outside [t_min, t_max] (e.g. t**2.99 vs t**3) is still rejected.
@@ -702,20 +694,17 @@ def dominates(A: YoungFn, B: YoungFn, *, c_max: float = 1e6,
             flags.append(f"tail-indeterminate-{end}")
     t = A.grid.abscissae()
     bt = B._monotone_eval(t)
-    ladder = np.power(10.0, np.linspace(0.0, math.log10(c_max), steps))
-    for cval in ladder:
-        at = A._monotone_eval(cval * t)
-        with np.errstate(invalid="ignore"):
-            ok = (bt <= at * (1 + 1e-9) + 1e-300) | (np.isinf(at))
-        if bool(np.all(ok)):
-            return DominationVerdict(True, float(cval), tuple(flags))
-    return DominationVerdict(False, math.nan,
-                             tuple(flags) + ("constant-range-exhausted",))
+    c = least_constant(lambda c: grid_leq(bt, A._monotone_eval(c * t)),
+                       constant_ladder(CONSTANT_CAP))
+    if c is None:
+        return DominationVerdict(False, math.nan,
+                                 tuple(flags) + ("constant-range-exhausted",))
+    return DominationVerdict(True, c, tuple(flags))
 
 
-def equivalent(A: YoungFn, B: YoungFn, *, c_max: float = 1e6) -> EquivalenceVerdict:
-    d_ab = dominates(A, B, c_max=c_max)
-    d_ba = dominates(B, A, c_max=c_max)
+def equivalent(A: YoungFn, B: YoungFn) -> EquivalenceVerdict:
+    d_ab = dominates(A, B)
+    d_ba = dominates(B, A)
     return EquivalenceVerdict(d_ab.holds and d_ba.holds, d_ab.constant,
                               d_ba.constant, tuple(set(d_ab.flags + d_ba.flags)))
 
@@ -729,8 +718,7 @@ def essentially_dominates(A: YoungFn, B: YoungFn, *,
     otherwise a flagged grid heuristic: every lambda must reach a sup above
     the threshold with the running sup still growing at a grid edge.
     """
-    closed_a = A.symbolic if A.symbolic is not None else A.profile_hint
-    closed_b = B.symbolic if B.symbolic is not None else B.profile_hint
+    closed_a, closed_b = A.closed_form, B.closed_form
     if closed_a is not None and closed_b is not None:
         hit = any(
             fam.compare_growth(closed_a.piece(end), closed_b.piece(end), end) > 0
@@ -776,9 +764,7 @@ def _modular_gridfn(A: YoungFn, g: GridFn, lam: float) -> float:
     gv = np.atleast_1d(np.asarray(g(ts), dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         hv = A._monotone_eval(gv / lam)
-    hfn = GridFn(ts, hv)
-    total = hfn.prefix_integral(0.0)[-1] + hfn.upper_tail_integral(0.0)
-    return float(total)
+    return GridFn(ts, hv).total_integral(0.0)
 
 
 def luxemburg_modular(A: YoungFn, g: GridFn | StepFn, lam: float) -> float:
@@ -888,23 +874,17 @@ def validate(A: YoungFn, *, rtol_convex: float = 1e-9, rtol_kt: float = 1e-6) ->
     return issues
 
 
-def _views_agree(A: YoungFn, c_max: float = 1e6, steps: int = 60) -> bool:
+def _views_agree(A: YoungFn) -> bool:
     """Cross-domination of the raw profile and the normalized table on the
     grid, restricted to float-representable values (no tail extrapolation)."""
     t = A.table.t
     sym = lambda x: np.atleast_1d(np.asarray(A.symbolic.value(x), dtype=float))
     tab = lambda x: np.atleast_1d(np.asarray(A.table(x), dtype=float))
-    ladder = np.power(10.0, np.linspace(0.0, math.log10(c_max), steps))
-    for upper, lower in ((tab, sym), (sym, tab)):
+    ladder = constant_ladder(CONSTANT_CAP)
+
+    def dominated(upper, lower) -> bool:
         lower_v = lower(t)
-        found = False
-        for cval in ladder:
-            upper_v = upper(cval * t)
-            with np.errstate(invalid="ignore"):
-                ok = (lower_v <= upper_v * (1 + 1e-9) + 1e-280) | np.isinf(upper_v)
-            if bool(np.all(ok)):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+        return least_constant(
+            lambda c: grid_leq(lower_v, upper(c * t), floor=1e-280), ladder) is not None
+
+    return dominated(tab, sym) and dominated(sym, tab)

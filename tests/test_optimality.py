@@ -107,6 +107,13 @@ class TestReiteration:
         dd = op.reiterate_domain(make(mixed(2.0, 4.0)), ctx31)
         assert dd.improvement_strict and dd.target_optimal and dd.target_preserved
 
+    def test_domain_gate_failure_reported(self, ctx31):
+        # t^6 has A(t) t^(-3) -> 0 near zero: no target, hence no improvement
+        dd = op.reiterate_domain(make(fam.lp(6)), ctx31)
+        assert dd.improved is None
+        assert not (dd.improvement_strict or dd.target_optimal or dd.target_preserved)
+        assert dd.flags == ("acond-failed",)
+
     def test_domain_no_improvement_for_power(self, ctx31):
         dd = op.reiterate_domain(make(fam.lp(2)), ctx31)
         assert not dd.improvement_strict

@@ -205,13 +205,3 @@ class TestRearrangementBound:
             cs.append(rep.c1)
         assert max(cs) / min(cs) < 4.0
 
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        f = rng.random((6, 6))
-        path = tmp_path / "grid.csv"
-        orc.write_grid_csv(path, f, 1.25)
-        g, gamma = orc.read_grid_csv(path)
-        assert gamma == 1.25
-        assert np.max(np.abs(f - g)) < 1e-12

@@ -117,6 +117,11 @@ class TestBoundedPolicy:
         assert not v.holds
         assert "criterion-disagreement" in v.flags
 
+    @pytest.mark.parametrize("cap", [0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_constant_cap_below_one_rejected(self, ctx31, cap):
+        with pytest.raises(ValueError, match="constant cap"):
+            red.bounded(make(fam.lp(2)), make(fam.lp(6)), ctx31, constant_cap=cap)
+
     def test_target_monotone(self, ctx31):
         A = make(fam.lp(2))
         assert red.bounded(A, make(fam.lp(6)), ctx31).holds

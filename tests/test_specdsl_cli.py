@@ -1,6 +1,10 @@
 """DSL parsing, rendering, and the command-line frontend."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,36 @@ class TestCli:
     def test_probe_missing_second_spec(self, capsys):
         code, _, err = run_cli(capsys, "probe", "Lp(2)")
         assert code == 2 and "two spec" in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (("bounded", "Lp(2)", "Lp(6)", "--gamma", "5", "--n", "3"), 2),
+        (("target", "Lp(2)", "--tmin", "0"), 2),
+        (("boyd", "Lp(2)", "--tmax", "1e400"), 2),
+        (("domain", "Lp(6)", "--grid-points-per-decade", "1"), 2),
+        (("bounded", "Lp(2)", "Lp(6)", "--constant-cap", "0.5"), 2),
+        (("probe", "--fixtures", "/nonexistent/pairs.json"), 2),
+        # the reader closes the pipe before the first write
+        (("conjugate", "Lp(2)", "--format", "csv"), 1),
+    ])
+    def test_user_errors_and_closed_pipe_print_no_traceback(self, argv, code):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen([sys.executable, "-m", "orlicz_calc.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == code
+        assert len(err.splitlines()) == (1 if code == 2 else 0), err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounded", "Lp(2)", "Lp(6)"), ("boyd", "Lp(2)"), ("probe", "Lp(2)", "Lp(6)")])
+    def test_format_only_where_csv_exists(self, capsys, argv):
+        assert cli.main(list(argv) + ["--n", "3"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv) + ["--format", "json"])
+        assert exc.value.code == 2
 
     def test_probe_with_fixture_file(self, capsys, tmp_path):
         fixtures = tmp_path / "pairs.json"
