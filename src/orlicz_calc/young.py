@@ -461,17 +461,52 @@ def from_callable(fn, grid: GridSpec = DEFAULT_GRID, label: str = "",
 
 
 _CONJ_EXT_DECADES = 6
+_REFINE_ROUNDS = 6
+_REFINE_STEP = 1e-4
+
+
+def _refine_sup(A: YoungFn, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """max over s of s t - A(s) near s = e^u, by Newton steps in log s on
+    central differences of the pointwise evaluator.
+
+    Every sampled value is s t - A(s) for some s, so the result never exceeds
+    the exact supremum; a step is capped at one grid cell and taken only
+    where the stencil is concave.
+    """
+    d = _REFINE_STEP
+    cap = math.log(10.0) / A.grid.points_per_decade
+    offsets = np.array([-d, 0.0, d])
+    best = np.full_like(ts, -np.inf)
+    for _ in range(_REFINE_ROUNDS):
+        s = np.exp(u[:, None] + offsets[None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = s * ts[:, None] - A._monotone_eval(s.ravel()).reshape(s.shape)
+        f = np.where(np.isnan(f), -np.inf, f)
+        best = np.maximum(best, f.max(axis=1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slope = (f[:, 2] - f[:, 0]) / (2.0 * d)
+            curv = (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) / (d * d)
+            step = np.where(curv < 0.0, -slope / curv, 0.0)
+        step = np.clip(np.where(np.isfinite(step), step, 0.0), -cap, cap)
+        if not np.any(np.abs(step) > 1e-10):
+            break
+        u = u + step
+    return best
 
 
 def conjugate(A: YoungFn) -> YoungFn:
     """Young conjugate sup_s { s t - A(s) }.
 
-    Computed exactly for the tabulated representation: node candidates
-    (extended several decades beyond the grid through the pointwise
-    evaluator), closed-form interior maxima of the power cells, and analytic
-    power tails.  The result is a supremum of affine functions of t, hence
-    exactly convex; conjugating twice recovers the convex envelope of the
-    original representation.
+    The supremum runs over node candidates (extended several decades beyond
+    the grid through the pointwise evaluator), one maximum inside the cells
+    and analytic power tails.  The cell maximum is taken of the same view
+    that ``A.inverse_many`` inverts: the closed-form maximum of the power
+    cells for a tabulated function, and a refinement on the pointwise
+    evaluator when that backs the monotone view (power interpolation sits off
+    the exact function by a few 1e-4 relative inside a cell, enough to push
+    A^{-1}(t) C^{-1}(t) past 2t).  Either way the result is a supremum of
+    affine functions of t, hence convex; conjugating twice recovers the
+    convex envelope of the original representation.
     """
     tab = A.table
     ppd = A.grid.points_per_decade
@@ -502,13 +537,16 @@ def conjugate(A: YoungFn) -> YoungFn:
     ext_fn = GridFn(s_i, y_i)
     lo_tail, hi_tail = ext_fn.tail_zero, ext_fn.tail_infinity
     saturated = not math.isinf(A.finite_sup)
+    exact = A._mono_source
 
     def conj_values(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        rows = np.arange(ts.size)
         best = np.zeros_like(ts)
         with np.errstate(over="ignore", invalid="ignore"):
             cand = s_i[None, :] * ts[:, None] - y_i[None, :]
-        best = np.maximum(best, cand.max(axis=1))
+        node = cand.argmax(axis=1)
+        best = np.maximum(best, cand[rows, node])
         # interior cell maxima: s* = (t/(c m))**(1/(m-1)), value s* t (1 - 1/m);
         # boundary maxima coincide with node candidates
         if interior.any():
@@ -521,7 +559,16 @@ def conjugate(A: YoungFn) -> YoungFn:
                 inside = (ls > lo) & (ls < hi)
                 s_star = np.where(inside, np.exp(np.where(inside, ls, 0.0)), 0.0)
                 val = s_star * ts[:, None] * (1.0 - 1.0 / mi)
-            best = np.maximum(best, val.max(axis=1))
+            if exact:
+                # where the power-cell maximum beats every node it lies inside
+                # a cell; it only seeds the refinement on the evaluator there
+                cell = val.argmax(axis=1)
+                seed = val[rows, cell] > cand[rows, node]
+                if seed.any():
+                    best[seed] = np.maximum(best[seed], _refine_sup(
+                        A, ts[seed], ls[rows, cell][seed]))
+            else:
+                best = np.maximum(best, val.max(axis=1))
         for tail, bound, is_upper in ((lo_tail, s_i[0], False),
                                       (hi_tail, s_i[-1], True)):
             if is_upper and saturated:

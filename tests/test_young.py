@@ -98,6 +98,18 @@ class TestConjugate:
             prod = A.inverse(t) * C.inverse(t)
             assert t * (1 - 1e-6) <= prod <= 2 * t * (1 + 1e-6)
 
+    @pytest.mark.parametrize("family", [fam.zygmund(1, -1.5, 1, 2),
+                                        fam.zygmund(1.5, -2, 3, 1)])
+    def test_product_bounds_log_factors(self, family):
+        # power interpolation between nodes overshoots these profiles by
+        # a few 1e-4 relative; the conjugate must be taken of the exact function
+        A = make(family)
+        C = young.conjugate(A)
+        t = np.geomspace(1e-10, 1e10, 81)
+        ratio = A.inverse_many(t) * C.inverse_many(t) / t
+        assert np.nanmin(ratio) >= 1 - 1e-6
+        assert np.nanmax(ratio) <= 2 + 2e-6
+
     def test_involution(self, young_battery):
         for name, A in young_battery.items():
             CC = young.conjugate(young.conjugate(A))
