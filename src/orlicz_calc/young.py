@@ -518,6 +518,11 @@ def conjugate(A: YoungFn) -> YoungFn:
     with np.errstate(over="ignore", invalid="ignore"):
         y_lo = np.atleast_1d(np.asarray(A.eval(ext_lo), dtype=float))
         y_hi = np.atleast_1d(np.asarray(A.eval(ext_hi), dtype=float))
+    # a Young function keeps A(t)/t nondecreasing; past the table the raw
+    # closed form may not (t**p l**a with p near 1 and a < 0 has its least
+    # ratio far out), and a dip below the edge ratio makes C positive under
+    # A's slope, so A^{-1}(t) C^{-1}(t) drops below t
+    y_hi = np.maximum(y_hi, ext_hi * (tab.y[-1] / tab.t[-1]))
     t_nodes = np.concatenate([ext_lo, tab.t, ext_hi])
     y_nodes = np.maximum.accumulate(np.concatenate([y_lo, tab.y, y_hi]))
     finite = np.isfinite(y_nodes)
