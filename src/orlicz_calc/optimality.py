@@ -154,6 +154,8 @@ class WitnessResult:
 # integral keeps sub-floor chords integrable for the boundedness criteria
 _SCAN_FLOOR = 1e-60
 _SCAN_PPD = 16
+_MAX_RUNGS = 12
+_TAU_LOG_FLOOR = math.log(1e-90)
 
 
 def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
@@ -213,32 +215,38 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     return D, rungs
 
 
-def _chi_ratio_fn(B: YoungFn):
-    def phi(s):
-        v = np.atleast_1d(np.asarray(B._monotone_eval(np.atleast_1d(s)), dtype=float))
-        return v / np.atleast_1d(s)
-    return phi
+def _exp(x: np.ndarray) -> np.ndarray:
+    # libm exp, element by element: numpy's AVX-512 exp differs from it in
+    # the last bit on some inputs, which would move tau and the rungs
+    return np.fromiter(map(math.exp, x), dtype=float, count=len(x))
 
 
-def _tau_of(B: YoungFn, level: float) -> float:
-    """sup{s in (0, 1]: B(s)/s <= level} by bisection (B(s)/s nondecreasing)."""
-    phi = _chi_ratio_fn(B)
-    lo, hi = math.log(1e-90), 0.0
-    if phi(math.exp(lo))[0] > level:
-        return 0.0
-    if phi(1.0)[0] <= level:
-        return 1.0
+def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
+    """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
+
+    B(s)/s is nondecreasing, so each level is bisected in log s over
+    [log 1e-90, 0] with 80 halvings; 0.0 where the level lies below
+    B(1e-90)/1e-90 and 1.0 where B(1) <= level."""
+    lo_s = math.exp(_TAU_LOG_FLOOR)
+    phi_lo = B._monotone_eval(np.array([lo_s]))[0] / lo_s
+    phi_1 = B._monotone_eval(np.array([1.0]))[0]
+    dead = phi_lo > levels
+    work = ~dead & ~(phi_1 <= levels)
+    out = np.where(dead, 0.0, 1.0)
+    lv = levels[work]
+    lo = np.full(len(lv), _TAU_LOG_FLOOR)
+    hi = np.zeros(len(lv))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if phi(math.exp(mid))[0] <= level:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+        s = _exp(mid)
+        ok = B._monotone_eval(s) / s <= lv
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    out[work] = _exp(lo)
+    return out
 
 
-def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
-                        max_rungs: int = 12) -> WitnessResult:
+def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessResult:
     """Essentially enlarge B while keeping the integral inequality against D.
 
     Selects a decreasing ladder t_k with chords over (t_k, tau_k) where
@@ -261,12 +269,6 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
         flags.append("auxiliary-profile")
     else:
         D_used = D
-
-    def d_ratio(t: float) -> float:
-        return float(np.atleast_1d(D_used._monotone_eval(np.array([t])))[0]) / t ** q_star
-
-    def b_at(t) -> float:
-        return float(np.atleast_1d(B._monotone_eval(np.array([float(t)])))[0])
 
     # the constant in the defining inequality against D_used on (0, 1)
     scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.0, 1.0 / _SCAN_PPD))
@@ -291,37 +293,43 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
     prev_t = 1.0
     prev_dr = None
     cursor = 0.3
-    for k in range(1, max_rungs + 1):
-        accepted = False
+    for k in range(1, _MAX_RUNGS + 1):
+        # the candidates of this rung, in scan order; the first one passing
+        # every test below becomes the rung
+        cands = []
         t = min(cursor, prev_t * 0.49)
         while t > _SCAN_FLOOR:
-            level = d_ratio(t) * t ** (q_star - 1.0)  # D(t)/t
-            tau = _tau_of(B, level)
-            ok = (tau >= 2.0 * t) and (tau < prev_t)
-            if ok and prev_dr is not None:
-                ok = d_ratio(t) <= 0.5 * prev_dr
-            if ok:
-                ratio = (b_at(tau) / tau) * (t / b_at(k * t))
-                if ratio >= 10.0 * k:
-                    t_rungs.append(t)
-                    tau_rungs.append(tau)
-                    sel_ratios.append(float(ratio))
-                    prev_t = t
-                    prev_dr = d_ratio(t)
-                    accepted = True
-                    break
+            cands.append(t)
             t /= 10.0 ** (1.0 / _SCAN_PPD)
-        if not accepted:
+        ts = np.array(cands)
+        # python-float powers: numpy's array power takes a sqrt shortcut at 0.5
+        d_ratio = D_used._monotone_eval(ts) / np.array([x ** q_star for x in cands])
+        level = d_ratio * np.array([x ** (q_star - 1.0) for x in cands])  # D(t)/t
+        tau = _tau_many(B, level)
+        ok = (tau >= 2.0 * ts) & (tau < prev_t)
+        if prev_dr is not None:
+            ok &= d_ratio <= 0.5 * prev_dr
+        idx = np.nonzero(ok)[0]
+        ratio = ((B._monotone_eval(tau[idx]) / tau[idx])
+                 * (ts[idx] / B._monotone_eval(k * ts[idx])))
+        hit = np.nonzero(ratio >= 10.0 * k)[0]
+        if len(hit) == 0:
             break
-        cursor = t_rungs[-1] / 2.0
+        j = idx[hit[0]]
+        t_rungs.append(cands[j])
+        tau_rungs.append(float(tau[j]))
+        sel_ratios.append(float(ratio[hit[0]]))
+        prev_t = cands[j]
+        prev_dr = float(d_ratio[j])
+        cursor = prev_t / 2.0
 
     if len(t_rungs) < 3:
         flags.append("witness-unconstructible")
 
     tk = np.array(t_rungs)
     tauk = np.array(tau_rungs)
-    b_tk = np.array([b_at(x) for x in tk])
-    b_tauk = np.array([b_at(x) for x in tauk])
+    b_tk = B._monotone_eval(tk)
+    b_tauk = B._monotone_eval(tauk)
     slopes = (b_tauk - b_tk) / (tauk - tk)
 
     def b1(x):
@@ -340,8 +348,8 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext, *,
     B1.profile_hint = B.closed_form
 
     # growth evidence along the ladder and the 5C bound on (0, 1)
-    dom_ratios = tuple(float(b1(np.array([2 * tk[i]]))[0] / b_at(k_ * tk[i]))
-                       for i, k_ in enumerate(range(1, len(tk) + 1)))
+    dom_ratios = tuple(map(float, b1(2 * tk)
+                           / B._monotone_eval(np.arange(1, len(tk) + 1) * tk)))
     b1g = GridFn(scan, b1(scan))
     prefix1 = b1g.prefix_integral(-q_star - 1.0)
     rhs = d_scaled(5.0 * c_found)

@@ -1,5 +1,7 @@
 """Optimal-space decisions, reiteration, and the enlargement witness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,64 @@ def small_domain_fixture():
         fam.piece(fam.PowerFactor(1.2))), label="B")
 
 
+@pytest.fixture(scope="module")
+def direct_branch(ctx31, small_domain_fixture):
+    """The witness against a D with D(t)/t^q* vanishing at zero."""
+    A = make(fam.zygmund(1, -0.5, 1, 0.5))
+    D = tr.a_gamma(A, ctx31)
+    return A, op.witness_improvement(small_domain_fixture, D, ctx31)
+
+
+def scalar_tau(B, level):
+    """One level at a time: sup{s in (0, 1]: B(s)/s <= level}."""
+    def phi(s):
+        return float(B._monotone_eval(np.array([s]))[0]) / s
+    lo, hi = math.log(1e-90), 0.0
+    if phi(math.exp(lo)) > level:
+        return 0.0
+    if phi(1.0) <= level:
+        return 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if phi(math.exp(mid)) <= level:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
+class TestTauMany:
+
+    @pytest.fixture(params=["small-domain", "t^2"])
+    def profile(self, request, small_domain_fixture):
+        if request.param == "t^2":
+            return make(fam.lp(2))
+        return small_domain_fixture
+
+    def test_matches_scalar_bisection(self, profile):
+        lo = float(profile._monotone_eval(np.array([1e-90]))[0]) / 1e-90
+        hi = float(profile._monotone_eval(np.array([1.0]))[0])
+        rng = np.random.default_rng(4)
+        levels = np.exp(rng.uniform(math.log(lo) - 3.0, math.log(hi) + 3.0, 40))
+        taus = op._tau_many(profile, levels)
+        for level, tau in zip(levels, taus):
+            assert tau == scalar_tau(profile, float(level))
+
+    def test_end_values(self, profile):
+        lo = float(profile._monotone_eval(np.array([1e-90]))[0]) / 1e-90
+        hi = float(profile._monotone_eval(np.array([1.0]))[0])
+        taus = op._tau_many(profile, np.array([0.5 * lo, hi, 2.0 * hi]))
+        assert taus.tolist() == [0.0, 1.0, 1.0]
+
+    def test_level_not_exceeded_inside(self, profile):
+        levels = np.geomspace(1e-40, 1e-1, 60)
+        taus = op._tau_many(profile, levels)
+        inside = (taus > 0.0) & (taus < 1.0)
+        assert inside.sum() > 30
+        phi = profile._monotone_eval(taus[inside]) / taus[inside]
+        assert np.all(phi <= levels[inside])
+
+
 class TestWitness:
 
     def test_bounded_precondition(self, ctx31, small_domain_fixture):
@@ -160,10 +220,8 @@ class TestWitness:
         assert w.bound_margin <= 1.0 + 1e-6
         assert red.criterion_iii(A, w.young, ctx31).holds
 
-    def test_vanishing_ratio_path(self, ctx31, small_domain_fixture):
-        A = make(fam.zygmund(1, -0.5, 1, 0.5))
-        D = tr.a_gamma(A, ctx31)
-        w = op.witness_improvement(small_domain_fixture, D, ctx31)
+    def test_vanishing_ratio_path(self, ctx31, direct_branch):
+        A, w = direct_branch
         assert "auxiliary-profile" not in w.flags
         assert len(w.t_rungs) >= 3
         assert "witness-unconstructible" not in w.flags
@@ -174,11 +232,9 @@ class TestWitness:
         assert w.bound_margin <= 1.0 + 1e-6
         assert red.criterion_iii(A, w.young, ctx31).holds
 
-    def test_witness_still_dominated_by_construction_profile(self, ctx31,
+    def test_witness_still_dominated_by_construction_profile(self, direct_branch,
                                                              small_domain_fixture):
-        A = make(fam.zygmund(1, -0.5, 1, 0.5))
-        D = tr.a_gamma(A, ctx31)
-        w = op.witness_improvement(small_domain_fixture, D, ctx31)
+        _, w = direct_branch
         B1, B = w.young, small_domain_fixture
         # B1 >= B everywhere, strictly larger inside the chords
         t = np.geomspace(1e-12, 1e12, 101)
