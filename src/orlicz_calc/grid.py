@@ -247,14 +247,10 @@ class GridFn:
             return vN * tN ** (weight + 1.0) * float(ell(tN)) / (-b - 1.0)
         return math.inf
 
-    def cell_integrals(self, weight: float) -> np.ndarray:
-        """Per-cell integrals of value(s) * s**weight, exact on power cells."""
-        return _cell_integrals(self.t, self.y, weight)
-
     def prefix_integral(self, weight: float) -> np.ndarray:
         """P(t_i) = integral over (0, t_i] of value(s) * s**weight ds."""
         head = self.head_integral(weight)
-        cells = self.cell_integrals(weight)
+        cells = _cell_integrals(self.t, self.y, weight)
         out = np.empty_like(self.y)
         out[0] = head
         np.cumsum(cells, out=out[1:])
@@ -267,6 +263,7 @@ class GridFn:
 
 
 def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
+    """Per-cell integrals of y(s) * s**w, exact on power cells."""
     tl, tr = t[:-1], t[1:]
     yl, yr = y[:-1], y[1:]
     out = np.zeros(len(t) - 1)

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import families as fam
 from . import transforms as tr
 # the ladder constants live with the ladder in ``young``; they are named
 # here too because the criteria below search that ladder
@@ -32,10 +31,14 @@ from .young import (  # noqa: F401
     EndProfile,
     GammaContext,
     YoungFn,
-    _tail_admits_domination,
+    _q_category,
     constant_ladder,
+    end_integrable,
+    end_sign,
+    exponent_signs,
     grid_leq,
     least_constant,
+    tail_screen,
 )
 
 
@@ -63,29 +66,22 @@ def _worst_ratio_t(t: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> float:
 def _lhs_profile(pb: EndProfile, ctx: GammaContext, end: str) -> EndProfile:
     """End profile of the prefix integral t -> int_0^t B(s)/s^(q*+1) ds,
     mapped from B's own profile."""
-    if pb.kind != "power":
-        return pb  # plateaus pass through: 0 stays 0, +inf stays +inf
-    if math.isinf(pb.q) or pb.q >= 25.0:
-        return pb  # superpolynomial scale is preserved by the integral
-    q_star = ctx.q_star
-    dq = pb.q - q_star
-    tol = 1e-6 if pb.exact else 5e-3
-    if end == "zero":
-        if dq > tol:
-            return EndProfile("power", dq, pb.alpha, exact=pb.exact)
-        return EndProfile("power", 0.0, pb.alpha + 1.0, exact=pb.exact)
-    if dq > tol:
-        return EndProfile("power", dq, pb.alpha, exact=pb.exact)
-    if abs(dq) <= tol and pb.alpha > -1.0 + 0.05:
+    if pb.kind != "power" or _q_category(pb) == "super":
+        # plateaus pass through (0 stays 0, +inf stays +inf), and so does a
+        # superpolynomial scale
+        return pb
+    dq, da = exponent_signs(pb, -ctx.q_star, 1.0)
+    if dq > 0:
+        return EndProfile("power", pb.q - ctx.q_star, pb.alpha, exact=pb.exact)
+    if end == "zero" or (dq == 0 and da > 0):
         return EndProfile("power", 0.0, pb.alpha + 1.0, exact=pb.exact)
     # convergent at infinity: the integral levels off
-    borderline = abs(dq) <= tol and abs(pb.alpha + 1.0) <= 0.05
-    return EndProfile("power", 0.0, 0.0, exact=pb.exact and not borderline)
+    return EndProfile("power", 0.0, 0.0, exact=pb.exact and (dq, da) != (0, 0))
 
 
 def _rhs_profile(pa: EndProfile, ctx: GammaContext) -> EndProfile:
     """End profile of t -> A_gamma(t)/t^q*, mapped from the target profile."""
-    if pa.kind != "power" or math.isinf(pa.q) or pa.q >= 25.0:
+    if pa.kind != "power" or _q_category(pa) == "super":
         return pa
     return EndProfile("power", pa.q - ctx.q_star, pa.alpha, exact=pa.exact)
 
@@ -116,16 +112,12 @@ def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         return Verdict(False, math.nan, "iii", float(t[0]), ("lhs-divergent",))
 
     q_star = ctx.q_star
-    flags: list[str] = []
-    for end in ("zero", "infinity"):
-        pl = _lhs_profile(B.end_profile(end), ctx, end)
-        pr = _rhs_profile(AG.end_profile(end), ctx)
-        adm = _tail_admits_domination(pr, pl, end)
-        if adm is False:
-            return Verdict(False, math.nan, "iii", float(t[0] if end == "zero" else t[-1]),
-                           (f"tail-exponent-reject-{end}",))
-        if adm is None:
-            flags.append(f"tail-indeterminate-{end}")
+    rejected, flags = tail_screen(
+        lambda end: _rhs_profile(AG.end_profile(end), ctx),
+        lambda end: _lhs_profile(B.end_profile(end), ctx, end))
+    if rejected:
+        return Verdict(False, math.nan, "iii",
+                       float(t[0] if rejected == "zero" else t[-1]), tuple(flags))
 
     def rhs_at(c):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -144,16 +136,10 @@ def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
     t = BG.table.t
     lhs = BG.table.y
 
-    flags: list[str] = []
-    for end in ("zero", "infinity"):
-        pa = A.end_profile(end)
-        pb = BG.end_profile(end)
-        adm = _tail_admits_domination(pa, pb, end)
-        if adm is False:
-            return Verdict(False, math.nan, "iv", float(t[0] if end == "zero" else t[-1]),
-                           (f"tail-exponent-reject-{end}",))
-        if adm is None:
-            flags.append(f"tail-indeterminate-{end}")
+    rejected, flags = tail_screen(A.end_profile, BG.end_profile)
+    if rejected:
+        return Verdict(False, math.nan, "iv",
+                       float(t[0] if rejected == "zero" else t[-1]), tuple(flags))
 
     return _ladder_verdict("iv", t, lhs, lambda c: A._monotone_eval(c * t),
                            ladder, flags)
@@ -177,25 +163,11 @@ def bounded(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
 def endpoint_linf_target(A: YoungFn, ctx: GammaContext) -> Verdict:
     """Boundedness into L-infinity: A(t) >= C t^(n/gamma) on (0, inf)."""
     r = ctx.r_star
-    flags: list[str] = []
     if A.zero_plateau_end > 0.0:
         return Verdict(False, math.nan, "endpoint-i", A.zero_plateau_end,
                        ("zero-plateau",))
-    if A.symbolic is not None:
-        ok = (fam.limit_sign(A.symbolic.near_zero, -r, "zero") >= 0
-              and fam.limit_sign(A.symbolic.near_infinity, -r, "infinity") >= 0)
-    else:
-        ok = True
-        for end in ("zero", "infinity"):
-            prof = A.end_profile(end)
-            if prof.kind == "plateau-infinity":
-                continue
-            dq = prof.q - r
-            if end == "zero":
-                ok &= dq < -1e-3 or (abs(dq) <= 1e-3 and prof.alpha >= -0.05)
-            else:
-                ok &= dq > 1e-3 or (abs(dq) <= 1e-3 and prof.alpha >= -0.05)
-        flags.append("heuristic")
+    ok = end_sign(A, -r, "zero") >= 0 and end_sign(A, -r, "infinity") >= 0
+    flags = [] if A.closed_form is not None else ["heuristic"]
     t = A.table.t
     vals = np.atleast_1d(np.asarray(A._monotone_eval(t), dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,24 +185,14 @@ def endpoint_linf_target(A: YoungFn, ctx: GammaContext) -> Verdict:
 def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> Verdict:
     """Boundedness from L^1: the full-line integral of B(s)/s^(q*+1) converges."""
     q_star = ctx.q_star
-    flags: list[str] = []
     if not tr.check_bconv(B, ctx):
         return Verdict(False, math.nan, "endpoint-ii", B.grid.t_min,
                        ("diverges-at-zero",))
     if math.isfinite(B.finite_sup):
         return Verdict(False, math.nan, "endpoint-ii", B.finite_sup,
                        ("diverges-at-infinity",))
-    if B.symbolic is not None:
-        ok = fam.integrable(B.symbolic.near_infinity, -q_star - 1.0, "infinity")
-    else:
-        prof = B.end_profile("infinity")
-        if prof.q < q_star - 1e-3:
-            ok = True
-        elif prof.q > q_star + 1e-3:
-            ok = False
-        else:
-            ok = prof.alpha < -1.0 - 0.1
-        flags.append("heuristic")
+    ok = end_integrable(B, -q_star - 1.0, "infinity")
+    flags = [] if B.closed_form is not None else ["heuristic"]
     if not ok:
         return Verdict(False, math.nan, "endpoint-ii", B.grid.t_max, tuple(flags))
     g = tr.lower_fractional_integral(B, ctx)

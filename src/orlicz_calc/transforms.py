@@ -28,7 +28,7 @@ import numpy as np
 from . import families as fam
 from .boyd import boyd_indices
 from .grid import GridFn, TailFit, ell, grid_inverse
-from .young import GammaContext, YoungFn
+from .young import GammaContext, YoungFn, end_integrable, end_sign
 
 
 class TransformGateError(ValueError):
@@ -243,54 +243,14 @@ def improved_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFami
 def check_acond(A: YoungFn, ctx: GammaContext) -> bool:
     """Is inf over (0,1) of A(t) t^(-n/gamma) positive?
 
-    Decided exactly for closed-form profiles; tabulated inputs combine the
-    grid infimum with the fitted zero-tail exponent.
+    Decided exactly for closed-form profiles, else from the zero-end profile.
     """
-    if A.zero_plateau_end > 0.0:
-        return False
-    r = ctx.r_star
-    if A.closed_form is not None:
-        return fam.limit_sign(A.closed_form.near_zero, -r, "zero") >= 0
-    t = A.table.t
-    inside = (t > 0) & (t <= 1.0)
-    vals = A.table.y[inside]
-    if np.any(vals == 0.0):
-        return False
-    prof = A.end_profile("zero")
-    if prof.kind == "plateau-zero":
-        return False
-    if prof.q < r - 1e-3:
-        return True
-    if prof.q > r + 1e-3:
-        return False
-    return prof.alpha >= -1e-3
+    return end_sign(A, -ctx.r_star, "zero") >= 0
 
 
 def check_bconv(B: YoungFn, ctx: GammaContext) -> bool:
     """Does int_0 B(s) / s^(q*+1) ds converge at zero?"""
-    q_star = ctx.q_star
-    if B.zero_plateau_end > 0.0:
-        return True
-    if B.closed_form is not None:
-        return fam.integrable(B.closed_form.near_zero, -q_star - 1.0, "zero")
-    prof = B.end_profile("zero")
-    if prof.kind == "plateau-zero":
-        return True
-    if prof.q > q_star + 1e-3:
-        return True
-    if prof.q < q_star - 1e-3:
-        return False
-    if prof.alpha < -1.0 - 0.1:
-        return True
-    if prof.alpha > -1.0 + 0.1:
-        return False
-    # borderline: numeric growth of the prefix integral toward zero
-    g = _monotone_gridfn(B, B.grid.abscissae())
-    cells = g.cell_integrals(-q_star - 1.0)
-    ppd = B.grid.points_per_decade
-    early = float(np.sum(cells[: 4 * ppd]))
-    later = float(np.sum(cells[4 * ppd: 8 * ppd]))
-    return early < 0.5 * later
+    return end_integrable(B, -ctx.q_star - 1.0, "zero")
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,9 @@ class YoungFn:
         """Evaluate the normalized (monotone) view.
 
         Beyond the table span, a known closed form extrapolates with its full
-        log structure, anchored at the edge value; plain tables fall back to
-        the fitted power tails.
+        log structure, anchored at the edge value and, toward infinity,
+        floored at the edge ratio A(t)/t; plain tables fall back to the fitted
+        power tails.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self._mono_source:
@@ -223,6 +224,12 @@ class YoungFn:
                          - float(pc.log_value(np.array([math.log(edge_t)]))[0]))
                 ext = np.where(shift > 700.0, np.inf,
                                edge_v * np.exp(np.minimum(shift, 700.0)))
+                if end == "infinity":
+                    # a Young function keeps A(t)/t nondecreasing; the raw
+                    # closed form may not (t**p l**a with p near 1 and a < 0
+                    # has its least ratio far out), and a dip below the edge
+                    # ratio puts the conjugate above 0 under A's slope
+                    ext = np.maximum(ext, t[mask] * (edge_v / edge_t))
             good = ~np.isnan(ext)
             if good.all():
                 vals[mask] = ext
@@ -517,12 +524,7 @@ def conjugate(A: YoungFn) -> YoungFn:
                                                     _CONJ_EXT_DECADES * ppd + 1)[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         y_lo = np.atleast_1d(np.asarray(A.eval(ext_lo), dtype=float))
-        y_hi = np.atleast_1d(np.asarray(A.eval(ext_hi), dtype=float))
-    # a Young function keeps A(t)/t nondecreasing; past the table the raw
-    # closed form may not (t**p l**a with p near 1 and a < 0 has its least
-    # ratio far out), and a dip below the edge ratio makes C positive under
-    # A's slope, so A^{-1}(t) C^{-1}(t) drops below t
-    y_hi = np.maximum(y_hi, ext_hi * (tab.y[-1] / tab.t[-1]))
+        y_hi = A._monotone_eval(ext_hi)
     t_nodes = np.concatenate([ext_lo, tab.t, ext_hi])
     y_nodes = np.maximum.accumulate(np.concatenate([y_lo, tab.y, y_hi]))
     finite = np.isfinite(y_nodes)
@@ -707,6 +709,73 @@ def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     return _compare_power_profiles(pa, pb, end)
 
 
+def tail_screen(upper, lower) -> tuple[str | None, list[str]]:
+    """Screen lower(t) <= upper(c t) beyond the grid at both ends.
+
+    ``upper(end)`` and ``lower(end)`` return the end profiles.  Returns the
+    first end whose profiles rule domination out with its reject code as the
+    only flag, else None with a tail-indeterminate flag per undecided end.
+    """
+    flags: list[str] = []
+    for end in ("zero", "infinity"):
+        adm = _tail_admits_domination(upper(end), lower(end), end)
+        if adm is False:
+            return end, [f"tail-exponent-reject-{end}"]
+        if adm is None:
+            flags.append(f"tail-indeterminate-{end}")
+    return None, flags
+
+
+def _tie_sign(x: float, tol: float) -> int:
+    if abs(x) <= tol:
+        return 0
+    return 1 if x > 0 else -1
+
+
+def exponent_signs(p: EndProfile, q_shift: float,
+                   a_shift: float = 0.0) -> tuple[int, int]:
+    """Signs of p.q + q_shift and p.alpha + a_shift for a power profile, gaps
+    within _Q_TOL on the power and _A_TOL on the l(t) exponent being ties (0).
+    """
+    return _tie_sign(p.q + q_shift, _Q_TOL), _tie_sign(p.alpha + a_shift, _A_TOL)
+
+
+def end_sign(A: YoungFn, shift: float, end: str) -> int:
+    """Does A(t) t**shift tend to 0 (-1), to a positive finite value (0) or to
+    +inf (+1) toward the end?
+
+    Exact for a closed form (``families.limit_sign``); otherwise read from the
+    end profile with the ties of ``exponent_signs``.
+    """
+    if A.closed_form is not None:
+        return fam.limit_sign(A.closed_form.piece(end), shift, end)
+    p = A.end_profile(end)
+    if p.kind != "power":
+        return -1 if p.kind == "plateau-zero" else 1
+    dq, da = exponent_signs(p, shift)
+    if dq:
+        return dq if end == "infinity" else -dq
+    return da
+
+
+def end_integrable(A: YoungFn, weight: float, end: str) -> bool:
+    """Does the integral of A(s) s**weight ds converge toward the end?
+
+    Exact for a closed form (``families.integrable``); otherwise the end
+    profile against the critical power -1 - weight and then the critical l(t)
+    exponent -1, with the ties of ``exponent_signs`` counted as divergent.
+    """
+    if A.closed_form is not None:
+        return fam.integrable(A.closed_form.piece(end), weight, end)
+    p = A.end_profile(end)
+    if p.kind != "power":
+        return p.kind == "plateau-zero"
+    dq, da = exponent_signs(p, weight + 1.0, 1.0)
+    if dq:
+        return (dq > 0) == (end == "zero")
+    return da < 0
+
+
 def constant_ladder(cap: float) -> np.ndarray:
     """CONSTANT_STEPS geometric rungs from 1 to ``cap``."""
     if not 1.0 <= cap < math.inf:
@@ -736,14 +805,9 @@ def dominates(A: YoungFn, B: YoungFn) -> DominationVerdict:
     Beyond-grid behaviour is screened with the fitted/exact end profiles, so a
     crossing outside [t_min, t_max] (e.g. t**2.99 vs t**3) is still rejected.
     """
-    flags: list[str] = []
-    for end in ("zero", "infinity"):
-        adm = _tail_admits_domination(A.end_profile(end), B.end_profile(end), end)
-        if adm is False:
-            return DominationVerdict(False, math.nan,
-                                     (f"tail-exponent-reject-{end}",))
-        if adm is None:
-            flags.append(f"tail-indeterminate-{end}")
+    rejected, flags = tail_screen(A.end_profile, B.end_profile)
+    if rejected:
+        return DominationVerdict(False, math.nan, tuple(flags))
     t = A.grid.abscissae()
     bt = B._monotone_eval(t)
     c = least_constant(lambda c: grid_leq(bt, A._monotone_eval(c * t)),

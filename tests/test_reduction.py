@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from orlicz_calc import families as fam, reduction as red, young
+from orlicz_calc import families as fam, reduction as red, transforms as tr, young
 
 from conftest import make
 
@@ -187,3 +187,39 @@ class TestEndpoints:
             lhs = red.endpoint_l1_domain(B, ctx31).holds
             rhs = red.bounded(l1, B, ctx31).holds
             assert lhs == rhs, B.label
+
+
+class TestEndRule:
+    """The end-exponent gates give one answer per profile, whether it comes
+    as a closed form, a callable or a table."""
+
+    CHECKS = {
+        "acond": tr.check_acond,
+        "bconv": tr.check_bconv,
+        "linf": lambda A, ctx: red.endpoint_linf_target(A, ctx).holds,
+        "l1": lambda A, ctx: red.endpoint_l1_domain(A, ctx).holds,
+    }
+
+    @staticmethod
+    def forms(family):
+        return (young.from_family(family), young.from_callable(family.value),
+                young.from_table(young.from_family(family).table))
+
+    @pytest.mark.parametrize("ctx", [young.GammaContext(3, 1.0),
+                                     young.GammaContext(1, 0.5)],
+                             ids=["3,1", "1,0.5"])
+    def test_forms_agree_on_battery(self, family_battery, ctx):
+        for name, family in family_battery.items():
+            forms = self.forms(family)
+            for check_name, check in self.CHECKS.items():
+                answers = [check(A, ctx) for A in forms]
+                assert len(set(answers)) == 1, (name, check_name, answers)
+
+    @pytest.mark.parametrize("a", [-1.3, -1.08, -1.0, -0.9])
+    def test_critical_log_exponent_band(self, ctx31, a):
+        # at the critical power q* = 1.5 the l(t) exponent a decides
+        # convergence: it holds exactly when a < -1
+        for family, check in ((fam.zygmund(1.5, a, 1.5, 0), self.CHECKS["bconv"]),
+                              (fam.zygmund(2, 0, 1.5, a), self.CHECKS["l1"])):
+            answers = [check(A, ctx31) for A in self.forms(family)]
+            assert answers == [a < -1.0] * 3, (family.render(), answers)

@@ -49,6 +49,13 @@ class TestEval:
         A = make(fam.exp_type(-1, 1))
         assert A.eval(1e9) == math.inf
 
+    def test_ratio_nondecreasing_past_table(self):
+        # t**1.0625 l**-2 has its least A(t)/t near 3e13, past the table end
+        A = make(fam.zygmund(1, 0, 1.0625, -2))
+        u = np.geomspace(1e12, 1e16, 9)
+        ratio = A._monotone_eval(u) / u
+        assert np.all(np.diff(ratio) >= -1e-12 * ratio[:-1])
+
 
 class TestInverse:
     def test_power(self):
