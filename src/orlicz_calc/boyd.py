@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import YoungFn
+from .young import _Q_TOL, YoungFn
 
 _LADDER_EXPONENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
 
@@ -66,8 +66,9 @@ def dilation(A: YoungFn, t: float) -> float:
     best = float(ratio.max()) if len(ratio) else 1.0
     for end in ("zero", "infinity"):
         prof = A.end_profile(end)
-        if prof.kind == "power" and np.isfinite(prof.q) and prof.q >= 1.0:
-            best = max(best, t ** (1.0 / prof.q))
+        if prof.kind == "power" and np.isfinite(prof.q) and prof.q >= 1.0 - _Q_TOL:
+            # an order within the tie of 1 is order 1 (fits land a hair below)
+            best = max(best, t ** (1.0 / max(prof.q, 1.0)))
         elif prof.kind in ("plateau-zero", "plateau-infinity"):
             best = max(best, 1.0)
     return best

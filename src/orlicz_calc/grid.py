@@ -4,11 +4,12 @@ Everything downstream works on nonnegative extended-real functions sampled on
 a geometric grid.  Between samples a function is interpolated as a power law
 (linear in log-log coordinates), which is exact for the power-type profiles
 this library manipulates; beyond the grid it is extrapolated with a local
-power-law fit of the outermost decade, optionally refined with an exact
-log-correction exponent when the caller knows one.  Integrals are evaluated
-cell by cell with the closed-form antiderivative of ``c * s**m * s**w``, so
-power integrands are integrated exactly and step functions are exact once
-their breakpoints are inserted into the abscissae.
+power-law fit of the outermost decade.  ``young.YoungFn.sampled`` is the one
+place that attaches an exact tail instead: the closed-form power-log zero
+piece of a Young function, with its log-correction exponent.  Integrals are
+evaluated cell by cell with the closed-form antiderivative of
+``c * s**m * s**w``, so power integrands are integrated exactly and step
+functions are exact once their breakpoints are inserted into the abscissae.
 """
 
 from __future__ import annotations
@@ -205,51 +206,40 @@ class GridFn:
 
     # -- quadrature --------------------------------------------------------
 
-    def head_integral(self, weight: float) -> float:
-        """Integral over (0, t[0]) of value(s) * s**weight from the zero tail."""
-        tail = self.tail_zero
-        if tail.kind == "zero":
-            return 0.0
-        if tail.kind == "infinity":
-            return math.inf
-        a = tail.exponent + weight + 1.0
-        t0 = self.t[0]
-        v0 = float(np.exp(np.minimum(tail.log_value(np.log(t0)), _EXP_CLIP)))
-        tol = 1e-9
-        if a > tol:
-            head = v0 * t0 ** (weight + 1.0) / a
-            if tail.exact and tail.log_exponent:
-                # first-order correction from integrating s^(a-1) l(s)^b by parts
-                head /= 1.0 - tail.log_exponent / (a * float(ell(t0)))
-            return head
-        b = tail.log_exponent if tail.exact else 0.0
-        if abs(a) <= tol:
-            if b < -1.0 - tol:
-                return v0 * t0 ** (weight + 1.0) * float(ell(t0)) / (-b - 1.0)
-            return math.inf
-        return math.inf
+    def tail_integral(self, weight: float, end: str) -> float:
+        """Integral of value(s) * s**weight beyond one end of the abscissae,
+        over (0, t[0]) for "zero" and (t[-1], inf) for "infinity", from that
+        end's tail.
 
-    def upper_tail_integral(self, weight: float) -> float:
-        """Integral over (t[-1], inf) of value(s) * s**weight from the tail fit."""
-        tail = self.tail_infinity
-        if tail.kind == "zero":
-            return 0.0
-        if tail.kind == "infinity":
-            return math.inf
+        The integrand is c s**(a-1) l(s)**b there, with b the tail's log
+        exponent when exact and 0 when fitted.  It converges when a > 0 at
+        zero or a < 0 at infinity, with the first-order correction of the
+        log factor from an integration by parts; at a = 0 it converges
+        exactly when b < -1.
+        """
+        zero = end == "zero"
+        tail = self.tail_zero if zero else self.tail_infinity
+        if tail.kind != "power":
+            return 0.0 if tail.kind == "zero" else math.inf
+        te = self.t[0] if zero else self.t[-1]
+        edge = (float(np.exp(np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)))
+                * te ** (weight + 1.0))
         a = tail.exponent + weight + 1.0
-        tN = self.t[-1]
-        vN = float(np.exp(np.minimum(tail.log_value(np.log(tN)), _EXP_CLIP)))
-        tol = 1e-9
-        if a < -tol:
-            return -vN * tN ** (weight + 1.0) / a
+        away = a if zero else -a  # positive when s**a decays away from the edge
         b = tail.log_exponent if tail.exact else 0.0
+        tol = 1e-9
+        if away > tol:
+            val = edge / away
+            if b:
+                val /= 1.0 - b / (away * float(ell(te)))
+            return val
         if abs(a) <= tol and b < -1.0 - tol:
-            return vN * tN ** (weight + 1.0) * float(ell(tN)) / (-b - 1.0)
+            return edge * float(ell(te)) / (-b - 1.0)
         return math.inf
 
     def prefix_integral(self, weight: float) -> np.ndarray:
         """P(t_i) = integral over (0, t_i] of value(s) * s**weight ds."""
-        head = self.head_integral(weight)
+        head = self.tail_integral(weight, "zero")
         cells = _cell_integrals(self.t, self.y, weight)
         out = np.empty_like(self.y)
         out[0] = head
@@ -259,7 +249,7 @@ class GridFn:
 
     def total_integral(self, weight: float = 0.0) -> float:
         p = self.prefix_integral(weight)
-        return float(p[-1] + self.upper_tail_integral(weight))
+        return float(p[-1] + self.tail_integral(weight, "infinity"))
 
 
 def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
@@ -293,7 +283,11 @@ def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
     return out
 
 
-def grid_inverse(g: GridFn, out_t: np.ndarray, *, plateau_tol: float = 1e-9) -> GridFn:
+# tail exponents at or below this count as a plateau in grid_inverse
+_PLATEAU_TOL = 1e-9
+
+
+def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
     """Generalized right-continuous inverse sup{t : g(t) <= s} of nondecreasing g.
 
     Sampled at the values ``out_t`` (interpreted as s-abscissae).  Values can
@@ -312,7 +306,7 @@ def grid_inverse(g: GridFn, out_t: np.ndarray, *, plateau_tol: float = 1e-9) -> 
 
     if below.any():
         sb = s[below]
-        if lo_tail.kind == "power" and lo_tail.exponent > plateau_tol:
+        if lo_tail.kind == "power" and lo_tail.exponent > _PLATEAU_TOL:
             with np.errstate(divide="ignore", over="ignore"):
                 out[below] = np.exp((np.log(sb) - lo_tail.log_coefficient)
                                     / lo_tail.exponent)
@@ -322,7 +316,7 @@ def grid_inverse(g: GridFn, out_t: np.ndarray, *, plateau_tol: float = 1e-9) -> 
 
     if above.any():
         sa = s[above]
-        if hi_tail.kind == "power" and hi_tail.exponent > plateau_tol:
+        if hi_tail.kind == "power" and hi_tail.exponent > _PLATEAU_TOL:
             with np.errstate(divide="ignore", over="ignore"):
                 out[above] = np.exp((np.log(sa) - hi_tail.log_coefficient)
                                     / hi_tail.exponent)

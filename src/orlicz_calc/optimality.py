@@ -26,14 +26,16 @@ import numpy as np
 
 from . import transforms as tr
 from .boyd import boyd_indices
-from .grid import GridFn
 from .young import (
     GammaContext,
     YoungFn,
+    _with_plateau_breakpoints,
     equivalent,
     from_callable,
     grid_leq,
     least_constant,
+    libm_exp,
+    log_bisect,
 )
 
 
@@ -165,9 +167,7 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     d_k t^q* below 1 and C t^q* beyond, integrated over (0, 2t)."""
     q_star = ctx.q_star
     scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.31, 1.0 / _SCAN_PPD))
-    bt = np.atleast_1d(np.asarray(B._monotone_eval(scan), dtype=float))
-    g = GridFn(scan, bt, tail_zero=tr._exact_zero_tail(B))
-    prefix = g.prefix_integral(-q_star - 1.0)
+    prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
     total_below_1 = float(np.interp(1.0, scan, prefix))
 
     t_rungs = [1.0]
@@ -215,18 +215,13 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     return D, rungs
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    # libm exp, element by element: numpy's AVX-512 exp differs from it in
-    # the last bit on some inputs, which would move tau and the rungs
-    return np.fromiter(map(math.exp, x), dtype=float, count=len(x))
-
-
 def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
 
     B(s)/s is nondecreasing, so each level is bisected in log s over
-    [log 1e-90, 0] with 80 halvings; 0.0 where the level lies below
-    B(1e-90)/1e-90 and 1.0 where B(1) <= level."""
+    [log 1e-90, 0] with 80 halvings, through libm's exp so that the rungs
+    do not depend on numpy's; 0.0 where the level lies below B(1e-90)/1e-90
+    and 1.0 where B(1) <= level."""
     lo_s = math.exp(_TAU_LOG_FLOOR)
     phi_lo = B._monotone_eval(np.array([lo_s]))[0] / lo_s
     phi_1 = B._monotone_eval(np.array([1.0]))[0]
@@ -234,15 +229,13 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     work = ~dead & ~(phi_1 <= levels)
     out = np.where(dead, 0.0, 1.0)
     lv = levels[work]
-    lo = np.full(len(lv), _TAU_LOG_FLOOR)
-    hi = np.zeros(len(lv))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        s = _exp(mid)
-        ok = B._monotone_eval(s) / s <= lv
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    out[work] = _exp(lo)
+
+    def below(u):
+        s = libm_exp(u)
+        return B._monotone_eval(s) / s <= lv
+
+    lo, _ = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80)
+    out[work] = libm_exp(lo)
     return out
 
 
@@ -272,9 +265,7 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
 
     # the constant in the defining inequality against D_used on (0, 1)
     scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.0, 1.0 / _SCAN_PPD))
-    bg = GridFn(scan, np.atleast_1d(np.asarray(B._monotone_eval(scan), dtype=float)),
-                tail_zero=tr._exact_zero_tail(B))
-    prefix = bg.prefix_integral(-q_star - 1.0)
+    prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
 
     def d_scaled(c: float) -> np.ndarray:
         """D(c t)/t^q* on the scan, as c^q* * D(ct)/(ct)^q*."""
@@ -341,17 +332,17 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
                 base = np.where(inside, b_tk[i] + slopes[i] * (x - tk[i]), base)
         return base
 
-    bps = tuple(float(x) for x in np.concatenate([tk, tauk]))
-    B1 = from_callable(b1, grid=B.grid, label=f"witness({B.label})",
-                       breakpoints=bps, normalize=False)
     # the chords live on a compact ladder: the end behaviour stays B's
-    B1.profile_hint = B.closed_form
+    bps = tuple(float(x) for x in np.concatenate([tk, tauk]))
+    B1 = _with_plateau_breakpoints(bps, raw=b1, grid=B.grid,
+                                   label=f"witness({B.label})", normalize=False,
+                                   profile_hint=B.closed_form)
 
-    # growth evidence along the ladder and the 5C bound on (0, 1)
+    # growth evidence along the ladder and the 5C bound on (0, 1); below the
+    # deepest rung B1 is B, so its prefix carries B's exact zero tail
     dom_ratios = tuple(map(float, b1(2 * tk)
                            / B._monotone_eval(np.arange(1, len(tk) + 1) * tk)))
-    b1g = GridFn(scan, b1(scan))
-    prefix1 = b1g.prefix_integral(-q_star - 1.0)
+    prefix1 = B1.sampled(scan).prefix_integral(-q_star - 1.0)
     rhs = d_scaled(5.0 * c_found)
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(rhs > 0, prefix1 / rhs, np.inf)

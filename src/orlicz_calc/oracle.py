@@ -86,6 +86,8 @@ def default_probe_family() -> tuple[TestFunction, ...]:
 
 
 DEFAULT_SCALES = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+# a monotone sweep whose ratios spread by this factor classifies as diverging
+_GROWTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ class ProbeReport:
     flags: tuple[str, ...] = ()
 
 
-def _classify(ratios: list[float], growth: float) -> str:
+def _classify(ratios: list[float]) -> str:
     finite = [r for r in ratios if math.isfinite(r) and r > 0]
     if any(math.isinf(r) for r in ratios):
         return "diverging"
     if len(finite) < 2:
         return "inconclusive"
     lo, hi = min(finite), max(finite)
-    if hi / lo < growth:
+    if hi / lo < _GROWTH:
         return "bounded"
     increasing = all(b >= a * 0.999 for a, b in zip(finite, finite[1:]))
     decreasing = all(b <= a * 1.001 for a, b in zip(finite, finite[1:]))
@@ -115,23 +117,22 @@ def _classify(ratios: list[float], growth: float) -> str:
 
 
 def norm_probe(A: YoungFn, B: YoungFn, ctx: GammaContext,
-               family=None, scales=DEFAULT_SCALES, *,
-               growth_threshold: float = 10.0) -> ProbeReport:
-    """Ratios ||H'g||_B / ||g||_A over dilated test functions.
+               family=None) -> ProbeReport:
+    """Ratios ||H'g||_B / ||g||_A over test functions dilated by DEFAULT_SCALES.
 
-    A monotone growth of at least ``growth_threshold`` across the scale sweep
-    (or a divergent image norm) classifies as "diverging"; uniformly bounded
-    sweeps classify as "bounded".
+    A monotone growth of at least a factor 10 across the scale sweep (or a
+    divergent image norm) classifies as "diverging"; uniformly bounded sweeps
+    classify as "bounded".
     """
     family = default_probe_family() if family is None else tuple(family)
-    if not family or not len(scales):
-        raise ValueError("need a nonempty family and scales")
+    if not family:
+        raise ValueError("need a nonempty family")
     entries: list[tuple[int, float, float]] = []
     flags: list[str] = []
     trends: list[str] = []
     for idx, fn in enumerate(family):
         row: list[float] = []
-        for scale in scales:
+        for scale in DEFAULT_SCALES:
             g = fn.realize(scale)
             gg = g.to_gridfn() if isinstance(g, StepFn) else g
             try:
@@ -148,7 +149,7 @@ def norm_probe(A: YoungFn, B: YoungFn, ctx: GammaContext,
             entries.append((idx, float(scale), float(ratio)))
             if not math.isnan(ratio):
                 row.append(ratio)
-        trends.append(_classify(row, growth_threshold))
+        trends.append(_classify(row))
     if "diverging" in trends:
         trend = "diverging"
     elif all(t == "bounded" for t in trends):

@@ -195,11 +195,12 @@ def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> Verdict:
     flags = [] if B.closed_form is not None else ["heuristic"]
     if not ok:
         return Verdict(False, math.nan, "endpoint-ii", B.grid.t_max, tuple(flags))
-    g = tr.lower_fractional_integral(B, ctx)
-    total = float(g.y[-1] + tr._monotone_gridfn(B, g.t).upper_tail_integral(-q_star - 1.0))
+    g = tr.widened_sample(B)
+    partial = float(g.prefix_integral(-q_star - 1.0)[-1])
+    total = float(partial + g.tail_integral(-q_star - 1.0, "infinity"))
     if not math.isfinite(total):
         # analytic upper-tail term disagrees with the profile decision: report
         # the convergent verdict with the partial integral and a flag
         flags.append("tail-term-indeterminate")
-        total = float(g.y[-1])
+        total = partial
     return Verdict(True, total, "endpoint-ii", B.grid.t_max, tuple(flags))

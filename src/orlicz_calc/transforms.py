@@ -27,7 +27,7 @@ import numpy as np
 
 from . import families as fam
 from .boyd import boyd_indices
-from .grid import GridFn, TailFit, ell, grid_inverse
+from .grid import GridFn, grid_inverse
 from .young import GammaContext, YoungFn, end_integrable, end_sign
 
 
@@ -37,47 +37,6 @@ class TransformGateError(ValueError):
     def __init__(self, code: str, message: str = ""):
         super().__init__(message or code)
         self.code = code
-
-
-def _exact_zero_tail(B: YoungFn, t0: float | None = None) -> TailFit | None:
-    """Closed-form power-log tail of B near zero, if the profile provides one."""
-    if B.closed_form is None:
-        return None
-    pc = B.closed_form.piece("zero")
-    q = pc.effective_power("zero")
-    if not math.isfinite(q):
-        return None
-    c_ep, _ = pc.exppower("zero")
-    if c_ep:
-        return None
-    alpha = pc.log_exponent("zero")
-    if not math.isfinite(alpha):
-        return None
-    if pc.loglog_exponent():
-        return None
-    t0 = B.grid.t_min if t0 is None else t0
-    v0 = float(np.atleast_1d(B._monotone_eval(np.array([t0])))[0])
-    if not (v0 > 0 and math.isfinite(v0)):
-        return None
-    log_coef = math.log(v0) - q * math.log(t0) - alpha * math.log(float(ell(t0)))
-    return TailFit("power", q, log_coef, alpha, exact=True)
-
-
-def _monotone_gridfn(A: YoungFn, t: np.ndarray, *, extend: int = 0) -> GridFn:
-    """A's normalized values as a GridFn, optionally widening the abscissae by
-    ``extend`` decades on each side (sub-grid structure matters for prefix
-    integrals of functions carrying an exact evaluator)."""
-    if extend:
-        ppd = A.grid.points_per_decade
-        lo = t[0] * np.power(10.0, np.arange(-extend * ppd, 0, dtype=float) / ppd)
-        hi = t[-1] * np.power(10.0, np.arange(1, extend * ppd + 1, dtype=float) / ppd)
-        t = np.concatenate([lo, t, hi])
-    vals = np.atleast_1d(np.asarray(A._monotone_eval(t), dtype=float))
-    g = GridFn(t, vals)
-    exact = _exact_zero_tail(A, t0=float(t[0]))
-    if exact is not None:
-        g = GridFn(t, vals, tail_zero=exact, tail_infinity=g.tail_infinity)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +235,7 @@ def _integral_young(core: GridFn, label: str, grid,
     vals = core.prefix_integral(-1.0)
     vals = np.maximum.accumulate(vals)
     table = GridFn(core.t, vals)
-    return YoungFn(table=table, grid=grid, label=label, normalize=False,
-                   profile_hint=hint)
+    return YoungFn(table=table, grid=grid, label=label, profile_hint=hint)
 
 
 def a_gamma(A: YoungFn, ctx: GammaContext) -> YoungFn:
@@ -310,15 +268,23 @@ def supout_inverse(A: YoungFn, ctx: GammaContext) -> GridFn:
 # domain side
 
 
+def widened_sample(B: YoungFn) -> GridFn:
+    """B's monotone view on its grid widened by eight decades on each side,
+    so that integrals of B see its sub-grid modifications."""
+    t = B.grid.abscissae()
+    ppd = B.grid.points_per_decade
+    lo = t[0] * np.power(10.0, np.arange(-8 * ppd, 0, dtype=float) / ppd)
+    hi = t[-1] * np.power(10.0, np.arange(1, 8 * ppd + 1, dtype=float) / ppd)
+    return B.sampled(np.concatenate([lo, t, hi]))
+
+
 def lower_fractional_integral(B: YoungFn, ctx: GammaContext) -> GridFn:
-    """Prefix integral L(t) = int_0^t B(s) / s^(q*+1) ds on the grid,
-    widened by a few decades so sub-grid modifications of B are integrated.
+    """Prefix integral L(t) = int_0^t B(s) / s^(q*+1) ds on the widened grid.
 
     Values may be +inf when the integral diverges at zero.
     """
-    g = _monotone_gridfn(B, B.grid.abscissae(), extend=8)
-    vals = g.prefix_integral(-ctx.q_star - 1.0)
-    return GridFn(g.t, np.maximum.accumulate(vals))
+    g = widened_sample(B)
+    return GridFn(g.t, np.maximum.accumulate(g.prefix_integral(-ctx.q_star - 1.0)))
 
 
 def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import families as fam
-from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, merge_breakpoints
+from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, TailFit, ell, merge_breakpoints
 
 _TINY = 1e-300
 _HUGE = 1e300
@@ -104,19 +104,31 @@ def _convex_minorant(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bisect_boundary(pred, lo: float, hi: float, iters: int = 90) -> float:
+def libm_exp(u: np.ndarray) -> np.ndarray:
+    """exp element by element through libm: numpy's AVX-512 exp differs from
+    it in the last bit on some inputs, which would move bisection results."""
+    return np.fromiter(map(math.exp, u), dtype=float, count=len(u))
+
+
+def log_bisect(ok, lo, hi, iters: int):
+    """Halve the brackets [lo, hi] of u = log x ``iters`` times; returns the
+    final (lo, hi).  ``ok(u)`` takes the midpoints (arrays, 0-d for float
+    brackets), exponentiates them itself, and moves lo up where it holds.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        up = ok(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo, hi
+
+
+def _bisect_boundary(pred, lo: float, hi: float) -> float:
     """sup{x in [lo, hi] : pred(x)} for a down-set predicate, in log space."""
     if not pred(lo):
         return 0.0
     if pred(hi):
         return math.inf
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(iters):
-        mid = 0.5 * (llo + lhi)
-        if pred(math.exp(mid)):
-            llo = mid
-        else:
-            lhi = mid
+    llo, _ = log_bisect(lambda u: pred(math.exp(u)), math.log(lo), math.log(hi), 90)
     return math.exp(llo)
 
 
@@ -235,6 +247,27 @@ class YoungFn:
                 vals[mask] = ext
         return vals
 
+    def sampled(self, t: np.ndarray) -> GridFn:
+        """The monotone view sampled on the increasing abscissae t.
+
+        Below t[0], a closed-form zero piece of plain power-log type continues
+        the samples exactly, anchored at t[0], so prefix integrals see its
+        log factor; otherwise both tails are the fitted power laws.
+        """
+        t = np.asarray(t, dtype=float)
+        vals = np.atleast_1d(np.asarray(self._monotone_eval(t), dtype=float))
+        tail = None
+        t0, v0 = float(t[0]), float(vals[0])
+        if self.closed_form is not None and 0.0 < v0 < math.inf:
+            pc = self.closed_form.piece("zero")
+            q, alpha = pc.effective_power("zero"), pc.log_exponent("zero")
+            if (math.isfinite(q) and math.isfinite(alpha)
+                    and not pc.exppower("zero")[0] and not pc.loglog_exponent()):
+                log_coef = (math.log(v0) - q * math.log(t0)
+                            - alpha * math.log(float(ell(t0))))
+                tail = TailFit("power", q, log_coef, alpha, exact=True)
+        return GridFn(t, vals, tail_zero=tail)
+
     def _structural_jump(self, end: str) -> bool | None:
         """Does the closed form put an actual 0/inf plateau at this end?
 
@@ -291,13 +324,9 @@ class YoungFn:
         out[alive_hi] = self.finite_sup if not math.isinf(self.finite_sup) else math.inf
         work = ~(dead | alive_hi)
         if work.any():
-            wl, wh = lo[work], hi[work]
             sw = s[work]
-            for _ in range(90):
-                mid = 0.5 * (wl + wh)
-                ok = self._monotone_eval(np.exp(mid)) <= sw
-                wl = np.where(ok, mid, wl)
-                wh = np.where(ok, wh, mid)
+            wl, _ = log_bisect(lambda u: self._monotone_eval(np.exp(u)) <= sw,
+                               lo[work], hi[work], 90)
             out[work] = np.exp(wl)
         return out
 
@@ -454,7 +483,7 @@ def from_family(family: fam.AsymptoticFamily, grid: GridSpec = DEFAULT_GRID,
 
 
 def from_table(table: GridFn, grid: GridSpec = DEFAULT_GRID, label: str = "") -> YoungFn:
-    return YoungFn(table=table, grid=grid, label=label, normalize=False)
+    return YoungFn(table=table, grid=grid, label=label)
 
 
 def from_callable(fn, grid: GridSpec = DEFAULT_GRID, label: str = "",
@@ -574,6 +603,13 @@ def conjugate(A: YoungFn) -> YoungFn:
                 if seed.any():
                     best[seed] = np.maximum(best[seed], _refine_sup(
                         A, ts[seed], ls[rows, cell][seed]))
+                # elsewhere from the best node: a cell's power chord can put
+                # its maximum just past the cell edge while the exact one is
+                # inside, and the nodes alone then miss it by ~1e-4 relative
+                rest = ~seed & (cand[rows, node] > 0.0)
+                if rest.any():
+                    best[rest] = np.maximum(best[rest], _refine_sup(
+                        A, ts[rest], np.log(s_i[node[rest]])))
             else:
                 best = np.maximum(best, val.max(axis=1))
         for tail, bound, is_upper in ((lo_tail, s_i[0], False),
@@ -825,9 +861,13 @@ def equivalent(A: YoungFn, B: YoungFn) -> EquivalenceVerdict:
                               d_ba.constant, tuple(set(d_ab.flags + d_ba.flags)))
 
 
-def essentially_dominates(A: YoungFn, B: YoungFn, *,
-                          lambdas=(1, 2, 4, 8, 16, 32),
-                          sup_threshold: float = 1e6) -> EssentialVerdict:
+# the grid heuristic of essentially_dominates: the dilations tried, and the
+# sup of A(t)/B(lambda t) each must clear
+_ESSENTIAL_LAMBDAS = (1, 2, 4, 8, 16, 32)
+_ESSENTIAL_SUP = 1e6
+
+
+def essentially_dominates(A: YoungFn, B: YoungFn) -> EssentialVerdict:
     """Is sup_t A(t)/B(lambda t) infinite for every lambda >= 1?
 
     Exact decision from the factor algebra when both profiles are symbolic;
@@ -845,7 +885,7 @@ def essentially_dominates(A: YoungFn, B: YoungFn, *,
     at = np.atleast_1d(np.asarray(A.eval(t), dtype=float))
     sups = []
     ok = True
-    for lam in lambdas:
+    for lam in _ESSENTIAL_LAMBDAS:
         blam = np.atleast_1d(np.asarray(B.eval(lam * t), dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where((blam > 0) & np.isfinite(blam), at / blam, np.nan)
@@ -863,7 +903,7 @@ def essentially_dominates(A: YoungFn, B: YoungFn, *,
         growing_edge = (run[-1] > run[max(0, len(run) - 25)]) or math.isinf(sup)
         rev = np.maximum.accumulate(finite[::-1])
         growing_zero_edge = rev[-1] > rev[max(0, len(rev) - 25)]
-        if not (sup > sup_threshold and (growing_edge or growing_zero_edge)):
+        if not (sup > _ESSENTIAL_SUP and (growing_edge or growing_zero_edge)):
             ok = False
     return EssentialVerdict(ok, ("heuristic",), tuple(sups))
 
@@ -895,9 +935,13 @@ def luxemburg_modular(A: YoungFn, g: GridFn | StepFn, lam: float) -> float:
     return _modular_gridfn(A, g, lam)
 
 
-def luxemburg_norm(A: YoungFn, g: GridFn | StepFn, *,
-                   lam_lo: float = 1e-12, lam_hi: float = 1e12,
-                   iters: int = 60) -> float:
+# the Luxemburg scale is bisected on [_LAM_LO, _LAM_HI] in log lam
+_LAM_LO = 1e-12
+_LAM_HI = 1e12
+_LAM_ITERS = 60
+
+
+def luxemburg_norm(A: YoungFn, g: GridFn | StepFn) -> float:
     """inf{lam > 0 : integral A(g/lam) <= 1} by bisection on log lam.
 
     Returns +inf when no scale in range admits a finite modular <= 1; raises
@@ -911,20 +955,16 @@ def luxemburg_norm(A: YoungFn, g: GridFn | StepFn, *,
         finite = g.y[np.isfinite(g.y)]
         if len(finite) == 0 or float(np.max(g.y)) == 0.0:
             return 0.0
-    top = luxemburg_modular(A, g, lam_hi)
+    top = luxemburg_modular(A, g, _LAM_HI)
     if math.isinf(top):
         raise IntegralDivergentError("modular is infinite for every scale in range")
     if top > 1.0:
         return math.inf
-    if luxemburg_modular(A, g, lam_lo) <= 1.0:
-        return lam_lo
-    llo, lhi = math.log(lam_lo), math.log(lam_hi)
-    for _ in range(iters):
-        mid = 0.5 * (llo + lhi)
-        if luxemburg_modular(A, g, math.exp(mid)) <= 1.0:
-            lhi = mid
-        else:
-            llo = mid
+    if luxemburg_modular(A, g, _LAM_LO) <= 1.0:
+        return _LAM_LO
+    # the modular falls as lam grows: bisect on "lam is still too small"
+    _, lhi = log_bisect(lambda u: luxemburg_modular(A, g, math.exp(u)) > 1.0,
+                        math.log(_LAM_LO), math.log(_LAM_HI), _LAM_ITERS)
     return math.exp(lhi)
 
 
@@ -959,7 +999,12 @@ def rearrangement(cells) -> StepFn:
 # validation
 
 
-def validate(A: YoungFn, *, rtol_convex: float = 1e-9, rtol_kt: float = 1e-6) -> list[str]:
+# relative slack of validate's convexity and k A(t) <= A(k t) checks
+_RTOL_CONVEX = 1e-9
+_RTOL_KT = 1e-6
+
+
+def validate(A: YoungFn) -> list[str]:
     """Check the representation invariants; returns a list of violations."""
     issues: list[str] = []
     t, y = A.table.t, A.table.y
@@ -970,7 +1015,7 @@ def validate(A: YoungFn, *, rtol_convex: float = 1e-9, rtol_kt: float = 1e-6) ->
     if len(tf) >= 3:
         lam = (tf[1:-1] - tf[:-2]) / (tf[2:] - tf[:-2])
         interp = yf[:-2] * (1 - lam) + yf[2:] * lam
-        bad = yf[1:-1] > interp + rtol_convex * np.maximum(interp, 1e-300)
+        bad = yf[1:-1] > interp + _RTOL_CONVEX * np.maximum(interp, 1e-300)
         # stencils inside a breakpoint eps-cluster are float-cancellation noise
         bad &= (tf[2:] - tf[:-2]) > 1e-9 * tf[:-2]
         if bad.any():
@@ -981,7 +1026,7 @@ def validate(A: YoungFn, *, rtol_convex: float = 1e-9, rtol_kt: float = 1e-6) ->
         lhs = k * np.atleast_1d(np.asarray(A.table(tf), dtype=float))
         rhs = np.atleast_1d(np.asarray(A.table(k * tf), dtype=float))
         with np.errstate(invalid="ignore"):
-            bad = lhs > rhs * (1 + rtol_kt) + 1e-300
+            bad = lhs > rhs * (1 + _RTOL_KT) + 1e-300
         bad &= ~(np.isinf(rhs))
         if bad.any():
             issues.append(f"k*A(t) <= A(k t) violated for k={k}")

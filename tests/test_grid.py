@@ -10,6 +10,8 @@ from orlicz_calc.grid import (
     GridFn,
     GridSpec,
     StepFn,
+    TailFit,
+    ell,
     grid_inverse,
     merge_breakpoints,
 )
@@ -70,6 +72,61 @@ class TestGridFn:
         g = s.to_gridfn()
         total = g.prefix_integral(0.0)[-1]
         assert total == pytest.approx(s.total_integral(), rel=1e-9)
+
+
+class TestTailIntegral:
+    """Both tail integrals against closed-form antiderivatives of
+    c s**(a-1) l(s)**b beyond the grid, a = p + weight + 1."""
+
+    C = 3.0
+
+    @pytest.mark.parametrize("weight", [-1.5, -3.5, -2.5])  # a = 1, -1, 0
+    def test_fitted_power(self, weight):
+        t = DEFAULT_GRID.abscissae()
+        g = GridFn(t, self.C * t ** 2.5)
+        a = 2.5 + weight + 1.0
+        for end, te, converges in (("zero", t[0], a > 0), ("infinity", t[-1], a < 0)):
+            got = g.tail_integral(weight, end)
+            if converges:
+                assert got == pytest.approx(self.C * te ** a / abs(a), rel=1e-9)
+            else:
+                assert got == math.inf
+
+    @pytest.mark.parametrize("b", [-2.5, -1.0, 0.5])
+    def test_exact_log_at_critical_power(self, b):
+        # integrand c s**-1 l(s)**b: c l(edge)**(b+1) / (-b-1) when b < -1
+        t = DEFAULT_GRID.abscissae()
+        weight = -2.0
+        y = self.C * t * ell(t) ** b
+        tail = TailFit("power", 1.0, math.log(self.C), b, exact=True)
+        g = GridFn(t, y, tail_zero=tail, tail_infinity=tail)
+        for end, te in (("zero", t[0]), ("infinity", t[-1])):
+            got = g.tail_integral(weight, end)
+            if b < -1.0:
+                want = self.C * float(ell(te)) ** (b + 1.0) / (-b - 1.0)
+                assert got == pytest.approx(want, rel=1e-9)
+            else:
+                assert got == math.inf
+
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
+    def test_exact_log_first_order(self, end):
+        # b = 1, |a| = 1: the exact integral is c edge**a (l/|a| + 1/a**2);
+        # the first-order correction is off by about (1/(|a| l))**2
+        t = DEFAULT_GRID.abscissae()
+        tail = TailFit("power", 1.0, math.log(self.C), 1.0, exact=True)
+        g = GridFn(t, self.C * t * ell(t), tail_zero=tail, tail_infinity=tail)
+        weight, te = (-1.0, t[0]) if end == "zero" else (-3.0, t[-1])
+        a = 1.0 + weight + 1.0
+        l_e = float(ell(te))
+        want = self.C * te ** a * (l_e / abs(a) + 1.0 / a ** 2)
+        assert g.tail_integral(weight, end) == pytest.approx(
+            want, rel=2.0 / (abs(a) * l_e) ** 2)
+
+    def test_plateau_tails(self):
+        t = DEFAULT_GRID.abscissae()
+        g = GridFn(t, np.where(t < 1.0, 0.0, np.inf))
+        assert g.tail_integral(-1.0, "zero") == 0.0
+        assert g.tail_integral(-1.0, "infinity") == math.inf
 
 
 class TestGridInverse:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orlicz_calc import boyd, families as fam, young
 from orlicz_calc.grid import StepFn
@@ -50,6 +50,7 @@ def test_rescaling_inequality(family, t):
 
 @settings(max_examples=15, deadline=None)
 @given(families)
+@example(fam.zygmund(1.0, -1.96875, 1.0, 2.0))
 def test_young_product_bounds(family):
     A = young.from_family(family)
     C = young.conjugate(A)
@@ -88,6 +89,8 @@ def test_rearrangement_preserves_norm(cells):
 
 @settings(max_examples=10, deadline=None)
 @given(families, st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+# order-1 ends whose fitted order lands a hair below 1 (h(4) > h(2)**2 once)
+@example(fam.zygmund(1, -1, 1, 1), 2.0, 2.0)
 def test_dilation_submultiplicative(family, s, t):
     A = young.from_family(family)
     h_st = boyd.dilation(A, s * t)
