@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import _Q_TOL, YoungFn
+from .young import _Q_TOL, YoungFn, per_young
 
 _LADDER_EXPONENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
 
@@ -117,6 +117,7 @@ def _extrapolate(ts: np.ndarray, hs: np.ndarray) -> tuple[float, float, float]:
     return (center, half, resid)
 
 
+@per_young
 def boyd_indices(A: YoungFn, *, force_numeric: bool = False) -> BoydEstimate:
     """Boyd indices of A; closed forms for symbolic profiles, otherwise the
     ladder extrapolation.  The flag "indeterminate" marks fits whose ladder

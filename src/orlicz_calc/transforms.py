@@ -28,7 +28,7 @@ import numpy as np
 from . import families as fam
 from .boyd import boyd_indices
 from .grid import GridFn, grid_inverse
-from .young import GammaContext, YoungFn, end_integrable, end_sign
+from .young import GammaContext, YoungFn, end_integrable, end_sign, per_young
 
 
 class TransformGateError(ValueError):
@@ -238,6 +238,7 @@ def _integral_young(core: GridFn, label: str, grid,
     return YoungFn(table=table, grid=grid, label=label, profile_hint=hint)
 
 
+@per_young
 def a_gamma(A: YoungFn, ctx: GammaContext) -> YoungFn:
     """The target profile: integral of G^{-1}(s)/s, equivalent to G^{-1}.
 
@@ -293,10 +294,12 @@ def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:
         raise TransformGateError("bconv-violated",
                                  "int_0 B(s)/s^(q*+1) ds diverges at zero")
     L = lower_fractional_integral(B, ctx)
-    vals = L.y * L.t ** ctx.q_star
+    with np.errstate(over="ignore"):  # past double range F saturates to inf
+        vals = L.y * L.t ** ctx.q_star
     return GridFn(L.t, np.maximum.accumulate(vals))
 
 
+@per_young
 def b_gamma(B: YoungFn, ctx: GammaContext) -> YoungFn:
     """The domain profile: integral of E^{-1}(s)/s with E(t) = t^(gamma/n) F^{-1}(t)."""
     F = f_transform(B, ctx)
@@ -332,6 +335,7 @@ def gsup_transform(A: YoungFn, ctx: GammaContext) -> GridFn:
     return GridFn(G.t, np.maximum.accumulate(vals))
 
 
+@per_young
 def a_sup(A: YoungFn, ctx: GammaContext) -> YoungFn:
     """The improved (largest equivalent-target) domain: integral form over
     G_sup^{-1}; dominated by A and with the same target profile as A."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -132,8 +132,36 @@ def _bisect_boundary(pred, lo: float, hi: float) -> float:
     return math.exp(llo)
 
 
+def per_young(fn):
+    """Compute ``fn(A, *args, **kw)`` once per Young function A.
+
+    The result is stored in A's own ``__dict__``, keyed by fn's name and the
+    remaining arguments (keyword-only defaults filled in).  A YoungFn is
+    immutable after construction, so an entry cannot go stale, and it is
+    freed together with its instance.  A raised error is not stored: the
+    next call raises it again.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    kwdefaults = fn.__kwdefaults__ or {}
+
+    @wraps(fn)
+    def cached(A, *args, **kw):
+        memo = A._memo
+        key = (name, args, *sorted({**kwdefaults, **kw}.items()))
+        if key not in memo:
+            memo[key] = fn(A, *args, **kw)
+        return memo[key]
+
+    return cached
+
+
 class YoungFn:
-    """A Young function with symbolic, callable and tabulated views."""
+    """A Young function with symbolic, callable and tabulated views.
+
+    Immutable once built: setting an attribute raises ``AttributeError``.
+    Derived results (``inverse_on_grid`` and the ``per_young`` functions)
+    are computed once and kept in the instance's ``__dict__``.
+    """
 
     def __init__(self, *, symbolic: fam.AsymptoticFamily | None = None,
                  raw=None, table: GridFn | None = None,
@@ -185,6 +213,13 @@ class YoungFn:
 
         self.zero_plateau_end = self._find_zero_plateau()
         self.finite_sup = self._find_finite_sup()
+        # the ``per_young`` results; set last, since it seals the instance
+        self._memo: dict = {}
+
+    def __setattr__(self, name, value):
+        if "_memo" in self.__dict__:
+            raise AttributeError(f"YoungFn is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
 
     # -- basic views ---------------------------------------------------------
 
@@ -429,6 +464,7 @@ def _piece_window_profile(grid: GridSpec, pc: fam.AsymPiece, end: str) -> EndPro
     return EndProfile("power", q, alpha, exact=True)
 
 
+@per_young
 def end_profile(A: YoungFn, end: str) -> EndProfile:
     closed = A.closed_form
     if closed is not None:

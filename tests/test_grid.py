@@ -7,6 +7,7 @@ import pytest
 
 from orlicz_calc.grid import (
     DEFAULT_GRID,
+    SPAN_LIMIT,
     GridFn,
     GridSpec,
     StepFn,
@@ -30,6 +31,15 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(t_min=1.0, t_max=0.5)
+        for t_min, t_max in ((1e-300, 1e300), (1e-161, 1.0), (1.0, 1e161)):
+            with pytest.raises(ValueError, match="t_max <="):
+                GridSpec(t_min=t_min, t_max=t_max)
+
+    def test_widest_span(self):
+        # t_max / t_min overflows to inf here; the span comes from the logs
+        g = GridSpec(t_min=1.0 / SPAN_LIMIT, t_max=SPAN_LIMIT)
+        assert g.decades == 320.0
+        assert len(g.abscissae()) == 320 * 24 + 1
 
 
 class TestGridFn:
@@ -66,6 +76,14 @@ class TestGridFn:
         g = GridFn(t, t ** 1.5)
         p = g.prefix_integral(-2.5)  # integrand 1/s: diverges at zero
         assert np.all(np.isinf(p))
+
+    def test_prefix_integral_zero_cells_where_powers_overflow(self):
+        # s**(w+1) is inf on the lowest cells, where the samples are 0
+        t = np.geomspace(1e-200, 1.0, 201)
+        g = GridFn(t, np.where(t < 1e-100, 0.0, t ** 3))
+        p = g.prefix_integral(-3.0)
+        assert np.all(p[t < 1e-100] == 0.0)
+        assert p[-1] == pytest.approx(1.0, rel=1e-12)  # integrand 1 on [1e-100, 1]
 
     def test_step_function_integral_exact(self):
         s = StepFn(np.array([0.7, 4.0]), np.array([3.0, 1.0]))

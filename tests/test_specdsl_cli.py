@@ -125,6 +125,9 @@ class TestCli:
         (("probe", "--fixtures", "/nonexistent/pairs.json"), 2),
         # the reader closes the pipe before the first write
         (("conjugate", "Lp(2)", "--format", "csv"), 1),
+        # spans wider than the transforms can represent
+        (("bounded", "Lp(2)", "Lp(6)", "--tmin", "1e-300", "--tmax", "1e300"), 2),
+        (("domain", "Lp(6)", "--tmin", "1e-200", "--tmax", "1e200"), 2),
     ])
     def test_user_errors_and_closed_pipe_print_no_traceback(self, argv, code):
         src = Path(cli.__file__).resolve().parents[1]

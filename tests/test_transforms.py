@@ -120,6 +120,15 @@ class TestTargetSide:
 
 
 class TestDomainSide:
+    def test_domain_near_gamma_equal_n(self):
+        # q* = 30: s**(-q*) overflows on the widened grid just where
+        # exp(-1/s) has underflowed to 0, and those cells add nothing
+        ctx = young.GammaContext(3, 2.9)
+        family = fam.exp_type(-1, 1)
+        for B in (make(family), young.from_callable(family.value)):
+            prof = tr.b_gamma(B, ctx).end_profile("infinity")
+            assert prof.q == pytest.approx(3 / 2.9, rel=1e-3)
+
     def test_f_power_closed_form(self, ctx31):
         B = make(fam.lp(3))
         F = tr.f_transform(B, ctx31)
