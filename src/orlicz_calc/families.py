@@ -203,6 +203,25 @@ class AsymPiece:
                     return (f.coef, f.power)
         return (0.0, 0.0)
 
+    def power_log_parts(self) -> tuple[float, float, float, list[ExpLogFactor]] | None:
+        """(q, alpha, llog, explogs): the summed t, l(t) and l(l(t)) exponents
+        and the exp-log factors; None when another kind of factor is present.
+        q is +inf for a power jump."""
+        q, alpha, llog = 0.0, 0.0, 0.0
+        explogs: list[ExpLogFactor] = []
+        for f in self.factors:
+            if isinstance(f, PowerFactor):
+                q += f.p
+            elif isinstance(f, LogFactor):
+                alpha += f.alpha
+            elif isinstance(f, LogLogFactor):
+                llog += f.alpha
+            elif isinstance(f, ExpLogFactor):
+                explogs.append(f)
+            else:
+                return None
+        return q, alpha, llog, explogs
+
     def is_const(self) -> float | None:
         for f in self.factors:
             if isinstance(f, ConstFactor):
@@ -320,21 +339,10 @@ def conjugate_piece(pc: AsymPiece, end: str) -> AsymPiece | None:
         if any(not isinstance(f, ExpPowerFactor) for f in pc.factors):
             return None
         return piece(PowerFactor(1.0), LogFactor(1.0 / beta))
-    q = 0.0
-    alpha = 0.0
-    llog = 0.0
-    explogs: list[ExpLogFactor] = []
-    for f in pc.factors:
-        if isinstance(f, PowerFactor):
-            q += f.p
-        elif isinstance(f, LogFactor):
-            alpha += f.alpha
-        elif isinstance(f, LogLogFactor):
-            llog += f.alpha
-        elif isinstance(f, ExpLogFactor):
-            explogs.append(f)
-        else:
-            return None
+    parts = pc.power_log_parts()
+    if parts is None:
+        return None
+    q, alpha, llog, explogs = parts
     if math.isinf(q):
         return piece(PowerFactor(1.0))
     if q > 1.0:

@@ -44,22 +44,8 @@ class TransformGateError(ValueError):
 
 def _simple_parts(pc: fam.AsymPiece):
     """(q, alpha, llog, explogs) of a plain power-log piece, else None."""
-    q, alpha, llog = 0.0, 0.0, 0.0
-    explogs: list[fam.ExpLogFactor] = []
-    for f in pc.factors:
-        if isinstance(f, fam.PowerFactor):
-            if math.isinf(f.p):
-                return None
-            q += f.p
-        elif isinstance(f, fam.LogFactor):
-            alpha += f.alpha
-        elif isinstance(f, fam.LogLogFactor):
-            llog += f.alpha
-        elif isinstance(f, fam.ExpLogFactor):
-            explogs.append(f)
-        else:
-            return None
-    return q, alpha, llog, explogs
+    parts = pc.power_log_parts()
+    return parts if parts is not None and math.isfinite(parts[0]) else None
 
 
 def _scaled_piece(power: float, mult: float, alpha: float, llog: float,

@@ -169,8 +169,13 @@ class YoungFn:
                  normalize: bool = True,
                  breakpoints: tuple[float, ...] = (),
                  profile_hint: fam.AsymptoticFamily | None = None):
-        if symbolic is None and raw is None and table is None:
-            raise ValueError("need a profile, a callable or a table")
+        # the pointwise evaluator: the exact callable, else the closed form,
+        # else none (the table alone)
+        self._source = raw if raw is not None else (
+            symbolic.value if symbolic is not None else None)
+        if (self._source is None) == (table is None):
+            raise ValueError("need exactly one of a table and a source "
+                             "(a profile or a callable)")
         self.symbolic = symbolic
         self.raw = raw
         self.grid = grid
@@ -178,38 +183,29 @@ class YoungFn:
         # metadata only (no pointwise agreement implied, unlike ``symbolic``)
         self.profile_hint = profile_hint
         self.label = label or (symbolic.render() if symbolic else "tabulated")
-        # the pointwise evaluator: the exact callable, else the closed form,
-        # else none (the table alone)
-        self._source = raw if raw is not None else (
-            symbolic.value if symbolic is not None else None)
 
-        if table is None:
+        if table is not None:
+            self.table = table
+            self._mono_source = False
+        else:
             t = merge_breakpoints(grid, np.asarray(breakpoints, dtype=float)) \
                 if breakpoints else grid.abscissae()
-            vals = np.asarray(self._source(t), dtype=float)
-            if normalize:
-                vals = _convex_minorant(t, vals)
-                vals = np.maximum.accumulate(vals)
-            table = GridFn(t, vals)
-        self.table = table
-
-        # the pointwise evaluator backs the monotone view only when it agrees
-        # with the normalized table (monotone and convex-consistent); raw
-        # profiles with repaired joins fall back to the table plus anchored
-        # closed-form extrapolation
-        if self._source is not None:
-            sv = np.asarray(self._source(self.table.t), dtype=float)
+            sv = np.asarray(self._source(t), dtype=float)
+            vals = np.maximum.accumulate(_convex_minorant(t, sv)) if normalize else sv
+            self.table = GridFn(t, vals)
+            # the pointwise evaluator backs the monotone view only when it
+            # agrees with the normalized table (monotone and convex-consistent);
+            # raw profiles with repaired joins fall back to the table plus
+            # anchored closed-form extrapolation
             prev, nxt = sv[:-1], sv[1:]
             slack = np.where(np.isfinite(prev), 1e-12 * np.abs(prev) + 1e-300, 0.0)
             with np.errstate(invalid="ignore"):
                 mono = bool(np.all(nxt >= prev - slack))
-                both_fin = np.isfinite(sv) & np.isfinite(self.table.y)
-                same = np.abs(sv - self.table.y) <= 1e-9 * np.abs(self.table.y) + 1e-300
+                both_fin = np.isfinite(sv) & np.isfinite(vals)
+                same = np.abs(sv - vals) <= 1e-9 * np.abs(vals) + 1e-300
                 agree = bool(np.all(same | ~both_fin)) and bool(
-                    np.all(np.isfinite(sv) == np.isfinite(self.table.y)))
+                    np.all(np.isfinite(sv) == np.isfinite(vals)))
             self._mono_source = mono and agree
-        else:
-            self._mono_source = False
 
         self.zero_plateau_end = self._find_zero_plateau()
         self.finite_sup = self._find_finite_sup()
@@ -669,16 +665,11 @@ def conjugate(A: YoungFn) -> YoungFn:
         return best
 
     raw = lambda x: conj_values(np.atleast_1d(np.asarray(x, float)))
-    numeric = from_callable(raw, grid=A.grid, label=f"conj({A.label})",
-                            normalize=False)
-    if A.symbolic is not None:
-        mapped = fam.conjugate_family(A.symbolic)
-        if mapped is not None:
-            # the computed supremum stays the evaluation path; the factor-level
-            # conjugate rides along as the asymptotic (metadata) view
-            return YoungFn(symbolic=mapped, raw=raw, table=numeric.table,
-                           grid=A.grid, label=f"conj({A.label})")
-    return numeric
+    # the computed supremum stays the evaluation path; the factor-level
+    # conjugate, when there is one, rides along as the asymptotic view
+    mapped = fam.conjugate_family(A.symbolic) if A.symbolic is not None else None
+    return _with_plateau_breakpoints(symbolic=mapped, raw=raw, grid=A.grid,
+                                     label=f"conj({A.label})", normalize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -948,27 +939,31 @@ def essentially_dominates(A: YoungFn, B: YoungFn) -> EssentialVerdict:
 # Luxemburg norm and rearrangement
 
 
-def _modular_gridfn(A: YoungFn, g: GridFn, lam: float) -> float:
-    t0, tN = g.t[0], g.t[-1]
-    ext_lo = t0 * np.power(10.0, -np.arange(8.0, 0.0, -1.0))
-    ext_hi = tN * np.power(10.0, np.arange(1.0, 9.0))
-    ts = np.concatenate([ext_lo, g.t, ext_hi])
-    gv = np.atleast_1d(np.asarray(g(ts), dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        hv = A._monotone_eval(gv / lam)
-    return GridFn(ts, hv).total_integral(0.0)
+def _modular(A: YoungFn, g: GridFn | StepFn):
+    """The values of g that the modular integrates, and the modular
+    lam -> integral of A(g(t)/lam) dt over (0, inf); exact for step functions.
 
-
-def luxemburg_modular(A: YoungFn, g: GridFn | StepFn, lam: float) -> float:
-    """integral of A(g(t)/lam) dt over (0, inf); exact for step functions."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    A sampled g is read once, on its abscissae widened by eight decades at
+    each end; only A(g/lam) changes with lam.
+    """
     if isinstance(g, StepFn):
         widths = np.diff(np.concatenate(([0.0], g.breaks)))
-        vals = A._monotone_eval(g.values / lam)
-        terms = np.where(widths > 0, vals * widths, 0.0)
-        return float(np.sum(terms))
-    return _modular_gridfn(A, g, lam)
+
+        def step_modular(lam: float) -> float:
+            vals = A._monotone_eval(g.values / lam)
+            return float(np.sum(np.where(widths > 0, vals * widths, 0.0)))
+
+        return g.values, step_modular
+    ts = np.concatenate([g.t[0] * np.power(10.0, -np.arange(8.0, 0.0, -1.0)), g.t,
+                         g.t[-1] * np.power(10.0, np.arange(1.0, 9.0))])
+    gv = np.atleast_1d(np.asarray(g(ts), dtype=float))
+
+    def grid_modular(lam: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = A._monotone_eval(gv / lam)
+        return GridFn(ts, hv).total_integral(0.0)
+
+    return gv, grid_modular
 
 
 # the Luxemburg scale is bisected on [_LAM_LO, _LAM_HI] in log lam
@@ -980,26 +975,23 @@ _LAM_ITERS = 60
 def luxemburg_norm(A: YoungFn, g: GridFn | StepFn) -> float:
     """inf{lam > 0 : integral A(g/lam) <= 1} by bisection on log lam.
 
-    Returns +inf when no scale in range admits a finite modular <= 1; raises
-    IntegralDivergentError when the modular is infinite even at the largest
-    scale (the integral cannot converge at any lambda in range).
+    Returns 0 when g vanishes and +inf when no scale in range admits a
+    finite modular <= 1; raises IntegralDivergentError when the modular is
+    infinite even at the largest scale (the integral cannot converge at any
+    lambda in range).
     """
-    if isinstance(g, StepFn):
-        if len(g.values) == 0 or float(np.max(g.values)) == 0.0:
-            return 0.0
-    else:
-        finite = g.y[np.isfinite(g.y)]
-        if len(finite) == 0 or float(np.max(g.y)) == 0.0:
-            return 0.0
-    top = luxemburg_modular(A, g, _LAM_HI)
+    values, modular = _modular(A, g)
+    if not np.any(values > 0):
+        return 0.0
+    top = modular(_LAM_HI)
     if math.isinf(top):
         raise IntegralDivergentError("modular is infinite for every scale in range")
     if top > 1.0:
         return math.inf
-    if luxemburg_modular(A, g, _LAM_LO) <= 1.0:
+    if modular(_LAM_LO) <= 1.0:
         return _LAM_LO
     # the modular falls as lam grows: bisect on "lam is still too small"
-    _, lhi = log_bisect(lambda u: luxemburg_modular(A, g, math.exp(u)) > 1.0,
+    _, lhi = log_bisect(lambda u: modular(math.exp(u)) > 1.0,
                         math.log(_LAM_LO), math.log(_LAM_HI), _LAM_ITERS)
     return math.exp(lhi)
 

@@ -71,6 +71,46 @@ def run(argv) -> dict:
     return {"argv": list(argv), "code": code, "stdout": buf.getvalue()}
 
 
+def first_difference(got, want, path: str = "") -> str | None:
+    """The first JSON path at which two parsed documents differ, else None.
+
+    Leaves compare by their JSON text, so 1 against 1.0 differs and NaN
+    matches NaN, as in the byte comparison.
+    """
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            sub = f"{path}.{key}" if path else key
+            if key not in got or key not in want:
+                return sub
+            found = first_difference(got[key], want[key], sub)
+            if found:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for i, (a, b) in enumerate(zip(got, want)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(got) == len(want) else f"{path}[{min(len(got), len(want))}]"
+    return None if json.dumps(got) == json.dumps(want) else (path or "$")
+
+
+def where_differs(got: dict, want: dict) -> str:
+    """Name the first difference of a command's result from its corpus entry:
+    the exit code, the first differing JSON path of stdout, or, for output
+    that is not JSON, its first differing line."""
+    if got["code"] != want["code"]:
+        return f"exit code {got['code']} != {want['code']}"
+    try:
+        path = first_difference(json.loads(got["stdout"]), json.loads(want["stdout"]))
+    except ValueError:
+        pairs = itertools.zip_longest(got["stdout"].splitlines(),
+                                      want["stdout"].splitlines())
+        line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), None)
+        path = f"stdout line {line}" if line else None
+    return path or "stdout bytes (same JSON values)"
+
+
 def test_cli_output_matches_corpus():
     expected = [json.loads(line) for line in CORPUS.read_text().splitlines()]
     assert [e["argv"] for e in expected] == [list(c) for c in commands()]
@@ -78,7 +118,7 @@ def test_cli_output_matches_corpus():
     for entry in expected:
         got = run(entry["argv"])
         if got != entry:
-            mismatches.append(" ".join(entry["argv"]))
+            mismatches.append(f"{' '.join(entry['argv'])} at {where_differs(got, entry)}")
     assert not mismatches, f"{len(mismatches)} commands differ: {mismatches[:10]}"
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from orlicz_calc import families as fam
 from orlicz_calc import young
-from orlicz_calc.grid import StepFn
+from orlicz_calc.grid import DEFAULT_GRID, GridFn, StepFn
 
 from conftest import bisect_inverse, make
 
@@ -55,6 +55,28 @@ class TestEval:
         u = np.geomspace(1e12, 1e16, 9)
         ratio = A._monotone_eval(u) / u
         assert np.all(np.diff(ratio) >= -1e-12 * ratio[:-1])
+
+
+class TestConstruction:
+    def test_source_read_once_on_the_table(self):
+        sizes = []
+
+        def square(t):
+            t = np.asarray(t, dtype=float)
+            sizes.append(t.size)
+            return t * t
+
+        young.YoungFn(raw=square)
+        assert sizes.count(DEFAULT_GRID.abscissae().size) == 1
+
+    def test_table_and_source_are_exclusive(self):
+        table = make(fam.lp(2)).table
+        with pytest.raises(ValueError):
+            young.YoungFn(table=table, raw=lambda t: np.asarray(t, float) ** 2)
+        with pytest.raises(ValueError):
+            young.YoungFn(table=table, symbolic=fam.lp(2))
+        with pytest.raises(ValueError):
+            young.YoungFn()
 
 
 class TestInverse:
@@ -119,6 +141,13 @@ class TestConjugate:
         ratio = A.inverse_many(t) * C.inverse_many(t) / t
         assert np.nanmin(ratio) >= 1 - 1e-6
         assert np.nanmax(ratio) <= 2 + 2e-6
+
+    def test_table_on_grid_without_plateau(self):
+        # the closed-form conjugate exp(-t^-2) @0 | exp(t^2) @inf has no
+        # plateau, so no plateau ends are inserted among the abscissae
+        C = young.conjugate(make(fam.zygmund(1, -0.5, 1, 0.5)))
+        assert C.zero_plateau_end == 0.0
+        assert np.array_equal(C.table.t, DEFAULT_GRID.abscissae())
 
     def test_involution(self, young_battery):
         for name, A in young_battery.items():
@@ -216,10 +245,16 @@ class TestLuxemburg:
         A = make(fam.l1())
         # a fixed 1/t profile is not integrable at infinity for L^1
         t = np.geomspace(1e-12, 1e12, 577)
-        from orlicz_calc.grid import GridFn
         g = GridFn(t, 1.0 / t)
         with pytest.raises(young.IntegralDivergentError):
             young.luxemburg_norm(A, g)
+
+    @pytest.mark.parametrize("g", [
+        GridFn(np.geomspace(1e-3, 1e3, 61), np.full(61, np.inf)),
+        StepFn(np.array([1.0]), np.array([np.inf]))])
+    def test_infinite_g_raises(self, g):
+        with pytest.raises(young.IntegralDivergentError):
+            young.luxemburg_norm(make(fam.lp(2)), g)
 
 
 class TestRearrangement:
