@@ -190,6 +190,28 @@ class TestDomination:
                                     make(fam.zygmund(2, 1, 2, 1))).holds
 
 
+class TestTailScreen:
+    """B(t) <= A(ct) beyond the grid, read from the end profiles alone."""
+
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
+    def test_exp_beta_orders_superpolynomial_profiles(self, end):
+        big = young.EndProfile("power", math.inf, exp_beta=2.0, exact=True)
+        small = young.EndProfile("power", math.inf, exp_beta=1.0, exact=True)
+        assert young._compare_power_profiles(big, small, end) is True
+        assert young._compare_power_profiles(small, big, end) is False
+        assert young._compare_power_profiles(big, big, end) is None
+
+    def test_nan_alpha_leaves_it_to_the_grid(self):
+        pa = young.EndProfile("power", 2.0, math.nan)
+        pb = young.EndProfile("power", 2.0, 0.0)
+        assert young._compare_power_profiles(pa, pb, "infinity") is None
+
+    def test_zero_plateau_below_a_power_at_infinity(self):
+        pa = young.EndProfile("power", 2.0, 0.0, exact=True)
+        pb = young.EndProfile("plateau-zero", threshold=1.0, exact=True)
+        assert young._tail_admits_domination(pa, pb, "infinity") is True
+
+
 class TestEssentialDomination:
     def test_power_gap(self):
         assert young.essentially_dominates(make(fam.lp(3)), make(fam.lp(2))).holds
