@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import _Q_TOL, YoungFn, per_young
+from .young import _Q_TOL, YoungFn, inverse_on_grid, per_young
 
 _LADDER_EXPONENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
 
@@ -58,7 +58,7 @@ def dilation(A: YoungFn, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     s = A.table.t
-    inv_s = A.inverse_on_grid
+    inv_s = inverse_on_grid(A)
     inv_st = A.inverse_many(s * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inv_st / inv_s

@@ -139,7 +139,20 @@ def cmd_domain(args, grid: GridSpec, ctx: GammaContext) -> int:
     return 0
 
 
+def _cap_rejected(cap: float) -> bool:
+    """Report a --constant-cap that no constant ladder accepts (below 1 or
+    infinite) on one line."""
+    try:
+        youngmod.constant_ladder(cap)
+    except ValueError as exc:
+        print(f"orlicz-calc: error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_bounded(args, grid: GridSpec, ctx: GammaContext) -> int:
+    if _cap_rejected(args.constant_cap):
+        return 2
     name_a, A = _load(args.spec_a, grid)
     name_b, B = _load(args.spec_b, grid)
     verdict = reduction.bounded(A, B, ctx, constant_cap=args.constant_cap)
@@ -199,6 +212,8 @@ def cmd_probe(args, grid: GridSpec, ctx: GammaContext) -> int:
     if not pairs:
         print("probe needs spec arguments or --fixtures", file=sys.stderr)
         return 2
+    if _cap_rejected(args.constant_cap):
+        return 2
     reports = []
     for text_a, text_b in pairs:
         name_a, A = _load(text_a, grid)
@@ -236,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points-per-decade", type=int, default=24)
         p.add_argument("--tmin", type=float, default=1e-12)
         p.add_argument("--tmax", type=float, default=1e12)
-        p.add_argument("--constant-cap", type=float, default=1e6)
         if csv:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -259,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
     sub.choices["probe"].add_argument(
         "--fixtures", help="JSON file with [{'A': spec, 'B': spec}, ...]")
+    for name in ("bounded", "probe"):  # the commands that search a constant
+        sub.choices[name].add_argument("--constant-cap", type=float, default=1e6)
     return parser
 
 
@@ -269,7 +285,6 @@ def main(argv=None) -> int:
         grid = GridSpec(t_min=args.tmin, t_max=args.tmax,
                         points_per_decade=args.grid_points_per_decade)
         ctx = GammaContext(args.n, args.gamma)
-        youngmod.constant_ladder(args.constant_cap)  # rejects a cap below 1
     except ValueError as exc:
         print(f"orlicz-calc: error: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,9 @@ exponential-type spaces).  Every factor evaluates to 1 at t = 1, so pieces
 join continuously except for explicit constant pieces.
 
 All evaluation happens in log space, which keeps t**15 at t = 1e10 or
-exp(t**1.5) finite or cleanly saturated at +inf.  The same log-space forms
-are evaluable at astronomically large |log t|, which is what the exact
-limit-classification helpers (`compare_growth`, `limit_sign`) exploit.
+exp(t**1.5) finite or cleanly saturated at +inf.  The exact end comparisons
+(`limit_sign`, `integrable`, `compare_growth`) read the factor exponents
+instead, order by order through one tie-band rule, `lex_sign`.
 """
 
 from __future__ import annotations
@@ -168,17 +168,12 @@ class AsymPiece:
         return total
 
     def log_exponent(self, end: str) -> float:
-        """Effective exponent on l(t); +-inf when an exp-log factor dominates."""
-        total = 0.0
-        explog = 0.0
-        for f in self.factors:
-            if isinstance(f, LogFactor):
-                total += f.alpha
-            elif isinstance(f, ExpLogFactor) and f.power > 0:
-                explog += f.coef
-        if explog:
-            return math.inf if explog > 0 else -math.inf
-        return total
+        """Effective exponent on l(t); +-inf when an exp-log factor dominates,
+        signed by the net coefficient at the largest live |log t| power."""
+        coef, power = self.explog()
+        if coef and power > 0:
+            return math.copysign(math.inf, coef)
+        return sum(f.alpha for f in self.factors if isinstance(f, LogFactor))
 
     def loglog_exponent(self) -> float:
         return sum(f.alpha for f in self.factors if isinstance(f, LogLogFactor))
@@ -374,7 +369,16 @@ def conjugate_family(family: AsymptoticFamily) -> AsymptoticFamily | None:
 
 # -- exact asymptotic comparisons --------------------------------------------
 
-_LADDER = (1e8, 1e16, 1e32, 1e64)
+
+def lex_sign(gaps, tols) -> int:
+    """Sign of the first gap outside its tie band [-tol, tol]; 0 when every
+    gap ties.  A NaN gap is a tie."""
+    for gap, tol in zip(gaps, tols):
+        if gap > tol:
+            return 1
+        if gap < -tol:
+            return -1
+    return 0
 
 
 def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
@@ -382,25 +386,13 @@ def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
     finite, +1 -> +infinity.
 
     Decided structurally from the factor exponents (exact for every profile
-    this module can build).
+    this module can build): the power, then the l(t) and l(l(t)) exponents.
     """
-    ep = pc.effective_power(end) + power_shift
-    # near zero t**e -> 0 when e > 0; near infinity -> infinity when e > 0
-    if ep > 1e-12:
-        return -1 if end == "zero" else 1
-    if ep < -1e-12:
-        return 1 if end == "zero" else -1
-    le = pc.log_exponent(end)
-    if le > 1e-12:
-        return 1  # l(t) -> inf at both ends
-    if le < -1e-12:
-        return -1
-    lle = pc.loglog_exponent()
-    if lle > 1e-12:
-        return 1
-    if lle < -1e-12:
-        return -1
-    return 0
+    # near zero t**e -> 0 when e > 0; near infinity -> infinity when e > 0;
+    # l(t) -> inf at both ends
+    flip = 1.0 if end == "infinity" else -1.0
+    return lex_sign((flip * (pc.effective_power(end) + power_shift),
+                     pc.log_exponent(end), pc.loglog_exponent()), (1e-12,) * 3)
 
 
 def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
@@ -408,18 +400,12 @@ def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
 
     Decided from the factor exponents: the power against the critical
     -1 - weight, then at the critical power the l(t) exponent against -1,
-    then the l(l(t)) exponent against -1.
+    then the l(l(t)) exponent against -1; a tie diverges.
     """
-    tol = 1e-9
-    gap = pc.effective_power(end) + weight + 1.0  # > 0 converges at zero
-    if end == "infinity":
-        gap = -gap
-    if math.isinf(gap) or abs(gap) > tol:
-        return gap > 0
-    alpha = pc.log_exponent(end)
-    if math.isinf(alpha) or abs(alpha + 1.0) > tol:
-        return alpha < -1.0
-    return pc.loglog_exponent() < -1.0 - tol
+    flip = 1.0 if end == "zero" else -1.0
+    return lex_sign((flip * (pc.effective_power(end) + weight + 1.0),
+                     -1.0 - pc.log_exponent(end), -1.0 - pc.loglog_exponent()),
+                    (1e-9,) * 3) > 0
 
 
 def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
@@ -430,36 +416,19 @@ def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     compared by beta (coefficients lose to the lambda-inflation), then powers,
     then exp(|log|**kappa) corrections, then l, then l(l).
     """
-    ca, beta_a = a.exppower(end)
-    cb, beta_b = b.exppower(end)
     ea, eb = a.effective_power(end), b.effective_power(end)
-    if math.isinf(ea) or math.isinf(eb):
-        if not (math.isinf(ea) and math.isinf(eb)):
-            bigger_a = ea > eb if end == "infinity" else ea < eb
-            return 1 if bigger_a else -1
-        # both superpolynomial (or superflat): compare the exp(t**beta) scales;
-        # near zero the flatter one (more negative beta) is the smaller function
+    if math.isinf(ea) and math.isinf(eb):
+        # both superpolynomial (or superflat): at both ends the larger beta
+        # is the larger function (near zero the more negative, the flatter)
+        (ca, beta_a), (cb, beta_b) = a.exppower(end), b.exppower(end)
         if beta_a != beta_b:
-            if end == "infinity":
-                return 1 if beta_a > beta_b else -1
-            return 1 if beta_b < beta_a else -1
+            return 1 if beta_a > beta_b else -1
         return -1 if (ca or cb) else 0
-    if abs(ea - eb) > 1e-12:
-        bigger_a = ea > eb if end == "infinity" else ea < eb
-        return 1 if bigger_a else -1
-    # equal polynomial order: sub-polynomial corrections survive any lambda
+    # sub-polynomial corrections survive any lambda; of two exp-log factors
+    # the one with the larger |log|-power dominates and its sign decides
     (xa, ka), (xb, kb) = a.explog(), b.explog()
-    if (xa, ka) != (xb, kb):
-        if ka == kb:
-            return 1 if xa > xb else -1
-        # the factor with the larger |log|-power dominates; its sign decides
-        if ka > kb:
-            return 1 if xa > 0 else -1
-        return -1 if xb > 0 else 1
-    la, lb = a.log_exponent(end), b.log_exponent(end)
-    if abs(la - lb) > 1e-12 and not (math.isinf(la) or math.isinf(lb)):
-        return 1 if la > lb else -1
-    lla, llb = a.loglog_exponent(), b.loglog_exponent()
-    if abs(lla - llb) > 1e-12:
-        return 1 if lla > llb else -1
-    return 0
+    dx = xa - xb if ka == kb else (xa if ka > kb else -xb)
+    flip = 1.0 if end == "infinity" else -1.0
+    return lex_sign((flip * (ea - eb), dx, a.log_exponent(end) - b.log_exponent(end),
+                     a.loglog_exponent() - b.loglog_exponent()),
+                    (1e-12, 0.0, 1e-12, 1e-12))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -159,8 +159,8 @@ class YoungFn:
     """A Young function with symbolic, callable and tabulated views.
 
     Immutable once built: setting an attribute raises ``AttributeError``.
-    Derived results (``inverse_on_grid`` and the ``per_young`` functions)
-    are computed once and kept in the instance's ``__dict__``.
+    Derived results (the ``per_young`` functions) are computed once and kept
+    on the instance.
     """
 
     def __init__(self, *, symbolic: fam.AsymptoticFamily | None = None,
@@ -361,11 +361,6 @@ class YoungFn:
             out[work] = np.exp(wl)
         return out
 
-    @cached_property
-    def inverse_on_grid(self) -> np.ndarray:
-        """A^{-1} sampled at the table abscissae, computed once."""
-        return self.inverse_many(self.table.t)
-
     # -- structural profiles ---------------------------------------------------
 
     def end_profile(self, end: str) -> "EndProfile":
@@ -458,6 +453,12 @@ def _piece_window_profile(grid: GridSpec, pc: fam.AsymPiece, end: str) -> EndPro
         return EndProfile("power", pc.effective_power(end), 0.0, exact=True)
     q, alpha = _window_estimate(u[good], logy[good])
     return EndProfile("power", q, alpha, exact=True)
+
+
+@per_young
+def inverse_on_grid(A: YoungFn) -> np.ndarray:
+    """A^{-1} sampled at the table abscissae."""
+    return A.inverse_many(A.table.t)
 
 
 @per_young
@@ -730,30 +731,15 @@ def _compare_power_profiles(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
             if ca == "super":
                 return end == "infinity"
             return end == "zero"
-        if pa.exp_beta and pb.exp_beta:
-            # at both ends a larger beta means the larger function
-            db = pb.exp_beta - pa.exp_beta
-            if db > 1e-12:
-                return False
-            if db < -1e-12:
-                return True
-        return None
-    both_exact = pa.exact and pb.exact
-    q_tol = _Q_TOL if both_exact else _Q_TOL_FITTED
-    a_tol = _A_TOL if both_exact else _A_TOL_FITTED
-    dq = flip * (pb.q - pa.q)
-    if dq > q_tol:
-        return False
-    if dq < -q_tol:
-        return True
-    da = pb.alpha - pa.alpha  # l(t) -> inf at both ends
-    if math.isnan(da):
-        return None
-    if da > a_tol:
-        return False
-    if da < -a_tol:
-        return True
-    return None
+        # at both ends a larger beta means the larger function
+        gaps = (pb.exp_beta - pa.exp_beta,) if pa.exp_beta and pb.exp_beta else ()
+        tols = (1e-12,)
+    else:
+        # l(t) -> inf at both ends, so the alpha gap keeps its sign
+        gaps = (flip * (pb.q - pa.q), pb.alpha - pa.alpha)
+        tols = (_Q_TOL, _A_TOL) if pa.exact and pb.exact else (_Q_TOL_FITTED, _A_TOL_FITTED)
+    sign = fam.lex_sign(gaps, tols)
+    return None if sign == 0 else sign < 0
 
 
 def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | None:
@@ -789,18 +775,13 @@ def tail_screen(upper, lower) -> tuple[str | None, list[str]]:
     return None, flags
 
 
-def _tie_sign(x: float, tol: float) -> int:
-    if abs(x) <= tol:
-        return 0
-    return 1 if x > 0 else -1
-
-
 def exponent_signs(p: EndProfile, q_shift: float,
                    a_shift: float = 0.0) -> tuple[int, int]:
     """Signs of p.q + q_shift and p.alpha + a_shift for a power profile, gaps
     within _Q_TOL on the power and _A_TOL on the l(t) exponent being ties (0).
     """
-    return _tie_sign(p.q + q_shift, _Q_TOL), _tie_sign(p.alpha + a_shift, _A_TOL)
+    return (fam.lex_sign((p.q + q_shift,), (_Q_TOL,)),
+            fam.lex_sign((p.alpha + a_shift,), (_A_TOL,)))
 
 
 def end_sign(A: YoungFn, shift: float, end: str) -> int:
@@ -808,17 +789,16 @@ def end_sign(A: YoungFn, shift: float, end: str) -> int:
     +inf (+1) toward the end?
 
     Exact for a closed form (``families.limit_sign``); otherwise read from the
-    end profile with the ties of ``exponent_signs``.
+    end profile, the power within _Q_TOL and then the l(t) exponent within
+    _A_TOL being ties.
     """
     if A.closed_form is not None:
         return fam.limit_sign(A.closed_form.piece(end), shift, end)
     p = A.end_profile(end)
     if p.kind != "power":
         return -1 if p.kind == "plateau-zero" else 1
-    dq, da = exponent_signs(p, shift)
-    if dq:
-        return dq if end == "infinity" else -dq
-    return da
+    flip = 1.0 if end == "infinity" else -1.0
+    return fam.lex_sign((flip * (p.q + shift), p.alpha), (_Q_TOL, _A_TOL))
 
 
 def end_integrable(A: YoungFn, weight: float, end: str) -> bool:
@@ -826,17 +806,16 @@ def end_integrable(A: YoungFn, weight: float, end: str) -> bool:
 
     Exact for a closed form (``families.integrable``); otherwise the end
     profile against the critical power -1 - weight and then the critical l(t)
-    exponent -1, with the ties of ``exponent_signs`` counted as divergent.
+    exponent -1, ties within _Q_TOL and _A_TOL counted as divergent.
     """
     if A.closed_form is not None:
         return fam.integrable(A.closed_form.piece(end), weight, end)
     p = A.end_profile(end)
     if p.kind != "power":
         return p.kind == "plateau-zero"
-    dq, da = exponent_signs(p, weight + 1.0, 1.0)
-    if dq:
-        return (dq > 0) == (end == "zero")
-    return da < 0
+    flip = 1.0 if end == "zero" else -1.0
+    return fam.lex_sign((flip * (p.q + weight + 1.0), -1.0 - p.alpha),
+                        (_Q_TOL, _A_TOL)) > 0
 
 
 def constant_ladder(cap: float) -> np.ndarray:

@@ -17,6 +17,15 @@ class TestLimitSign:
         pc = piece(PowerFactor(2), LogLogFactor(ll))
         assert fam.limit_sign(pc, -2.0, end) == sign
 
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
+    @pytest.mark.parametrize("lead,sign", [(1.0, 1), (-1.0, -1)])
+    def test_largest_explog_power_decides(self, end, lead, sign):
+        # log(f(t) t^-2) = lead |log t|^0.5 - 2 lead |log t|^0.3: the first
+        # term dominates although the coefficients sum to -lead
+        pc = piece(PowerFactor(2), ExpLogFactor(lead, 0.5), ExpLogFactor(-2 * lead, 0.3))
+        assert fam.limit_sign(pc, -2.0, end) == sign
+        assert fam.integrable(pc, -3.0, end) == (sign < 0)
+
 
 class TestCompareGrowth:
     def test_superpolynomial_against_power(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orlicz_calc import boyd, families as fam, young
+from orlicz_calc.families import ExpLogFactor, LogFactor, LogLogFactor, PowerFactor, piece
 from orlicz_calc.grid import StepFn
 
 from conftest import bisect_inverse
@@ -116,3 +117,62 @@ def test_domination_defines_preorder(f1, f2):
     v_ba = young.dominates(B, A)
     eq = young.equivalent(A, B)
     assert eq.holds == (v_ab.holds and v_ba.holds)
+
+
+# -- exact end comparisons against the log-space forms at huge |log t| -------
+#
+# Every order is either tied or at least 0.05 from its tie, and the ranges
+# keep each level ahead of all lower ones already at |log t| = 1e8: the
+# l(l(t)) exponent moves log f by at least 0.033 between 1e8 and 1e16, an
+# l(t) exponent of 0.05 outweighs an l(l(t)) exponent of 1, and an exp-log
+# factor outweighs every l(t) exponent drawn here.
+
+_OFFSETS = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
+_LL_OFFSETS = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+_COEFS = st.one_of(st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+# powers of q/8: the tied shifts -q and -1 - q are exact, so ties cancel exactly
+_END_ORDERS = st.tuples(
+    st.integers(8, 64).map(lambda k: k / 8.0), _OFFSETS, _OFFSETS, _LL_OFFSETS,
+    st.dictionaries(st.sampled_from((0.25, 0.5, 0.75)), _COEFS, max_size=2).map(
+        lambda d: tuple(ExpLogFactor(c, k) for k, c in d.items())),
+    st.sampled_from(("zero", "infinity")))
+# exp-log factors at two powers whose coefficients sum to the wrong sign
+_TWO_EXPLOGS = (2.0, 0.0, 0.0, 0.0, (ExpLogFactor(1.0, 0.5), ExpLogFactor(-2.0, 0.3)))
+
+
+def _trend(pc: fam.AsymPiece, end: str) -> int:
+    """Does log pc rise (+1), fall (-1) or stay put (0) from |log t| = 1e8
+    to 1e16 toward the end?"""
+    u = np.array([1e8, 1e16]) * (1.0 if end == "infinity" else -1.0)
+    lo, hi = pc.log_value(u)
+    return 0 if abs(hi - lo) < 0.01 else int(np.sign(hi - lo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_END_ORDERS)
+@example(_TWO_EXPLOGS + ("zero",))
+@example(_TWO_EXPLOGS + ("infinity",))
+def test_limit_sign_follows_the_log_trend(orders):
+    q, dq, da, dll, explogs, end = orders
+    rest = (LogFactor(da), LogLogFactor(dll), *explogs)
+    shift = dq - q
+    # the shift sits next to the power, so that a tie cancels exactly
+    oracle = _trend(piece(PowerFactor(q), PowerFactor(shift), *rest), end)
+    assert fam.limit_sign(piece(PowerFactor(q), *rest), shift, end) == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(_END_ORDERS)
+@example(_TWO_EXPLOGS + ("zero",))
+@example(_TWO_EXPLOGS + ("infinity",))
+def test_integrable_follows_the_log_trend(orders):
+    """The integral of f(s) s**w converges exactly when s**(w+1) f(s) l(s)
+    l(l(s)) tends to 0."""
+    q, dq, da, dll, explogs, end = orders
+    w = dq - 1.0 - q
+    log_f, loglog_f = LogFactor(da - 1.0), LogLogFactor(dll - 1.0)
+    # each critical shift sits next to its exponent, so that a tie cancels exactly
+    oracle = _trend(piece(PowerFactor(q), PowerFactor(w + 1.0), log_f, LogFactor(1.0),
+                          loglog_f, LogLogFactor(1.0), *explogs), end)
+    assert fam.integrable(piece(PowerFactor(q), log_f, loglog_f, *explogs), w, end) \
+        == (oracle < 0)

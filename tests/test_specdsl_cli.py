@@ -128,6 +128,7 @@ class TestCli:
         # spans wider than the transforms can represent
         (("bounded", "Lp(2)", "Lp(6)", "--tmin", "1e-300", "--tmax", "1e300"), 2),
         (("domain", "Lp(6)", "--tmin", "1e-200", "--tmax", "1e200"), 2),
+        (("probe", "Lp(2)", "Lp(6)", "--constant-cap", "inf"), 2),
     ])
     def test_user_errors_and_closed_pipe_print_no_traceback(self, argv, code):
         src = Path(cli.__file__).resolve().parents[1]
@@ -147,6 +148,20 @@ class TestCli:
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv) + ["--format", "json"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,searches_constant", [
+        (("bounded", "Lp(2)", "Lp(6)"), True), (("probe", "Lp(2)", "Lp(6)"), True),
+        (("target", "Lp(2)"), False), (("domain", "Lp(6)"), False),
+        (("boyd", "Lp(2)"), False), (("conjugate", "Lp(2)"), False)])
+    def test_constant_cap_only_where_a_constant_is_searched(self, capsys, argv,
+                                                            searches_constant):
+        argv = list(argv) + ["--constant-cap", "10"]
+        if searches_constant:
+            assert cli.main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
         assert exc.value.code == 2
 
     def test_probe_with_fixture_file(self, capsys, tmp_path):
