@@ -173,6 +173,10 @@ class AsymPiece:
         coef, power = self.explog()
         if coef and power > 0:
             return math.copysign(math.inf, coef)
+        return self.l_exponent()
+
+    def l_exponent(self) -> float:
+        """Summed exponent of the l(t) factors."""
         return sum(f.alpha for f in self.factors if isinstance(f, LogFactor))
 
     def loglog_exponent(self) -> float:
@@ -425,10 +429,12 @@ def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
             return 1 if beta_a > beta_b else -1
         return -1 if (ca or cb) else 0
     # sub-polynomial corrections survive any lambda; of two exp-log factors
-    # the one with the larger |log|-power dominates and its sign decides
+    # the one with the larger |log|-power dominates and its sign decides.
+    # Only once they tie do the l(t) exponents compare, as plain sums:
+    # log_exponent is infinite for both pieces when they share an exp-log factor
     (xa, ka), (xb, kb) = a.explog(), b.explog()
     dx = xa - xb if ka == kb else (xa if ka > kb else -xb)
     flip = 1.0 if end == "infinity" else -1.0
-    return lex_sign((flip * (ea - eb), dx, a.log_exponent(end) - b.log_exponent(end),
+    return lex_sign((flip * (ea - eb), dx, a.l_exponent() - b.l_exponent(),
                      a.loglog_exponent() - b.loglog_exponent()),
                     (1e-12, 0.0, 1e-12, 1e-12))

@@ -276,7 +276,20 @@ def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
         small = np.abs(a) <= 1e-9
         powxa = np.where(small, np.log(ratio), (ratio ** np.where(small, 1.0, a) - 1.0)
                          / np.where(small, 1.0, a))
-        out[pos] = (yl * tl ** (w + 1.0) * powxa)[pos]
+        cell = yl * tl ** (w + 1.0) * powxa
+        out[pos] = cell[pos]
+    # a steep cell, whose yr/yl or product leaves the double range: recompute
+    # it in logs, anchored at the larger of its end values E = y s**(w+1), as
+    # E_max (1 - e**-d) log(tr/tl) / d with d = |log E_r - log E_l| = |a| log(tr/tl)
+    steep = pos & ~(np.isfinite(m) & np.isfinite(cell))
+    if steep.any():
+        left = np.log(yl[steep]) + (w + 1.0) * np.log(tl[steep])
+        right = np.log(yr[steep]) + (w + 1.0) * np.log(tr[steep])
+        d = np.abs(right - left)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+            out[steep] = (np.exp(np.maximum(left, right)) * shape
+                          * np.log(tr[steep] / tl[steep]))
     # cells with a zero endpoint: integrate the linear interpolant (these are
     # breakpoint slivers or plateau boundaries; relative weight is negligible)
     lin = finite & ~pos

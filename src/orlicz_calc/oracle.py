@@ -267,8 +267,8 @@ def rearrangement_bound_check(f: np.ndarray, ctx: GammaContext,
     gamma = ctx.gamma
     m = maximal_2d(_embedded(f), gamma, cell)
     area = cell ** 2
-    mstar = rearrangement([(val, area) for val in m.ravel() if val > 0])
-    fstar = rearrangement([(val, area) for val in f.ravel() if val > 0])
+    mstar = rearrangement(np.column_stack((m.ravel(), np.full(m.size, area))))
+    fstar = rearrangement(np.column_stack((f.ravel(), np.full(f.size, area))))
     if len(fstar.values) == 0 or fstar.values.max() == 0.0:
         return RearrangementBoundReport(0.0, 0.0, 0)
 

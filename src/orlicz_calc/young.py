@@ -945,61 +945,100 @@ def _modular(A: YoungFn, g: GridFn | StepFn):
     return gv, grid_modular
 
 
-# the Luxemburg scale is bisected on [_LAM_LO, _LAM_HI] in log lam
+# the Luxemburg scale is searched on [_LAM_LO, _LAM_HI]; the search ends once
+# it brackets the scale within this relative width, an absolute width in
+# log lam that exceeds the double spacing of every log lam in range
 _LAM_LO = 1e-12
 _LAM_HI = 1e12
-_LAM_ITERS = 60
+_LAM_RTOL = 4e-15
 
 
 def luxemburg_norm(A: YoungFn, g: GridFn | StepFn) -> float:
-    """inf{lam > 0 : integral A(g/lam) <= 1} by bisection on log lam.
+    """inf{lam > 0 : integral A(g/lam) <= 1}, by a safeguarded secant search
+    for the root of log modular against log lam.
 
     Returns 0 when g vanishes and +inf when no scale in range admits a
     finite modular <= 1; raises IntegralDivergentError when the modular is
     infinite even at the largest scale (the integral cannot converge at any
-    lambda in range).
+    lambda in range), and ValueError when the modular is NaN at a scale.
+    Otherwise the result is the right end of a bracket of relative width at
+    most _LAM_RTOL whose left end still has a modular above 1.
     """
     values, modular = _modular(A, g)
     if not np.any(values > 0):
         return 0.0
-    top = modular(_LAM_HI)
+
+    def level(lam: float) -> float:
+        m = modular(lam)
+        if math.isnan(m):
+            raise ValueError(f"the modular is NaN at lambda = {lam!r}")
+        return m
+
+    top = level(_LAM_HI)
     if math.isinf(top):
         raise IntegralDivergentError("modular is infinite for every scale in range")
     if top > 1.0:
         return math.inf
-    if modular(_LAM_LO) <= 1.0:
+    if level(_LAM_LO) <= 1.0:
         return _LAM_LO
-    # the modular falls as lam grows: bisect on "lam is still too small"
-    _, lhi = log_bisect(lambda u: modular(math.exp(u)) > 1.0,
-                        math.log(_LAM_LO), math.log(_LAM_HI), _LAM_ITERS)
-    return math.exp(lhi)
+    # the modular falls as lam grows: every evaluated u = log lam narrows
+    # [a, b], with modular > 1 at a and <= 1 at b
+    a, b = math.log(_LAM_LO), math.log(_LAM_HI)
+    near = 0.5 * _LAM_RTOL
+    u, last = 0.0, None  # the next point; the last (u, log modular)
+    step = older = b - a  # the last two step lengths
+    while True:
+        m = level(math.exp(u))
+        f = math.log(m) if m > 0.0 else -math.inf
+        if m > 1.0:
+            a = u
+        else:
+            b = u
+        if b - a <= _LAM_RTOL:
+            return math.exp(b)
+        if last is None:  # the first step: one unit toward the root
+            r = u + (1.0 if m > 1.0 else -1.0)
+        elif math.isfinite(f) and math.isfinite(last[1]) and f != last[1]:
+            r = u + f * (last[0] - u) / (f - last[1])  # the secant's root
+        else:
+            r = math.nan
+        last = (u, f)
+        if a - near < r < b + near:
+            # an estimate within `near` of an end moves `near` inside it, so
+            # that it straddles the root and the next point closes the bracket
+            r = min(max(r, a + near), b - near)
+            # Brent's rule: a step must be under half the step before the
+            # last, else the search bisects, so that it cannot creep
+            if abs(r - u) < 0.5 * older:
+                older, step, u = step, abs(r - u), r
+                continue
+        u = 0.5 * (a + b)
+        older = step = 0.5 * (b - a)
 
 
 def rearrangement(cells) -> StepFn:
     """Nonincreasing rearrangement of a finite multiset of (value, measure) cells.
 
-    Sort the values in decreasing order and lay them out over cumulative
-    measure; equal adjacent values merge, zero values are dropped (the
-    rearrangement vanishes beyond the support measure).
+    ``cells`` is a sequence of pairs or a (k, 2) array.  Sort the values in
+    decreasing order (stably) and lay them out over cumulative measure;
+    equal adjacent values merge, zero values are dropped (the rearrangement
+    vanishes beyond the support measure).
     """
-    pairs = [(float(v), float(m)) for v, m in cells]
-    if any(v < 0 or m < 0 for v, m in pairs):
+    vm = np.asarray(cells, dtype=float)
+    if vm.size == 0:
+        vm = vm.reshape(0, 2)
+    if vm.ndim != 2 or vm.shape[1] != 2:
+        raise ValueError("cells need (value, measure) pairs")
+    if np.any(vm < 0):
         raise ValueError("cells need nonnegative values and measures")
-    pairs = [(v, m) for v, m in pairs if m > 0 and v > 0]
-    if not pairs:
+    vm = vm[(vm[:, 1] > 0) & (vm[:, 0] > 0)]
+    if not len(vm):
         return StepFn(np.array([1.0]), np.array([0.0]))
-    pairs.sort(key=lambda vm: -vm[0])
-    breaks: list[float] = []
-    values: list[float] = []
-    acc = 0.0
-    for v, m in pairs:
-        acc += m
-        if values and values[-1] == v:
-            breaks[-1] = acc
-        else:
-            breaks.append(acc)
-            values.append(v)
-    return StepFn(np.array(breaks), np.array(values))
+    vm = vm[np.argsort(-vm[:, 0], kind="stable")]
+    values = vm[:, 0]
+    acc = np.cumsum(vm[:, 1])  # sequential, as a running sum
+    last = np.append(values[1:] != values[:-1], True)  # the end of each run
+    return StepFn(acc[last], values[last])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden CLI corpus: exit codes and stdout, byte for byte.
 
-The corpus replays the README commands and the ``conftest.py`` family
-battery (written in the DSL) through ``cli.main`` in-process and compares
+The corpus replays the README commands, the ``conftest.py`` family
+battery (written in the DSL) and acceptance test_10's probe pairs through ``cli.main`` in-process and compares
 each exit code and stdout text with ``data/cli_corpus.jsonl``.  A change
 that is meant to alter CLI output regenerates the file with
 
@@ -52,6 +52,22 @@ BATTERY = (
 
 CONTEXTS = (("3", "1"), ("1", "0.5"))
 
+# acceptance test_10's twelve (A, B, n, gamma), probed with the default family
+PROBE_PAIRS = (
+    ("Lp(1.3333333333333333)", "Lp(4)", "2", "1"),
+    ("Lp(2)", "Lp(6)", "3", "1"),
+    ("Lp(1.5)", "Lp(3)", "3", "1"),
+    ("Lp(2.5)", "Lp(15)", "3", "1"),
+    ("Zygmund(2,1,2,1)", "Zygmund(6,3,6,3)", "3", "1"),
+    ("Lp(3)", "Linf", "3", "1"),
+    ("L1", "Pow @0 t^2 @inf t^1.2", "3", "1"),
+    ("Lp(1.2)", "Lp(6)", "3", "1"),
+    ("Lp(2)", "Lp(30)", "3", "1"),
+    ("L1", "Lp(1.5)", "3", "1"),
+    ("L1", "Lp(3)", "3", "1"),
+    ("Lp(1.2)", "Linf", "3", "1"),
+)
+
 
 def commands() -> list[tuple[str, ...]]:
     out = list(README_COMMANDS)
@@ -61,6 +77,7 @@ def commands() -> list[tuple[str, ...]]:
     n, gamma = CONTEXTS[0]
     out.extend(("bounded", a, b, "--n", n, "--gamma", gamma)
                for a, b in itertools.product(BATTERY, BATTERY))
+    out.extend(("probe", a, b, "--n", n, "--gamma", gamma) for a, b, n, gamma in PROBE_PAIRS)
     return out
 
 

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from orlicz_calc import families as fam
+from orlicz_calc import young
 from orlicz_calc.families import (ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
                                   LogLogFactor, PowerFactor, piece)
 
@@ -76,3 +77,14 @@ class TestCompareGrowth:
         assert fam.compare_growth(a, b, end) == 1
         assert fam.compare_growth(b, a, end) == -1
         assert fam.compare_growth(a, a, end) == 0
+
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
+    def test_shared_explog_factor_leaves_the_l_level(self, end):
+        # both log_exponents are +inf here; the l(t) exponents still decide
+        a = piece(PowerFactor(2), LogFactor(1), ExpLogFactor(1.0))
+        b = piece(PowerFactor(2), ExpLogFactor(1.0))
+        assert fam.compare_growth(a, b, end) == 1
+        assert fam.compare_growth(b, a, end) == -1
+        A = young.from_family(fam.AsymptoticFamily(a, a))
+        B = young.from_family(fam.AsymptoticFamily(b, b))
+        assert young.essentially_dominates(A, B).holds

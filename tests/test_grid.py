@@ -85,6 +85,16 @@ class TestGridFn:
         assert np.all(p[t < 1e-100] == 0.0)
         assert p[-1] == pytest.approx(1.0, rel=1e-12)  # integrand 1 on [1e-100, 1]
 
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_total_integral_of_a_steep_cell(self, rising):
+        # y_r / y_l leaves the double range, the cell's integral does not
+        t = np.array([1.0e-10, 1.1e-10])
+        y = np.array([9.3e-200, 8.7e138] if rising else [8.7e138, 9.3e-200])
+        g = GridFn(t, y, TailFit("zero"), TailFit("zero"))
+        slope = (math.log(y[1]) - math.log(y[0])) / math.log(t[1] / t[0])
+        expect = (y[1] * t[1] - y[0] * t[0]) / (slope + 1.0)
+        assert g.total_integral() == pytest.approx(expect, rel=1e-12)
+
     def test_step_function_integral_exact(self):
         s = StepFn(np.array([0.7, 4.0]), np.array([3.0, 1.0]))
         g = s.to_gridfn()
