@@ -416,10 +416,16 @@ def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     """Is a(t)/b(lambda t) unbounded toward the end, for every lambda >= 1?
 
     Returns +1 (unbounded), -1 (tends to zero for large lambda), 0 (comparable).
-    Exact for the factor algebra: exp(t**beta) scales beat everything and are
+    Exact for the factor algebra: a constant piece 0 lies below and inf above
+    every other piece; exp(t**beta) scales beat everything else and are
     compared by beta (coefficients lose to the lambda-inflation), then powers,
     then exp(|log|**kappa) corrections, then l, then l(l).
     """
+    ca, cb = a.is_const(), b.is_const()
+    if ca is not None or cb is not None:
+        # rank 0 < positive finite < inf; two equal constants are comparable
+        ra, rb = (0 if c is None else 1 if math.isinf(c) else -1 for c in (ca, cb))
+        return (ra > rb) - (ra < rb)
     ea, eb = a.effective_power(end), b.effective_power(end)
     if math.isinf(ea) and math.isinf(eb):
         # both superpolynomial (or superflat): at both ends the larger beta

@@ -104,6 +104,14 @@ class TailFit:
             logv = self.log_value(np.log(x))
             return np.where(logv > _EXP_CLIP, np.inf, np.exp(np.minimum(logv, _EXP_CLIP)))
 
+    def inverse(self, s) -> np.ndarray:
+        """The x with value(x) = s, for a power tail with a positive exponent;
+        its log factor is ignored.  Past exp(_EXP_CLIP) the value jumps to
+        inf, so larger s give the x of the jump."""
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = np.minimum(np.log(np.asarray(s, dtype=float)), _EXP_CLIP)
+            return np.exp((logs - self.log_coefficient) / self.exponent)
+
 
 def ell(t) -> np.ndarray:
     """The slowly varying factor l(t) = 1 + |log t| (natural log)."""
@@ -174,7 +182,7 @@ class GridFn:
 
     def nondecreasing(self, rtol: float = 0.0) -> bool:
         prev, nxt = self.y[:-1], self.y[1:]
-        slack = np.where(np.isfinite(prev), rtol * np.abs(prev), 0.0)
+        slack = rtol * np.abs(np.where(np.isfinite(prev), prev, 0.0))
         with np.errstate(invalid="ignore"):
             return bool(np.all(nxt >= prev - slack))
 
@@ -211,6 +219,29 @@ class GridFn:
                 )
                 val = yl * np.exp(m * (np.log(x) - self._logt[idx - 1]))
             out = np.where(ok & ~exact, val, out)
+        return out
+
+    def interp_inverse(self, s: np.ndarray) -> np.ndarray:
+        """sup{x : interpolant(x) <= s} for samples that do not decrease and
+        y[0] <= s < y[-1]; NaN for other s.
+
+        ``searchsorted`` finds the cell with yl <= s < yr.  Its power law
+        yl (x/tl)**m of ``_interp``, solved for x, gives
+        exp(log tl + (log s - log yl)/m), capped at tr; a cell that is 0 on
+        its left or jumps to inf on its right gives tr.
+        """
+        s = np.asarray(s, dtype=float)
+        out = np.full_like(s, np.nan)
+        idx = np.searchsorted(self.y, s, side="right")
+        inner = (idx >= 1) & (idx < len(self.y))
+        if inner.any():
+            r = idx[inner]
+            logt, logy = self._logt, self._logy
+            power = (self.y[r - 1] > 0.0) & np.isfinite(self.y[r])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                m = (logy[r] - logy[r - 1]) / (logt[r] - logt[r - 1])
+                x = np.exp(logt[r - 1] + (np.log(s[inner]) - logy[r - 1]) / m)
+            out[inner] = np.where(power, np.minimum(x, self.t[r]), self.t[r])
         return out
 
     # -- quadrature --------------------------------------------------------
@@ -329,21 +360,15 @@ def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
     inner = ~(below | above)
 
     if below.any():
-        sb = s[below]
         if lo_tail.kind == "power" and lo_tail.exponent > _PLATEAU_TOL:
-            with np.errstate(divide="ignore", over="ignore"):
-                out[below] = np.exp((np.log(sb) - lo_tail.log_coefficient)
-                                    / lo_tail.exponent)
+            out[below] = lo_tail.inverse(s[below])
         else:
             # g starts at a positive level: nothing satisfies g <= s below it
             out[below] = 0.0
 
     if above.any():
-        sa = s[above]
         if hi_tail.kind == "power" and hi_tail.exponent > _PLATEAU_TOL:
-            with np.errstate(divide="ignore", over="ignore"):
-                out[above] = np.exp((np.log(sa) - hi_tail.log_coefficient)
-                                    / hi_tail.exponent)
+            out[above] = hi_tail.inverse(s[above])
         else:
             # saturated (constant or infinite beyond the grid): sup is +inf
             out[above] = np.inf

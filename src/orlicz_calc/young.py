@@ -27,6 +27,7 @@ from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, TailFit, ell, merge_br
 
 _TINY = 1e-300
 _HUGE = 1e300
+_NORMAL = float(np.finfo(float).tiny)
 
 # the constant ladder: CONSTANT_STEPS geometric rungs on [1, cap]
 CONSTANT_CAP = 1e6
@@ -102,6 +103,27 @@ def _convex_minorant(t: np.ndarray, y: np.ndarray) -> np.ndarray:
             hy.append(yi)
     out[: last + 1] = np.interp(t[: last + 1], hx, hy)
     return out
+
+
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the lower convex hull of the points
+    (x_i, y_i), x strictly increasing and y finite, left to right.
+
+    A vertex is dropped when the slope into it is not below the slope out of
+    it (points on an edge are dropped too), so the edge slopes it leaves, as
+    computed in floats, strictly increase.
+    """
+    xs, ys = x.tolist(), y.tolist()
+
+    def slope(j: int, k: int) -> float:
+        return (ys[k] - ys[j]) / (xs[k] - xs[j])
+
+    hull = [0]
+    for i in range(1, len(xs)):
+        while len(hull) > 1 and slope(hull[-2], hull[-1]) >= slope(hull[-1], i):
+            hull.pop()
+        hull.append(i)
+    return np.array(hull)
 
 
 def libm_exp(u: np.ndarray) -> np.ndarray:
@@ -342,7 +364,15 @@ class YoungFn:
         return float(self.inverse_many(np.array([float(s)]))[0])
 
     def inverse_many(self, s: np.ndarray) -> np.ndarray:
-        """sup{t : A(t) <= s}, vectorized bisection in log space."""
+        """sup{t : A(t) <= s} of the monotone view, searched on [1e-300, 1e300].
+
+        Below the view's value at 1e-300 the result is 0; at or above its
+        value at 1e300 it is ``finite_sup``.  In between, where the view is
+        the table's power interpolant (``_table_inverse``), each s is
+        inverted in closed form; elsewhere (an exact pointwise evaluator,
+        closed-form extrapolation past the table, a table that decreases
+        somewhere) a 90-step bisection in log t finds it.
+        """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         lo = np.full_like(s, math.log(_TINY))
@@ -356,9 +386,40 @@ class YoungFn:
         work = ~(dead | alive_hi)
         if work.any():
             sw = s[work]
-            wl, _ = log_bisect(lambda u: self._monotone_eval(np.exp(u)) <= sw,
-                               lo[work], hi[work], 90)
-            out[work] = np.exp(wl)
+            tw = self._table_inverse(sw)
+            rest = np.isnan(tw)
+            if rest.any():
+                sr = sw[rest]
+                wl, _ = log_bisect(lambda u: self._monotone_eval(np.exp(u)) <= sr,
+                                   lo[work][rest], hi[work][rest], 90)
+                tw[rest] = np.exp(wl)
+            out[work] = tw
+        return out
+
+    def _table_inverse(self, s: np.ndarray) -> np.ndarray:
+        """sup{t : view(t) <= s} in closed form where the monotone view is the
+        table's power interpolant or its fitted power tails; NaN elsewhere.
+
+        Needs a table-backed view (``not _mono_source``) whose samples do not
+        decrease, and a normal double s.  Inside the table's values the cell
+        formula ``GridFn.interp_inverse`` answers; past them, when no closed
+        form extrapolates, a fitted power tail with a positive exponent and
+        no log factor is solved for t.
+        """
+        out = np.full_like(s, np.nan)
+        tab = self.table
+        if self._mono_source or not tab.nondecreasing():
+            return out
+        # below the least normal double the samples lose their precision
+        normal = s >= _NORMAL
+        out[normal] = tab.interp_inverse(s[normal])
+        if self.closed_form is None:
+            for tail, past, clamp, edge in (
+                    (tab.tail_zero, normal & (s < tab.y[0]), np.minimum, tab.t[0]),
+                    (tab.tail_infinity, normal & (s >= tab.y[-1]), np.maximum, tab.t[-1])):
+                if past.any() and tail.kind == "power" and tail.exponent > 0.0 \
+                        and not tail.log_exponent:
+                    out[past] = clamp(tail.inverse(s[past]), edge)
         return out
 
     # -- structural profiles ---------------------------------------------------
@@ -563,91 +624,141 @@ def _refine_sup(A: YoungFn, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
     return best
 
 
-def conjugate(A: YoungFn) -> YoungFn:
-    """Young conjugate sup_s { s t - A(s) }.
+class _Legendre:
+    """The evaluator of ``conjugate(A)``: t -> sup_s {s t - A(s)}.
 
-    The supremum runs over node candidates (extended several decades beyond
-    the grid through the pointwise evaluator), one maximum inside the cells
-    and analytic power tails.  The cell maximum is taken of the same view
-    that ``A.inverse_many`` inverts: the closed-form maximum of the power
-    cells for a tabulated function, and a refinement on the pointwise
-    evaluator when that backs the monotone view (power interpolation sits off
-    the exact function by a few 1e-4 relative inside a cell, enough to push
-    A^{-1}(t) C^{-1}(t) past 2t).  Either way the result is a supremum of
-    affine functions of t, hence convex; conjugating twice recovers the
-    convex envelope of the original representation.
+    Built once per conjugate; each call then costs time and memory linear in
+    the points plus the nodes.  The nodes (s_i, y_i) are A's table extended
+    several decades beyond the grid through the pointwise evaluator, cut
+    where y turns infinite; the cells between them are power laws
+    y_l (s/s_l)**m, and the tails are the power fits of the extended nodes.
     """
-    tab = A.table
-    ppd = A.grid.points_per_decade
-    ext_lo = tab.t[0] * np.power(10.0, np.linspace(-_CONJ_EXT_DECADES, 0.0,
-                                                   _CONJ_EXT_DECADES * ppd,
-                                                   endpoint=False))
-    ext_hi = tab.t[-1] * np.power(10.0, np.linspace(0.0, _CONJ_EXT_DECADES,
-                                                    _CONJ_EXT_DECADES * ppd + 1)[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_lo = np.atleast_1d(np.asarray(A.eval(ext_lo), dtype=float))
-        y_hi = A._monotone_eval(ext_hi)
-    t_nodes = np.concatenate([ext_lo, tab.t, ext_hi])
-    y_nodes = np.maximum.accumulate(np.concatenate([y_lo, tab.y, y_hi]))
-    finite = np.isfinite(y_nodes)
-    s_i = t_nodes[finite]
-    y_i = y_nodes[finite]
 
-    tl, tr = s_i[:-1], s_i[1:]
-    yl, yr = y_i[:-1], y_i[1:]
-    cell_ok = (yl > 0) & (yr > yl)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = np.where(cell_ok, np.log(np.where(cell_ok, yr / yl, 2.0)) /
-                     np.log(tr / tl), 1.0)
-    interior = cell_ok & (m > 1.0 + 1e-9) & np.isfinite(m)
-    log_c = np.where(interior, np.log(yl, where=interior, out=np.zeros_like(yl))
-                     - m * np.log(tl), 0.0)
-
-    ext_fn = GridFn(s_i, y_i)
-    lo_tail, hi_tail = ext_fn.tail_zero, ext_fn.tail_infinity
-    saturated = not math.isinf(A.finite_sup)
-    exact = A._mono_source
-
-    def conj_values(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        rows = np.arange(ts.size)
-        best = np.zeros_like(ts)
+    def __init__(self, A: YoungFn):
+        tab = A.table
+        ppd = A.grid.points_per_decade
+        ext_lo = tab.t[0] * np.power(10.0, np.linspace(-_CONJ_EXT_DECADES, 0.0,
+                                                       _CONJ_EXT_DECADES * ppd,
+                                                       endpoint=False))
+        ext_hi = tab.t[-1] * np.power(10.0, np.linspace(0.0, _CONJ_EXT_DECADES,
+                                                        _CONJ_EXT_DECADES * ppd + 1)[1:])
         with np.errstate(over="ignore", invalid="ignore"):
-            cand = s_i[None, :] * ts[:, None] - y_i[None, :]
-        node = cand.argmax(axis=1)
-        best = np.maximum(best, cand[rows, node])
-        # interior cell maxima: s* = (t/(c m))**(1/(m-1)), value s* t (1 - 1/m);
-        # boundary maxima coincide with node candidates
-        if interior.any():
-            mi = m[interior][None, :]
-            lci = log_c[interior][None, :]
+            y_lo = np.atleast_1d(np.asarray(A.eval(ext_lo), dtype=float))
+            y_hi = A._monotone_eval(ext_hi)
+        t_nodes = np.concatenate([ext_lo, tab.t, ext_hi])
+        y_nodes = np.maximum.accumulate(np.concatenate([y_lo, tab.y, y_hi]))
+        finite = np.isfinite(y_nodes)
+        s_i = self.s_i = t_nodes[finite]
+        y_i = self.y_i = y_nodes[finite]
+
+        tl, tr = s_i[:-1], s_i[1:]
+        yl, yr = y_i[:-1], y_i[1:]
+        cell_ok = (yl > 0) & (yr > yl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = np.where(cell_ok, np.log(np.where(cell_ok, yr / yl, 2.0)) /
+                         np.log(tr / tl), 1.0)
+        interior = cell_ok & (m > 1.0 + 1e-9) & np.isfinite(m)
+        log_c = np.where(interior, np.log(yl, where=interior, out=np.zeros_like(yl))
+                         - m * np.log(tl), 0.0)
+        # the interior cells, whose maximum can lie strictly inside them
+        self.m, self.log_c = m[interior], log_c[interior]
+        self.log_m = np.log(self.m)
+        self.log_tl, self.log_tr = np.log(tl[interior]), np.log(tr[interior])
+
+        ext_fn = GridFn(s_i, y_i)
+        self.lo_tail, self.hi_tail = ext_fn.tail_zero, ext_fn.tail_infinity
+        self.saturated = not math.isinf(A.finite_sup)
+        self.A = A if A._mono_source else None  # refine on the exact evaluator
+
+        # node maxima: max_i s_i t - y_i is reached at the vertex of the
+        # nodes' lower convex hull whose edge slopes bracket t
+        self.hull = _lower_hull(s_i, y_i)
+        with np.errstate(over="ignore"):
+            self.edge_slopes = np.diff(y_i[self.hull]) / np.diff(s_i[self.hull])
+
+        # cell maxima: the power cell c s**m has its maximum of s t - c s**m
+        # inside only for t in its slope interval (m yl/tl, m yr/tr), that is
+        # for log t in (log c + log m + (m-1) log tl, ... log tr); the ends
+        # are widened by far more than rounding, and the running max of the
+        # upper ends and the running min of the lower ends bound the window
+        # of cells that can hold a given t
+        mi, lci = self.m, self.log_c
+        base = lci + self.log_m
+        pad = 1e-12 * (800.0 + np.abs(lci) + np.abs(self.log_m)
+                       + (mi - 1.0) * (np.abs(self.log_tl) + np.abs(self.log_tr)))
+        self.reach_hi = np.maximum.accumulate(base + (mi - 1.0) * self.log_tr + pad)
+        self.reach_lo = np.minimum.accumulate(
+            (base + (mi - 1.0) * self.log_tl - pad)[::-1])[::-1]
+
+    def node_max(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The largest s_i t - y_i per t and the first node that takes it.
+
+        Besides the hull vertex, its two hull neighbours and the two nodes on
+        either side of it in node order are compared, so that the first node
+        of largest rounded value wins, as an argmax over all nodes picks it.
+        """
+        hull, s_i, y_i = self.hull, self.s_i, self.y_i
+        k = np.searchsorted(self.edge_slopes, ts)
+        on_hull = hull[np.clip(k[:, None] + np.arange(-1, 2), 0, len(hull) - 1)]
+        idx = np.concatenate([on_hull, hull[k][:, None] + np.arange(-2, 3)], axis=1)
+        idx = np.sort(np.clip(idx, 0, len(s_i) - 1), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = s_i[idx] * ts[:, None] - y_i[idx]
+        rows = np.arange(ts.size)
+        pick = cand.argmax(axis=1)
+        return cand[rows, pick], idx[rows, pick]
+
+    def cell_max(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The largest interior cell maximum s* t (1 - 1/m) per t, with
+        s* = (t/(c m))**(1/(m-1)), 0 where no cell holds s* inside; and the
+        log s* of the first cell that takes it (of the first cell where none
+        does).  Needs an interior cell."""
+        mi, lci, log_m = self.m, self.log_c, self.log_m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_t = np.log(ts)
+            best_ls = (log_t - lci[0] - log_m[0]) / (mi[0] - 1.0)
+        best_v = np.zeros_like(ts)
+        first = np.searchsorted(self.reach_hi, log_t, side="left")
+        width = np.searchsorted(self.reach_lo, log_t, side="right") - first
+        for k in range(int(width.max(initial=0))):
+            r = np.nonzero(width > k)[0]
+            j = first[r] + k
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ls = (np.log(ts[:, None]) - lci - np.log(mi)) / (mi - 1.0)
-                lo = np.log(tl[interior])[None, :]
-                hi = np.log(tr[interior])[None, :]
-                inside = (ls > lo) & (ls < hi)
+                ls = (log_t[r] - lci[j] - log_m[j]) / (mi[j] - 1.0)
+                inside = (ls > self.log_tl[j]) & (ls < self.log_tr[j])
                 s_star = np.where(inside, np.exp(np.where(inside, ls, 0.0)), 0.0)
-                val = s_star * ts[:, None] * (1.0 - 1.0 / mi)
-            if exact:
+                val = s_star * ts[r] * (1.0 - 1.0 / mi[j])
+            up = val > best_v[r]
+            best_v[r[up]] = val[up]
+            best_ls[r[up]] = ls[up]
+        return best_v, best_ls
+
+    def __call__(self, x) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(x, dtype=float))
+        node_v, node = self.node_max(ts)
+        best = np.maximum(np.zeros_like(ts), node_v)
+        # boundary maxima of the cells coincide with node candidates
+        if len(self.m):
+            cell_v, cell_ls = self.cell_max(ts)
+            if self.A is not None:
                 # where the power-cell maximum beats every node it lies inside
                 # a cell; it only seeds the refinement on the evaluator there
-                cell = val.argmax(axis=1)
-                seed = val[rows, cell] > cand[rows, node]
+                seed = cell_v > node_v
                 if seed.any():
                     best[seed] = np.maximum(best[seed], _refine_sup(
-                        A, ts[seed], ls[rows, cell][seed]))
+                        self.A, ts[seed], cell_ls[seed]))
                 # elsewhere from the best node: a cell's power chord can put
                 # its maximum just past the cell edge while the exact one is
                 # inside, and the nodes alone then miss it by ~1e-4 relative
-                rest = ~seed & (cand[rows, node] > 0.0)
+                rest = ~seed & (node_v > 0.0)
                 if rest.any():
                     best[rest] = np.maximum(best[rest], _refine_sup(
-                        A, ts[rest], np.log(s_i[node[rest]])))
+                        self.A, ts[rest], np.log(self.s_i[node[rest]])))
             else:
-                best = np.maximum(best, val.max(axis=1))
-        for tail, bound, is_upper in ((lo_tail, s_i[0], False),
-                                      (hi_tail, s_i[-1], True)):
-            if is_upper and saturated:
+                best = np.maximum(best, cell_v)
+        for tail, bound, is_upper in ((self.lo_tail, self.s_i[0], False),
+                                      (self.hi_tail, self.s_i[-1], True)):
+            if is_upper and self.saturated:
                 continue
             if tail.kind != "power":
                 continue
@@ -665,11 +776,29 @@ def conjugate(A: YoungFn) -> YoungFn:
                 best = np.where(np.log(ts) > tail.log_coefficient, np.inf, best)
         return best
 
-    raw = lambda x: conj_values(np.atleast_1d(np.asarray(x, float)))
+
+def conjugate(A: YoungFn) -> YoungFn:
+    """Young conjugate sup_s { s t - A(s) }.
+
+    The supremum runs over node candidates (extended several decades beyond
+    the grid through the pointwise evaluator), one maximum inside the cells
+    and analytic power tails (``_Legendre``).  The node maximum is read off
+    the lower convex hull of the nodes, and only the cells whose slope
+    interval holds t are searched for the cell maximum, so an evaluation is
+    linear in points plus nodes (the linear-time Legendre transform; Lucet,
+    Numer. Algorithms 16, 1997).  The cell maximum is taken of the same view
+    that ``A.inverse_many`` inverts: the closed-form maximum of the power
+    cells for a tabulated function, and a refinement on the pointwise
+    evaluator when that backs the monotone view (power interpolation sits off
+    the exact function by a few 1e-4 relative inside a cell, enough to push
+    A^{-1}(t) C^{-1}(t) past 2t).  Either way the result is a supremum of
+    affine functions of t, hence convex; conjugating twice recovers the
+    convex envelope of the original representation.
+    """
     # the computed supremum stays the evaluation path; the factor-level
     # conjugate, when there is one, rides along as the asymptotic view
     mapped = fam.conjugate_family(A.symbolic) if A.symbolic is not None else None
-    return _with_plateau_breakpoints(symbolic=mapped, raw=raw, grid=A.grid,
+    return _with_plateau_breakpoints(symbolic=mapped, raw=_Legendre(A), grid=A.grid,
                                      label=f"conj({A.label})", normalize=False)
 
 

@@ -56,6 +56,35 @@ class TestCompareGrowth:
         assert fam.compare_growth(inf, inf, "infinity") == 0
 
     @pytest.mark.parametrize("end", ["zero", "infinity"])
+    def test_constant_pieces_bound_every_other_piece(self, end):
+        # 0 lies below and inf above every positive finite piece, the
+        # superpolynomial and superflat ones included
+        zero, inf = piece(ConstFactor(0.0)), piece(ConstFactor(math.inf))
+        for other in (piece(PowerFactor(2), LogFactor(-3)),
+                      fam.exp_type(-1, 1).piece(end), fam.exp_type(-2, 2).piece(end)):
+            assert fam.compare_growth(zero, other, end) == -1
+            assert fam.compare_growth(other, zero, end) == 1
+            assert fam.compare_growth(inf, other, end) == 1
+            assert fam.compare_growth(other, inf, end) == -1
+        assert fam.compare_growth(zero, inf, end) == -1
+        assert fam.compare_growth(inf, zero, end) == 1
+        assert fam.compare_growth(zero, zero, end) == 0
+        assert fam.compare_growth(inf, inf, end) == 0
+
+    def test_linf_against_exp_type(self):
+        linf, exp = fam.linf(), fam.exp_type(-1, 1)
+        assert fam.compare_growth(linf.near_zero, exp.near_zero, "zero") == -1
+        assert fam.compare_growth(linf.near_infinity, exp.near_infinity, "infinity") == 1
+        # Linf dominates through its jump to inf, not through its zero end
+        assert young.essentially_dominates(young.from_family(linf),
+                                           young.from_family(exp)).holds
+        # 0 near zero and exp(t) near infinity stays below exp(-1/t) @0 |
+        # exp(t) @inf dilated, at both ends
+        low = fam.AsymptoticFamily(piece(ConstFactor(0.0)), exp.near_infinity)
+        assert not young.essentially_dominates(young.from_family(low),
+                                               young.from_family(exp)).holds
+
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
     def test_explog_powers_differ(self, end):
         def pc(*explogs):
             return piece(PowerFactor(2), *explogs)
