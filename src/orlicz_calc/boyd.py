@@ -8,7 +8,9 @@ give the min / max of the two end orders).  The numeric route evaluates h on
 a fixed ladder t = 10**k and extrapolates the reciprocal slope
 log h / log t = 1/i + a * log l(t)/log t + b / log t by least squares; the
 second basis term soaks up the slowly varying corrections that make the naive
-limit converge only at log log speed.
+limit converge only at log log speed.  The whole ladder takes two inverses:
+A^{-1} on the table abscissae s (``young.inverse_on_grid``, shared with the
+transforms) and one ``inverse_many`` call on every product s t.
 """
 
 from __future__ import annotations
@@ -54,24 +56,40 @@ class BoydEstimate:
 
 def dilation(A: YoungFn, t: float) -> float:
     """h(t) = sup over the sample grid of A^{-1}(s t) / A^{-1}(s), with the
-    end-limit ratios t**(1/q) of the fitted tails joined in."""
+    end-limit ratios t**(1/q) of the fitted tails joined in.
+
+    One rung of the ladder that ``boyd_indices`` computes at once, with the
+    same bits."""
     if t <= 0:
         raise ValueError("t must be positive")
+    return float(_dilations(A, np.array([float(t)]))[0])
+
+
+def _dilations(A: YoungFn, ts: np.ndarray) -> np.ndarray:
+    """h(t) for every t > 0 of ts, from one inverse of the products s t.
+
+    ``inverse_many`` answers each point on its own, so one call on all the
+    products gives the bits of one call per t (but on a conjugate, whose
+    evaluator refines a whole batch for as many rounds as its slowest
+    point needs)."""
     s = A.table.t
     inv_s = inverse_on_grid(A)
-    inv_st = A.inverse_many(s * t)
+    inv_st = A.inverse_many(np.concatenate([s * t for t in ts])).reshape(len(ts), len(s))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inv_st / inv_s
-    ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
-    best = float(ratio.max()) if len(ratio) else 1.0
-    for end in ("zero", "infinity"):
-        prof = A.end_profile(end)
-        if prof.kind == "power" and np.isfinite(prof.q) and prof.q >= 1.0 - _Q_TOL:
-            # an order within the tie of 1 is order 1 (fits land a hair below)
-            best = max(best, t ** (1.0 / max(prof.q, 1.0)))
-        elif prof.kind in ("plateau-zero", "plateau-infinity"):
-            best = max(best, 1.0)
-    return best
+    ends = [A.end_profile(end) for end in ("zero", "infinity")]
+    out = np.empty(len(ts))
+    for k, t in enumerate(ts.tolist()):
+        row = ratio[k][np.isfinite(ratio[k]) & (ratio[k] > 0)]
+        best = float(row.max()) if len(row) else 1.0
+        for prof in ends:
+            if prof.kind == "power" and np.isfinite(prof.q) and prof.q >= 1.0 - _Q_TOL:
+                # an order within the tie of 1 is order 1 (fits land a hair below)
+                best = max(best, t ** (1.0 / max(prof.q, 1.0)))
+            elif prof.kind in ("plateau-zero", "plateau-infinity"):
+                best = max(best, 1.0)
+        out[k] = best
+    return out
 
 
 def _symbolic_indices(A: YoungFn) -> tuple[float, float] | None:
@@ -130,8 +148,7 @@ def boyd_indices(A: YoungFn, *, force_numeric: bool = False) -> BoydEstimate:
     flags: list[str] = []
     ts_hi = np.power(10.0, np.array(_LADDER_EXPONENTS))
     ts_lo = np.power(10.0, -np.array(_LADDER_EXPONENTS))
-    h_hi = np.array([dilation(A, float(t)) for t in ts_hi])
-    h_lo = np.array([dilation(A, float(t)) for t in ts_lo])
+    h_hi, h_lo = np.split(_dilations(A, np.concatenate([ts_hi, ts_lo])), 2)
 
     if np.all(h_hi <= 1.0 + 1e-12):
         i_est, i_half = math.inf, 0.0

@@ -22,6 +22,7 @@ from . import boyd as boydmod
 from . import young as youngmod
 from .grid import GridSpec
 from .specdsl import SpecParseError, parse_spec, render
+from .transforms import DoubleRangeError
 from .young import GammaContext
 
 SCHEMA = "orlicz-calc/1"
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except optimality.IndeterminateIndexError as exc:
+    except (optimality.IndeterminateIndexError, DoubleRangeError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _CLIP = 700.0
+# |log t| < 745.2 for every positive double t, so p log t can overflow only
+# for |p| above this
+_P_OVERFLOW = 2e305
 
 
 def _finite_exp(logv: np.ndarray) -> np.ndarray:
@@ -37,7 +40,10 @@ class PowerFactor:
     def log_value(self, u: np.ndarray) -> np.ndarray:
         if math.isinf(self.p):
             return np.where(u < 0, -np.inf, np.where(u > 0, np.inf, 0.0))
-        return self.p * u
+        if abs(self.p) < _P_OVERFLOW:
+            return self.p * u
+        with np.errstate(over="ignore"):  # a log value past double range is +-inf
+            return self.p * u
 
     def render(self) -> str:
         return f"t^{_fmt(self.p)}"

@@ -28,6 +28,10 @@ DEFAULT_POINTS_PER_DECADE = 24
 # overflow and meet underflowed powers (inf * 0).  Found on the battery at
 # (n, gamma) = (3, 1) and (1, 0.5): 1e+-160 passes, 1e+-170 fails.
 SPAN_LIMIT = 1e160
+# the most abscissae a grid may have.  At 100,017 points (4166 per decade
+# over the default 24 decades) the README's CLI commands peak at 46-84 MB;
+# 1e8 per decade would ask for a 17.9 GiB array
+POINT_LIMIT = 100_000
 
 # Relative offset used to double a breakpoint into a just-below/just-above
 # pair so that jumps cost at most ~1e-12 of relative quadrature error.
@@ -52,6 +56,11 @@ class GridSpec:
                              f"t_max <= {SPAN_LIMIT:g}")
         if self.points_per_decade < 2:
             raise ValueError("points_per_decade must be >= 2")
+        # compared as int against float, exactly and without overflow
+        if self.points_per_decade > (POINT_LIMIT - 1) / self.decades:
+            raise ValueError(f"a grid may have at most {POINT_LIMIT} points; "
+                             f"{self.points_per_decade} per decade over "
+                             f"{self.decades:g} decades is more")
 
     @property
     def decades(self) -> float:
@@ -333,6 +342,17 @@ def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
                 seg = np.log(tr[lin] / tl[lin])
             # a zero cell adds nothing, also where s**(w+1) overflows (inf - inf)
             out[lin] = np.where(ymid > 0.0, ymid * seg, 0.0)
+            # a cell where s**(w+1) overflows at both ends: the same integral
+            # in logs, from the end where s**(w+1) is larger
+            over = np.isnan(seg)
+            if over.any():
+                over &= ymid > 0.0
+                a = w + 1.0
+                log_big = np.log(np.where(a < 0.0, tl[lin], tr[lin])[over])
+                width = np.log(tr[lin] / tl[lin])[over]
+                out[np.flatnonzero(lin)[over]] = np.exp(
+                    np.log(ymid[over]) + a * log_big
+                    + np.log(-np.expm1(-abs(a) * width) / abs(a)))
     # an infinite sample makes its cell (and every later prefix) infinite
     out[np.isinf(yl) | np.isinf(yr)] = np.inf
     return out

@@ -219,7 +219,7 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
 
     B(s)/s is nondecreasing, so each level is bisected in log s over
-    [log 1e-90, 0] with 80 halvings, through libm's exp so that the rungs
+    [log 1e-90, 0] with up to 80 halvings, through libm's exp so that the rungs
     do not depend on numpy's; 0.0 where the level lies below B(1e-90)/1e-90
     and 1.0 where B(1) <= level."""
     lo_s = math.exp(_TAU_LOG_FLOOR)
@@ -230,11 +230,11 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     out = np.where(dead, 0.0, 1.0)
     lv = levels[work]
 
-    def below(u):
+    def below(u, idx):
         s = libm_exp(u)
-        return B._monotone_eval(s) / s <= lv
+        return B._monotone_eval(s) / s <= lv[idx]
 
-    lo, _ = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80)
+    lo = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80)
     out[work] = libm_exp(lo)
     return out
 

@@ -28,7 +28,13 @@ import numpy as np
 from . import families as fam
 from .boyd import boyd_indices
 from .grid import GridFn, grid_inverse
-from .young import GammaContext, YoungFn, end_integrable, end_sign, per_young
+from .young import (GammaContext, YoungFn, end_integrable, end_sign, inverse_on_grid,
+                    per_young)
+
+
+class DoubleRangeError(ValueError):
+    """A transform's value is out of double range where a saturated value
+    would be wrong: an overflowed integral times an underflowed power."""
 
 
 class TransformGateError(ValueError):
@@ -202,13 +208,21 @@ def check_bconv(B: YoungFn, ctx: GammaContext) -> bool:
 # target side
 
 
+def _inverse_on_abscissae(A: YoungFn) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's abscissae t and A^{-1}(t), read from ``inverse_on_grid``
+    when A's table has exactly these abscissae (no breakpoints merged in)."""
+    t = A.grid.abscissae()
+    if np.array_equal(A.table.t, t):
+        return t, inverse_on_grid(A)
+    return t, A.inverse_many(t)
+
+
 def g_transform(A: YoungFn, ctx: GammaContext) -> GridFn:
     """Running supremum G(t) = sup_{s<=t} A^{-1}(s) s^(-gamma/n) on the grid."""
     if not check_acond(A, ctx):
         raise TransformGateError("acond-violated",
                                  "A(t) t^(-n/gamma) is not bounded below near 0")
-    t = A.grid.abscissae()
-    inv = A.inverse_many(t)
+    t, inv = _inverse_on_abscissae(A)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = inv * t ** (-ctx.s_star)
     vals = np.maximum.accumulate(np.where(np.isfinite(vals), vals, np.inf))
@@ -246,8 +260,8 @@ def supout_inverse(A: YoungFn, ctx: GammaContext) -> GridFn:
         raise TransformGateError("index-gate-failed",
                                  f"upper Boyd index {est.I_upper:.4g} is not below "
                                  f"n/gamma = {ctx.r_star:.4g}")
-    t = A.grid.abscissae()
-    vals = A.inverse_many(t) * t ** (-ctx.s_star)
+    t, inv = _inverse_on_abscissae(A)
+    vals = inv * t ** (-ctx.s_star)
     return GridFn(t, np.maximum.accumulate(vals))
 
 
@@ -280,8 +294,15 @@ def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:
         raise TransformGateError("bconv-violated",
                                  "int_0 B(s)/s^(q*+1) ds diverges at zero")
     L = lower_fractional_integral(B, ctx)
-    with np.errstate(over="ignore"):  # past double range F saturates to inf
+    # past double range F saturates to inf; an inf integral times an
+    # underflowed t^q* is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = L.y * L.t ** ctx.q_star
+    if np.isnan(vals).any():
+        raise DoubleRangeError(
+            f"F(t) = t^q* int_0^t B(s)/s^(q*+1) ds at q* = {ctx.q_star:.4g} leaves the "
+            f"double range: the integral overflows where t^q* underflows "
+            f"(t = {L.t[np.isnan(vals)][0]:.3g})")
     return GridFn(L.t, np.maximum.accumulate(vals))
 
 
@@ -305,8 +326,8 @@ def intout_inverse(B: YoungFn, ctx: GammaContext) -> GridFn:
         raise TransformGateError("index-gate-failed",
                                  f"lower Boyd index {est.i_lower:.4g} is not above "
                                  f"n/(n-gamma) = {ctx.q_star:.4g}")
-    t = B.grid.abscissae()
-    vals = t ** ctx.s_star * B.inverse_many(t)
+    t, inv = _inverse_on_abscissae(B)
+    vals = t ** ctx.s_star * inv
     return GridFn(t, np.maximum.accumulate(vals))
 
 

@@ -132,26 +132,63 @@ def libm_exp(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, u), dtype=float, count=len(u))
 
 
-def log_bisect(ok, lo, hi, iters: int):
-    """Halve the brackets [lo, hi] of u = log x ``iters`` times; returns the
-    final (lo, hi).  ``ok(u)`` takes the midpoints (arrays, 0-d for float
-    brackets), exponentiates them itself, and moves lo up where it holds.
+def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
+    """Halve the brackets [lo, hi] of u = log x up to ``iters`` times, ``ok``
+    holding at each lo and failing at each hi; returns the final lo.
+
+    ``ok(u, idx)`` takes the midpoints u of the brackets idx, exponentiates
+    them itself, and moves lo up where it holds, hi down where it fails.  A
+    bracket whose midpoint rounds to one of its ends is final: ``ok`` is
+    known there, so its lo can no longer move.  Such brackets drop out, and
+    the search ends when none is left, with the lo that all ``iters``
+    halvings would give.
     """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    idx = np.arange(lo.size)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        up = ok(mid)
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    return lo, hi
+        lo_i, hi_i = lo[idx], hi[idx]
+        mid = 0.5 * (lo_i + hi_i)
+        live = (mid != lo_i) & (mid != hi_i)
+        idx, mid = idx[live], mid[live]
+        if not idx.size:
+            break
+        up = ok(mid, idx)
+        lo[idx[up]] = mid[up]
+        hi[idx[~up]] = mid[~up]
+    return lo
+
+
+# the plateau search splits its bracket into this many + 1 parts per round;
+# 15 rounds narrow it by 64**15 = 2**90, as far as 90 halvings
+_PLATEAU_SPLITS = 63
+_PLATEAU_ROUNDS = 15
 
 
 def _bisect_boundary(pred, lo: float, hi: float) -> float:
-    """sup{x in [lo, hi] : pred(x)} for a down-set predicate, in log space."""
-    if not pred(lo):
+    """sup{x in [lo, hi] : pred(x)} for a down-set predicate, in log space.
+
+    ``pred`` takes an array of x.  Each round evaluates it on _PLATEAU_SPLITS
+    evenly spaced points inside the bracket of log x in one call, through
+    libm's exp, and keeps the part before the first point where it fails.
+    The search ends at adjacent doubles or after _PLATEAU_ROUNDS rounds,
+    where the bracket is narrower than the log x spacing of exp's values;
+    either way the result exp(lo) is the largest such value where ``pred``
+    holds, the bits of a 90-step bisection, also near x = 1, where doubles
+    of log x are dense.
+    """
+    if not pred(np.array([lo]))[0]:
         return 0.0
-    if pred(hi):
+    if pred(np.array([hi]))[0]:
         return math.inf
-    llo, _ = log_bisect(lambda u: pred(math.exp(u)), math.log(lo), math.log(hi), 90)
-    return math.exp(llo)
+    a, b = math.log(lo), math.log(hi)
+    for _ in range(_PLATEAU_ROUNDS):
+        if 0.5 * (a + b) in (a, b):
+            break
+        u = np.linspace(a, b, _PLATEAU_SPLITS + 2)
+        holds = np.append(pred(libm_exp(u[1:-1])), False)  # and fails at b
+        j = int(np.argmin(holds)) + 1
+        a, b = float(u[j - 1]), float(u[j])
+    return math.exp(a)
 
 
 def per_young(fn):
@@ -342,9 +379,8 @@ class YoungFn:
         probe = float(np.min(self._monotone_eval(np.array([self.grid.t_min]))))
         if probe > 0.0:
             return 0.0
-        return _bisect_boundary(
-            lambda x: float(self._monotone_eval(np.array([x]))[0]) <= 0.0,
-            self.grid.t_min, self.grid.t_max * 10.0)
+        return _bisect_boundary(lambda x: self._monotone_eval(x) <= 0.0,
+                                self.grid.t_min, self.grid.t_max * 10.0)
 
     def _find_finite_sup(self) -> float:
         if self._structural_jump("infinity") is False:
@@ -354,9 +390,8 @@ class YoungFn:
             tail = self.table.tail_infinity
             if tail.kind != "infinity":
                 return math.inf
-        return _bisect_boundary(
-            lambda x: bool(np.isfinite(self._monotone_eval(np.array([x]))[0])),
-            self.grid.t_min / 10.0, self.grid.t_max)
+        return _bisect_boundary(lambda x: np.isfinite(self._monotone_eval(x)),
+                                self.grid.t_min / 10.0, self.grid.t_max)
 
     # -- generalized inverse --------------------------------------------------
 
@@ -371,7 +406,8 @@ class YoungFn:
         the table's power interpolant (``_table_inverse``), each s is
         inverted in closed form; elsewhere (an exact pointwise evaluator,
         closed-form extrapolation past the table, a table that decreases
-        somewhere) a 90-step bisection in log t finds it.
+        somewhere) ``log_bisect`` halves [log 1e-300, log 1e300] up to 90
+        times.
         """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
@@ -390,8 +426,8 @@ class YoungFn:
             rest = np.isnan(tw)
             if rest.any():
                 sr = sw[rest]
-                wl, _ = log_bisect(lambda u: self._monotone_eval(np.exp(u)) <= sr,
-                                   lo[work][rest], hi[work][rest], 90)
+                wl = log_bisect(lambda u, i: self._monotone_eval(np.exp(u)) <= sr[i],
+                                lo[work][rest], hi[work][rest], 90)
                 tw[rest] = np.exp(wl)
             out[work] = tw
         return out

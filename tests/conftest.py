@@ -1,3 +1,7 @@
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
@@ -61,3 +65,21 @@ def bisect_inverse(evaluator, s, lo=1e-60, hi=1e60, iters=200):
         else:
             lhi = mid
     return math.exp(llo)
+
+
+@pytest.fixture
+def young_calls(monkeypatch):
+    """Counts, while the test runs, the calls of ``YoungFn._monotone_eval``
+    (every evaluation of the monotone view) and ``YoungFn.inverse_many``, and
+    the points each received: ``young_calls.calls["inverse_many"]``."""
+    counts = SimpleNamespace(calls=Counter(), points=Counter())
+    for name in ("_monotone_eval", "inverse_many"):
+        method = getattr(young.YoungFn, name)
+
+        def counted(self, t, _method=method, _name=name):
+            counts.calls[_name] += 1
+            counts.points[_name] += np.size(t)
+            return _method(self, t)
+
+        monkeypatch.setattr(young.YoungFn, name, counted)
+    return counts

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orlicz_calc import boyd, families as fam
+from orlicz_calc import boyd, families as fam, transforms as tr, young
 
 from conftest import bisect_inverse, make
 
@@ -78,3 +78,42 @@ class TestIndices:
         est = boyd.boyd_indices(make(fam.lp(2)), force_numeric=True)
         assert est.i_conservative <= est.i_lower <= est.I_conservative + 1e-12
         assert not est.indeterminate_against(1.5)
+
+
+class TestOneInverse:
+    """The ladder of dilations from one inverse of all its products s t."""
+
+    def test_same_bits_as_one_inverse_per_rung(self, family_battery, monkeypatch, ctx31):
+        one_t = boyd._dilations
+
+        def per_rung(A, ts):
+            # a loop of what boyd.dilation(A, t) computes, one t at a time
+            return np.array([one_t(A, np.array([t]))[0] for t in ts])
+
+        def inputs():
+            for name, family in family_battery.items():
+                yield name, lambda f=family: young.from_family(f)
+                yield f"callable {name}", lambda f=family: young.from_callable(f.value)
+                yield f"a_gamma {name}", lambda f=family: tr.a_gamma(young.from_family(f), ctx31)
+
+        for label, build in inputs():
+            try:
+                got = boyd.boyd_indices(build(), force_numeric=True)
+            except tr.TransformGateError:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(boyd, "_dilations", per_rung)
+                want = boyd.boyd_indices(build(), force_numeric=True)
+            assert got == want, label
+
+    def test_dilation_is_one_rung(self):
+        A = make(fam.zygmund(2, 1, 2, 1))
+        ts = np.array([1e-5, 1e4, 1e8])
+        assert np.array_equal(boyd._dilations(A, ts), [boyd.dilation(A, t) for t in ts])
+
+    def test_numeric_indices_of_a_callable_take_two_inverses(self, young_calls):
+        # ten dilations plus the inverse on the grid took eleven
+        A = young.from_callable(fam.zygmund(2, 1, 2, 1).value)
+        young_calls.calls.clear()
+        boyd.boyd_indices(A, force_numeric=True)
+        assert young_calls.calls["inverse_many"] <= 2

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from orlicz_calc import grid
 from orlicz_calc.grid import (
     DEFAULT_GRID,
+    POINT_LIMIT,
     SPAN_LIMIT,
     GridFn,
     GridSpec,
@@ -34,6 +36,19 @@ class TestGridSpec:
         for t_min, t_max in ((1e-300, 1e300), (1e-161, 1.0), (1.0, 1e161)):
             with pytest.raises(ValueError, match="t_max <="):
                 GridSpec(t_min=t_min, t_max=t_max)
+
+    def test_point_limit_is_checked_before_any_abscissae(self, monkeypatch):
+        def no_abscissae(*args):
+            raise AssertionError("abscissae built")
+
+        monkeypatch.setattr(grid, "_abscissae_cached", no_abscissae)
+        for ppd in (10 ** 8, 10 ** 400, POINT_LIMIT // 24 + 1):
+            with pytest.raises(ValueError, match=f"at most {POINT_LIMIT} points"):
+                GridSpec(points_per_decade=ppd)
+        with pytest.raises(ValueError, match="at most"):
+            GridSpec(t_min=1.0 / SPAN_LIMIT, t_max=SPAN_LIMIT,
+                     points_per_decade=POINT_LIMIT // 320 + 1)
+        GridSpec(points_per_decade=(POINT_LIMIT - 1) // 24)  # 24 decades
 
     def test_widest_span(self):
         # t_max / t_min overflows to inf here; the span comes from the logs

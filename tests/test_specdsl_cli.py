@@ -141,6 +141,22 @@ class TestCli:
         assert proc.wait(timeout=120) == code
         assert len(err.splitlines()) == (1 if code == 2 else 0), err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,code", [
+        # 2.4e9 abscissae, a 17.9 GiB array: refused before it is built
+        (("bounded", "Lp(2)", "Lp(6)", "--grid-points-per-decade", "100000000"), 2),
+        # t**1e308 takes log values past double range
+        (("bounded", "Lp(1e308)", "Lp(6)"), 0),
+        # q* = 300: the prefix integral of F overflows where t**q* underflows
+        (("domain", "ExpType(-1,1)", "--n", "3", "--gamma", "2.99"), 3),
+    ])
+    def test_extreme_inputs_end_in_one_line(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert len(err.splitlines()) == (0 if code == 0 else 1), err
+        if code == 0:
+            json.loads(out)
+
     @pytest.mark.parametrize("argv", [
         ("bounded", "Lp(2)", "Lp(6)"), ("boyd", "Lp(2)"), ("probe", "Lp(2)", "Lp(6)")])
     def test_format_only_where_csv_exists(self, capsys, argv):

@@ -1,8 +1,9 @@
-"""The two numeric kernels of the Young calculus against the brute-force
+"""The numeric kernels of the Young calculus against the brute-force
 versions they replaced, kept here as references: the table inverse of
 ``YoungFn.inverse_many`` against its 90-step bisection (and against a
-50-digit inverse of the same power interpolant), and the hull-based
-conjugate evaluator against the dense (points x nodes) maximum."""
+50-digit inverse of the same power interpolant), ``young.log_bisect`` and
+the 64-way plateau search against plain bisections (bit for bit), and the
+hull-based conjugate evaluator against the dense (points x nodes) maximum."""
 
 import math
 import tracemalloc
@@ -20,6 +21,38 @@ from orlicz_calc.young import GammaContext
 CONTEXTS = (GammaContext(3, 1.0), GammaContext(1, 0.5))
 
 
+def plain_log_bisect(ok, lo, hi, iters):
+    """``young.log_bisect`` without its exit: every bracket is halved
+    ``iters`` times, and ``ok`` sees every midpoint at every step."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    every = np.arange(lo.size)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        up = ok(mid, every)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo
+
+
+def scalar_boundary(pred, lo, hi):
+    """``young._bisect_boundary`` as a 90-step bisection in log x that asks
+    ``pred`` about one x at a time."""
+    def holds(x):
+        return bool(pred(np.array([x]))[0])
+
+    if not holds(lo):
+        return 0.0
+    if holds(hi):
+        return math.inf
+    a, b = math.log(lo), math.log(hi)
+    for _ in range(90):
+        mid = 0.5 * (a + b)
+        if holds(math.exp(mid)):
+            a = mid
+        else:
+            b = mid
+    return math.exp(a)
+
+
 def bisect_inverse_many(A, s):
     """``inverse_many`` as a 90-step bisection of the monotone view in log t."""
     s = np.asarray(s, dtype=float)
@@ -33,8 +66,8 @@ def bisect_inverse_many(A, s):
     work = ~(dead | alive_hi)
     if work.any():
         sw = s[work]
-        wl, _ = young.log_bisect(lambda u: A._monotone_eval(np.exp(u)) <= sw,
-                                 lo[work], hi[work], 90)
+        wl = plain_log_bisect(lambda u, i: A._monotone_eval(np.exp(u)) <= sw[i],
+                              lo[work], hi[work], 90)
         out[work] = np.exp(wl)
     return out
 
@@ -110,17 +143,40 @@ def _assert_inverses_agree(A, s, label):
     assert np.all(np.abs(got[pos] - want[pos]) <= 1e-13 * want[pos]), label
 
 
-def test_inverse_matches_bisection_on_transform_outputs(family_battery):
+def _asked_levels(A):
+    """What the transforms and boyd.dilation ask: the abscissae and their
+    dilations by up to 1e8, the table values, and the extreme levels."""
+    tab = A.table
+    return np.concatenate([tab.t * 10.0 ** k for k in (-8, -4, 0, 4, 8)]
+                          + [tab.y[np.isfinite(tab.y)], [0.0, 1e-310, 1e300, np.inf]])
+
+
+def _assert_live_bisection_is_plain(A, s, label, monkeypatch):
+    got = A.inverse_many(s)
+    with monkeypatch.context() as m:
+        m.setattr(young, "log_bisect", plain_log_bisect)
+        want = A.inverse_many(s)
+    assert np.array_equal(got, want), label
+
+
+def test_inverse_matches_bisection_on_transform_outputs(family_battery, monkeypatch):
     checked = 0
     for label, X in _transform_outputs(family_battery):
-        # what the transforms and boyd.dilation ask: the abscissae and their
-        # dilations by up to 1e8, the table values, and the extreme levels
-        tab = X.table
-        s = np.concatenate([tab.t * 10.0 ** k for k in (-8, -4, 0, 4, 8)]
-                           + [tab.y[np.isfinite(tab.y)], [0.0, 1e-310, 1e300, np.inf]])
+        s = _asked_levels(X)
         _assert_inverses_agree(X, s, label)
+        _assert_live_bisection_is_plain(X, s, label, monkeypatch)
         checked += 1
     assert checked > 40
+
+
+def test_live_bisection_is_plain_bisection_on_exact_sources(family_battery, monkeypatch):
+    # closed forms and callables whose evaluator backs the monotone view:
+    # every level between the extreme ones is bisected
+    for name, family in family_battery.items():
+        for form, A in (("closed", young.from_family(family)),
+                        ("callable", young.from_callable(family.value))):
+            _assert_live_bisection_is_plain(A, _asked_levels(A), f"{name}, {form}",
+                                            monkeypatch)
 
 
 @pytest.mark.parametrize("y_of_t", [
@@ -168,6 +224,54 @@ def test_table_inverse_is_closer_to_a_50_digit_inverse():
             new, old = errors(new), errors(old)
         assert new.max() < 4e-15, spec
         assert new.max() <= old.max() and new.mean() < old.mean(), spec
+
+
+# ---------------------------------------------------------------------------
+# plateau search
+
+
+@pytest.mark.parametrize("edge", [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                                  1.0 + 1e-13, 1e-12, 3.7e-5, 0.5, 123.456, 9.99e12])
+@pytest.mark.parametrize("strict", [False, True])
+def test_plateau_search_matches_scalar_bisection_on_thresholds(edge, strict):
+    # doubles of log x near x = 1 are far denser than 90 halvings resolve:
+    # neither search reaches adjacent doubles there, and only the rounding
+    # of exp makes their results agree
+    def pred(x):
+        return x < edge if strict else x <= edge
+
+    got = young._bisect_boundary(pred, 1e-12, 1e13)
+    assert got == scalar_boundary(pred, 1e-12, 1e13)
+
+
+def test_plateau_search_matches_scalar_bisection(family_battery, monkeypatch):
+    inside = 0
+    for name, family in family_battery.items():
+        for form, A in (("closed", young.from_family(family)),
+                        ("callable", young.from_callable(family.value))):
+            for label, X in ((f"{name}, {form}", A), (f"conj {name}, {form}",
+                                                      young.conjugate(A))):
+                got = (X._find_zero_plateau(), X._find_finite_sup())
+                with monkeypatch.context() as m:
+                    m.setattr(young, "_bisect_boundary", scalar_boundary)
+                    want = (X._find_zero_plateau(), X._find_finite_sup())
+                assert got == want, label
+                inside += sum(0.0 < x < math.inf for x in got)
+    assert inside >= 8
+
+
+def test_linf_plateau_ends_at_one():
+    A = young.from_family(fam.linf())
+    assert (A.zero_plateau_end, A.finite_sup) == (1.0, 1.0)
+
+
+def test_plateau_search_takes_few_view_evaluations(young_calls):
+    # the scalar bisection took 93: one probe, both ends and 90 halvings
+    A = young.from_family(fam.linf())
+    for search in (A._find_zero_plateau, A._find_finite_sup):
+        young_calls.calls.clear()
+        search()
+        assert young_calls.calls["_monotone_eval"] <= 25
 
 
 # ---------------------------------------------------------------------------
