@@ -8,9 +8,10 @@ Three probes, none of which share code paths with the decision criteria:
   the operator is bounded;
 * a modular probe evaluating both sides of the modular inequality on a 2-D
   step function with the brute-force operator;
-* a brute-force fractional maximal operator on square grids (all axis-parallel
-  squares, prefix sums + sliding window maxima), with the rearrangement
-  estimate (M f)*(t) <= c1 sup_{s>=t} s^(gamma/n) f**(s) checked empirically.
+* a brute-force fractional maximal operator on square grids (all in-grid
+  axis-parallel squares: prefix-sum block sums, each side's best inherited
+  from the squares one side larger), with the rearrangement estimate
+  (M f)*(t) <= c1 sup_{s>=t} s^(gamma/n) f**(s) checked empirically.
 """
 
 from __future__ import annotations
@@ -165,28 +166,19 @@ def norm_probe(A: YoungFn, B: YoungFn, ctx: GammaContext,
 # brute-force 2-D fractional maximal operator
 
 
-def _causal_max(a: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Running max over the trailing window of length k along an axis."""
-    if k <= 1:
-        return a
-    m = np.moveaxis(a, axis, 0)
-    out = m.copy()
-    span = 1
-    while span < k:
-        step = min(span, k - span)
-        shifted = np.full_like(out, -np.inf)
-        shifted[step:] = out[:-step]
-        out = np.maximum(out, shifted)
-        span += step
-    return np.moveaxis(out, 0, axis)
-
-
 def maximal_2d(f: np.ndarray, gamma: float, cell: float = 1.0) -> np.ndarray:
-    """M f on a square grid: max over all axis-parallel squares of
+    """M f on a square grid: at each pixel, the max over the in-grid
+    axis-parallel squares Q that contain it of
     |Q|^(gamma/2 - 1) * (cell sum over Q) * cell**2.
 
-    Squares larger than the grid never beat their clamped in-grid
-    translates, so the scan over k x k blocks, k = 1..N, is exhaustive.
+    Squares larger than the grid never beat their in-grid translates.  Name
+    a k-square by its lowest corner p.  The (k+1)-squares that contain the
+    k-square at p are those at p - {0,1}^2 inside the grid, and every
+    larger square that contains it also contains one of them.  So the best
+    weighted square containing the k-square at p is the max of its own
+    weighted sum and the (k+1)-level results at those (at most four)
+    corners: one pass per side k, from N down to 1, whose k = 1 result is
+    M f.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -196,22 +188,18 @@ def maximal_2d(f: np.ndarray, gamma: float, cell: float = 1.0) -> np.ndarray:
         raise ValueError(f"grid side {n} exceeds the brute-force guard {MAX_SIDE}")
     if not (0.0 < gamma < 2.0):
         raise ValueError("need 0 < gamma < 2 for the planar operator")
-    if np.any(f < 0):
-        raise ValueError("values must be nonnegative")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise ValueError("values must be finite and nonnegative")
     pref = np.zeros((n + 1, n + 1))
     pref[1:, 1:] = f.cumsum(axis=0).cumsum(axis=1)
-    out = np.zeros_like(f)
-    for k in range(1, n + 1):
+    top = np.zeros((0, 0))  # the (k+1)-level result; none above side N
+    for k in range(n, 0, -1):
         bs = (pref[k:, k:] - pref[:-k, k:] - pref[k:, :-k] + pref[:-k, :-k])
-        ext = np.empty_like(f)
-        m = n - k + 1
-        ext[:m, :m] = bs
-        ext[m:, :m] = bs[-1, :]
-        ext[:m, m:] = bs[:, -1][:, None]
-        ext[m:, m:] = bs[-1, -1]
-        w = _causal_max(_causal_max(ext, k, 0), k, 1)
-        out = np.maximum(out, (k * cell) ** (gamma - 2.0) * cell ** 2 * w)
-    return out
+        cur = (k * cell) ** (gamma - 2.0) * cell ** 2 * bs
+        for inner in (cur[:-1, :-1], cur[:-1, 1:], cur[1:, :-1], cur[1:, 1:]):
+            np.maximum(inner, top, out=inner)
+        top = cur
+    return top
 
 
 def _embedded(f: np.ndarray) -> np.ndarray:

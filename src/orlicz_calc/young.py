@@ -1126,8 +1126,11 @@ def luxemburg_norm(A: YoungFn, g: GridFn | StepFn) -> float:
     finite modular <= 1; raises IntegralDivergentError when the modular is
     infinite even at the largest scale (the integral cannot converge at any
     lambda in range), and ValueError when the modular is NaN at a scale.
-    Otherwise the result is the right end of a bracket of relative width at
-    most _LAM_RTOL whose left end still has a modular above 1.
+    When A is 0 up to t0 and infinite beyond (an L-infinity type), the
+    result is the least double lam with max(g) / lam <= t0, once the
+    modular confirms it.  Otherwise it is the right end of a bracket of
+    relative width at most _LAM_RTOL whose left end still has a modular
+    above 1.
     """
     values, modular = _modular(A, g)
     if not np.any(values > 0):
@@ -1146,6 +1149,18 @@ def luxemburg_norm(A: YoungFn, g: GridFn | StepFn) -> float:
         return math.inf
     if level(_LAM_LO) <= 1.0:
         return _LAM_LO
+    t0 = A.zero_plateau_end
+    if 0.0 < t0 == A.finite_sup:
+        # an L-infinity type A is 0 up to t0 and infinite beyond it, so the
+        # norm is the least lam with max(g) / lam <= t0, confirmed once
+        peak = float(np.max(values))
+        lam = peak / t0
+        while peak / lam > t0:
+            lam = math.nextafter(lam, math.inf)
+        while peak / math.nextafter(lam, 0.0) <= t0:
+            lam = math.nextafter(lam, 0.0)
+        if level(lam) <= 1.0:
+            return lam
     # the modular falls as lam grows: every evaluated u = log lam narrows
     # [a, b], with modular > 1 at a and <= 1 at b
     a, b = math.log(_LAM_LO), math.log(_LAM_HI)

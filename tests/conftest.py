@@ -83,3 +83,24 @@ def young_calls(monkeypatch):
 
         monkeypatch.setattr(young.YoungFn, name, counted)
     return counts
+
+
+@pytest.fixture
+def modular_calls(monkeypatch):
+    """Counts, while the test runs, the evaluations of every modular that
+    ``young._modular`` builds (one integral of A(g/lam) each):
+    ``modular_calls.calls``."""
+    counts = SimpleNamespace(calls=0)
+    real = young._modular
+
+    def counted(A, g):
+        values, modular = real(A, g)
+
+        def count(lam):
+            counts.calls += 1
+            return modular(lam)
+
+        return values, count
+
+    monkeypatch.setattr(young, "_modular", counted)
+    return counts

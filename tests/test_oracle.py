@@ -10,7 +10,7 @@ from orlicz_calc import families as fam, oracle as orc, reduction as red, young
 from orlicz_calc.grid import StepFn
 from orlicz_calc.young import GammaContext
 
-from conftest import make
+from conftest import bisect_inverse, make
 
 # acceptance test_10's pairs: (context, A, B, is M_gamma bounded from L^A to L^B)
 PROBE_PAIRS = [
@@ -44,6 +44,53 @@ def exhaustive_maximal(f, gamma, cell=1.0):
                         best = max(best, (k * cell) ** (gamma - 2.0) * cell ** 2 * s)
             out[i, j] = best
     return out
+
+
+def _causal_max(a, k, axis):
+    """Running max over the trailing window of length k along an axis."""
+    if k <= 1:
+        return a
+    m = np.moveaxis(a, axis, 0)
+    out = m.copy()
+    span = 1
+    while span < k:
+        step = min(span, k - span)
+        shifted = np.full_like(out, -np.inf)
+        shifted[step:] = out[:-step]
+        out = np.maximum(out, shifted)
+        span += step
+    return np.moveaxis(out, 0, axis)
+
+
+def reference_maximal(f, gamma, cell=1.0):
+    """The sliding-window operator: per side k, the k-block sums clamped out
+    to the full grid, then a trailing window max of length k along each
+    axis by doubling; the reference for the bits of ``maximal_2d``."""
+    n = f.shape[0]
+    pref = np.zeros((n + 1, n + 1))
+    pref[1:, 1:] = f.cumsum(axis=0).cumsum(axis=1)
+    out = np.zeros_like(f)
+    for k in range(1, n + 1):
+        bs = (pref[k:, k:] - pref[:-k, k:] - pref[k:, :-k] + pref[:-k, :-k])
+        ext = np.empty_like(f)
+        m = n - k + 1
+        ext[:m, :m] = bs
+        ext[m:, :m] = bs[-1, :]
+        ext[:m, m:] = bs[:, -1][:, None]
+        ext[m:, m:] = bs[-1, -1]
+        w = _causal_max(_causal_max(ext, k, 0), k, 1)
+        out = np.maximum(out, (k * cell) ** (gamma - 2.0) * cell ** 2 * w)
+    return out
+
+
+def planar_arrays(seed):
+    """Seeded 64x64 arrays: dense, sparse spikes, a bump."""
+    rng = np.random.default_rng(seed)
+    dense = rng.random((64, 64))
+    sparse = (rng.random((64, 64)) < 0.05) * rng.random((64, 64)) * 10
+    bump = np.zeros((64, 64))
+    bump[8:24, 8:24] = 1.0 + rng.random((16, 16))
+    return {"dense": dense, "sparse": sparse, "bump": bump}
 
 
 class TestMaximal2d:
@@ -85,11 +132,36 @@ class TestMaximal2d:
         slow = exhaustive_maximal(f, gamma, cell=0.5)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "bump"])
+    def test_embedded_bits_match_reference(self, kind, gamma):
+        # the probes' 192 x 192 canvas; tobytes also tells -0.0 from 0.0
+        f = orc._embedded(planar_arrays(7)[kind])
+        got = orc.maximal_2d(f, gamma, cell=1.0 / 64)
+        assert got.tobytes() == reference_maximal(f, gamma, cell=1.0 / 64).tobytes()
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 6, 12, 31])
+    def test_random_bits_match_reference(self, side):
+        rng = np.random.default_rng(side)
+        for f in (rng.random((side, side)),
+                  (rng.random((side, side)) < 0.2) * rng.random((side, side)),
+                  np.zeros((side, side))):
+            for gamma, cell in ((0.3, 1.0), (1.0, 0.1), (1.9, 3.0)):
+                got = orc.maximal_2d(f, gamma, cell)
+                assert got.tobytes() == reference_maximal(f, gamma, cell).tobytes()
+
     def test_guards(self):
         with pytest.raises(ValueError):
             orc.maximal_2d(np.ones((300, 300)), 1.0)
         with pytest.raises(ValueError):
             orc.maximal_2d(np.ones((4, 4)), 2.5)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            orc.maximal_2d(-np.ones((4, 4)), 1.0)
+        for bad in (math.nan, math.inf):
+            f = np.ones((4, 4))
+            f[1, 2] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                orc.maximal_2d(f, 1.0)
 
 
 class TestHardyDual:
@@ -160,25 +232,32 @@ class TestNormProbe:
             want = "bounded" if expected else "diverging"
             assert rep.trend == want, (afam, bfam, rep.ratios)
 
-    def test_default_family_probes_take_few_modular_evaluations(self, monkeypatch):
-        # about 11 per Luxemburg norm; a fixed 60-step bisection made 21,405
-        calls = 0
-        real = young._modular
-
-        def counted(A, g):
-            values, modular = real(A, g)
-
-            def count(lam):
-                nonlocal calls
-                calls += 1
-                return modular(lam)
-
-            return values, count
-
-        monkeypatch.setattr(young, "_modular", counted)
+    def test_default_family_probes_take_few_modular_evaluations(self, modular_calls):
+        # about 6 per Luxemburg norm, 3 for an L-infinity target; a fixed
+        # 60-step bisection made 21,405
         for ctx, afam, bfam, _ in PROBE_PAIRS:
             orc.norm_probe(make(afam), make(bfam), ctx)
-        assert 0 < calls < 5000
+        assert 0 < modular_calls.calls < 2500
+
+    @pytest.mark.parametrize("scale", orc.DEFAULT_SCALES)
+    @pytest.mark.parametrize("index", range(len(orc.default_probe_family())))
+    def test_linf_norm_matches_bisection(self, ctx31, index, scale, modular_calls):
+        # the norms of test_10's L-infinity targets: the image of H' does not
+        # depend on the domain, so one image serves both pairs
+        B = make(fam.linf())
+        g = orc.default_probe_family()[index].realize(scale)
+        images = [orc.hardy_dual_apply(g.to_gridfn() if isinstance(g, StepFn) else g, ctx31)]
+        if index == 0:
+            images.append(StepFn(np.array([scale]), np.array([1.0])))
+        for image in images:
+            before = modular_calls.calls
+            got = young.luxemburg_norm(B, image)
+            assert modular_calls.calls - before == 3
+            _, modular = young._modular(B, image)
+            # sup{mu : modular(1/mu) <= 1} is the reciprocal norm
+            want = 1.0 / bisect_inverse(lambda mu: modular(1.0 / mu), 1.0,
+                                        lo=young._LAM_LO, hi=young._LAM_HI)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestModularProbe:
