@@ -129,21 +129,33 @@ def ell(t) -> np.ndarray:
         return 1.0 + np.abs(np.log(t))
 
 
-def fit_tail(t: np.ndarray, y: np.ndarray, side: str) -> TailFit:
-    """Local power-law fit over the outermost decade of finite positive samples."""
-    if side not in ("zero", "infinity"):
-        raise ValueError(side)
+def _tail_window(t: np.ndarray, side: str) -> np.ndarray:
+    """The indices of the abscissae within a decade of one end of ``t``:
+    where ``fit_tail`` looks for samples to fit."""
+    if side == "zero":
+        return np.flatnonzero(t <= t[0] * 10.0)
+    if side == "infinity":
+        return np.flatnonzero(t >= t[-1] / 10.0)
+    raise ValueError(side)
+
+
+def fit_tail(t: np.ndarray, y: np.ndarray, side: str,
+             window: np.ndarray | None = None) -> TailFit:
+    """Local power-law fit over the outermost decade of finite positive samples.
+
+    ``window`` is ``_tail_window(t, side)``, passed by callers that fit many
+    value arrays on the same abscissae.
+    """
+    if window is None:
+        window = _tail_window(t, side)
     edge = 0 if side == "zero" else len(y) - 1
     ye = y[edge]
     if ye == 0.0:
         return TailFit("zero")
     if not np.isfinite(ye):
         return TailFit("infinity")
-    if side == "zero":
-        window = (t <= t[0] * 10.0) & np.isfinite(y) & (y > 0.0)
-    else:
-        window = (t >= t[-1] / 10.0) & np.isfinite(y) & (y > 0.0)
-    idx = np.nonzero(window)[0]
+    yw = y[window]
+    idx = window[np.isfinite(yw) & (yw > 0.0)]
     # the window must be contiguous with the edge; cut at the first gap
     if side == "zero":
         idx = idx[: np.argmin(idx == np.arange(idx[0], idx[0] + len(idx))) or len(idx)]
@@ -152,6 +164,27 @@ def fit_tail(t: np.ndarray, y: np.ndarray, side: str) -> TailFit:
     lt, ly = np.log(t[idx]), np.log(y[idx])
     slope = float(np.polyfit(lt, ly, 1)[0])
     return TailFit("power", slope, math.log(ye) - slope * math.log(t[edge]))
+
+
+def _tail_integral(tail: TailFit, te: float, weight: float, zero: bool) -> float:
+    """Integral of tail.value(s) * s**weight beyond the end ``te``: over
+    (0, te) when ``zero``, else over (te, inf).  See GridFn.tail_integral."""
+    if tail.kind != "power":
+        return 0.0 if tail.kind == "zero" else math.inf
+    edge = (float(np.exp(np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)))
+            * te ** (weight + 1.0))
+    a = tail.exponent + weight + 1.0
+    away = a if zero else -a  # positive when s**a decays away from the edge
+    b = tail.log_exponent if tail.exact else 0.0
+    tol = 1e-9
+    if away > tol:
+        val = edge / away
+        if b:
+            val /= 1.0 - b / (away * float(ell(te)))
+        return val
+    if abs(a) <= tol and b < -1.0 - tol:
+        return edge * float(ell(te)) / (-b - 1.0)
+    return math.inf
 
 
 class GridFn:
@@ -267,57 +300,98 @@ class GridFn:
         exactly when b < -1.
         """
         zero = end == "zero"
-        tail = self.tail_zero if zero else self.tail_infinity
-        if tail.kind != "power":
-            return 0.0 if tail.kind == "zero" else math.inf
-        te = self.t[0] if zero else self.t[-1]
-        edge = (float(np.exp(np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)))
-                * te ** (weight + 1.0))
-        a = tail.exponent + weight + 1.0
-        away = a if zero else -a  # positive when s**a decays away from the edge
-        b = tail.log_exponent if tail.exact else 0.0
-        tol = 1e-9
-        if away > tol:
-            val = edge / away
-            if b:
-                val /= 1.0 - b / (away * float(ell(te)))
-            return val
-        if abs(a) <= tol and b < -1.0 - tol:
-            return edge * float(ell(te)) / (-b - 1.0)
-        return math.inf
+        return _tail_integral(self.tail_zero if zero else self.tail_infinity,
+                              self.t[0] if zero else self.t[-1], weight, zero)
 
     def prefix_integral(self, weight: float) -> np.ndarray:
-        """P(t_i) = integral over (0, t_i] of value(s) * s**weight ds."""
-        head = self.tail_integral(weight, "zero")
-        cells = _cell_integrals(self.t, self.y, weight)
-        out = np.empty_like(self.y)
-        out[0] = head
-        np.cumsum(cells, out=out[1:])
-        out[1:] += head
-        return out
+        """P(t_i) = integral over (0, t_i] of value(s) * s**weight ds.
+
+        The cell geometry is built on the fly here; ``CellQuadrature`` keeps
+        it for abscissae that integrate many value arrays.
+        """
+        return _prefix_sums(self.tail_integral(weight, "zero"),
+                            _cell_integrals(CellGeometry(self.t, weight), self.y))
 
     def total_integral(self, weight: float = 0.0) -> float:
         p = self.prefix_integral(weight)
         return float(p[-1] + self.tail_integral(weight, "infinity"))
 
 
-def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
-    """Per-cell integrals of y(s) * s**w, exact on power cells."""
-    tl, tr = t[:-1], t[1:]
+def _prefix_sums(head: float, cells: np.ndarray) -> np.ndarray:
+    """head, then head plus the running sums of ``cells``."""
+    out = np.empty(len(cells) + 1)
+    out[0] = head
+    np.cumsum(cells, out=out[1:])
+    out[1:] += head
+    return out
+
+
+class CellGeometry:
+    """The part of the cell integrals of y(s) * s**w that depends only on the
+    abscissae t and the weight w: per cell tl, tr, tr/tl, log(tr/tl),
+    tl**(w+1), and seg, the integral of s**w over the cell (what a linear
+    cell multiplies by its mean value)."""
+
+    __slots__ = ("w", "tl", "tr", "ratio", "log_ratio", "tl_w", "seg")
+
+    def __init__(self, t: np.ndarray, w: float):
+        self.w = w
+        self.tl, self.tr = t[:-1], t[1:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.ratio = self.tr / self.tl
+            self.log_ratio = np.log(self.ratio)
+            tw = t ** (w + 1.0)
+            self.tl_w = tw[:-1]
+            # inf - inf where s**(w+1) overflows at both ends: NaN, which the
+            # linear cells recompute in logs
+            self.seg = ((tw[1:] - self.tl_w) / (w + 1.0) if abs(w + 1.0) > 1e-12
+                        else self.log_ratio)
+
+
+class CellQuadrature:
+    """Integrals of y(s) * s**w over (0, inf) for value arrays y on fixed
+    abscissae t: ``GridFn(t, y).total_integral(w)``, fitted tails and all,
+    with the work that depends only on t (the cell geometry and the tail fit
+    windows) done once."""
+
+    __slots__ = ("t", "geometry", "_windows")
+
+    def __init__(self, t: np.ndarray, w: float):
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("abscissae must be strictly increasing")
+        self.t = t
+        self.geometry = CellGeometry(t, w)
+        self._windows = (_tail_window(t, "zero"), _tail_window(t, "infinity"))
+
+    def total_integral(self, y: np.ndarray) -> float:
+        t, w = self.t, self.geometry.w
+        if not (y >= 0.0).all():
+            raise ValueError("values must be nonnegative and not NaN")
+        head = _tail_integral(fit_tail(t, y, "zero", self._windows[0]), t[0], w, True)
+        prefix = _prefix_sums(head, _cell_integrals(self.geometry, y))
+        tail = fit_tail(t, y, "infinity", self._windows[1])
+        return float(prefix[-1] + _tail_integral(tail, t[-1], w, False))
+
+
+def _cell_integrals(geom: CellGeometry, y: np.ndarray) -> np.ndarray:
+    """Per-cell integrals of y(s) * s**w on the cells of ``geom``, exact on
+    power cells."""
+    w, tl, tr = geom.w, geom.tl, geom.tr
     yl, yr = y[:-1], y[1:]
-    out = np.zeros(len(t) - 1)
     finite = np.isfinite(yl) & np.isfinite(yr)
     pos = finite & (yl > 0) & (yr > 0)
+    # the power law through both samples; its values off ``pos`` are unused
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = np.where(pos, np.log(np.where(pos, yr, 1.0) / np.where(pos, yl, 1.0))
-                     / np.log(tr / tl), 0.0)
+        m = np.log(yr / yl) / geom.log_ratio
         a = m + w + 1.0
-        ratio = tr / tl
         small = np.abs(a) <= 1e-9
-        powxa = np.where(small, np.log(ratio), (ratio ** np.where(small, 1.0, a) - 1.0)
-                         / np.where(small, 1.0, a))
-        cell = yl * tl ** (w + 1.0) * powxa
-        out[pos] = cell[pos]
+        if small.any():
+            a = np.where(small, 1.0, a)
+            powxa = np.where(small, geom.log_ratio, (geom.ratio ** a - 1.0) / a)
+        else:
+            powxa = (geom.ratio ** a - 1.0) / a
+        cell = yl * geom.tl_w * powxa
+    out = np.where(pos, cell, 0.0)
     # a steep cell, whose yr/yl or product leaves the double range: recompute
     # it in logs, anchored at the larger of its end values E = y s**(w+1), as
     # E_max (1 - e**-d) log(tr/tl) / d with d = |log E_r - log E_l| = |a| log(tr/tl)
@@ -329,17 +403,14 @@ def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             shape = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
             out[steep] = (np.exp(np.maximum(left, right)) * shape
-                          * np.log(tr[steep] / tl[steep]))
+                          * geom.log_ratio[steep])
     # cells with a zero endpoint: integrate the linear interpolant (these are
     # breakpoint slivers or plateau boundaries; relative weight is negligible)
     lin = finite & ~pos
     if lin.any():
         ymid = 0.5 * (yl[lin] + yr[lin])
+        seg = geom.seg[lin]
         with np.errstate(over="ignore", invalid="ignore"):
-            if abs(w + 1.0) > 1e-12:
-                seg = (tr[lin] ** (w + 1.0) - tl[lin] ** (w + 1.0)) / (w + 1.0)
-            else:
-                seg = np.log(tr[lin] / tl[lin])
             # a zero cell adds nothing, also where s**(w+1) overflows (inf - inf)
             out[lin] = np.where(ymid > 0.0, ymid * seg, 0.0)
             # a cell where s**(w+1) overflows at both ends: the same integral
@@ -349,12 +420,13 @@ def _cell_integrals(t: np.ndarray, y: np.ndarray, w: float) -> np.ndarray:
                 over &= ymid > 0.0
                 a = w + 1.0
                 log_big = np.log(np.where(a < 0.0, tl[lin], tr[lin])[over])
-                width = np.log(tr[lin] / tl[lin])[over]
+                width = geom.log_ratio[lin][over]
                 out[np.flatnonzero(lin)[over]] = np.exp(
                     np.log(ymid[over]) + a * log_big
                     + np.log(-np.expm1(-abs(a) * width) / abs(a)))
     # an infinite sample makes its cell (and every later prefix) infinite
-    out[np.isinf(yl) | np.isinf(yr)] = np.inf
+    if not finite.all():
+        out[np.isinf(yl) | np.isinf(yr)] = np.inf
     return out
 
 

@@ -23,7 +23,8 @@ from functools import wraps
 import numpy as np
 
 from . import families as fam
-from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, TailFit, ell, merge_breakpoints
+from .grid import (DEFAULT_GRID, CellQuadrature, GridFn, GridSpec, StepFn, TailFit, ell,
+                   merge_breakpoints)
 
 _TINY = 1e-300
 _HUGE = 1e300
@@ -1088,7 +1089,12 @@ def _modular(A: YoungFn, g: GridFn | StepFn):
     lam -> integral of A(g(t)/lam) dt over (0, inf); exact for step functions.
 
     A sampled g is read once, on its abscissae widened by eight decades at
-    each end; only A(g/lam) changes with lam.
+    each end; only A(g/lam) changes with lam.  Cells where g is 0 at both
+    ends add exactly 0.0 and a 0 edge sample gives a zero tail, so those
+    abscissae are cut to the support of g and one sample either side.  Their
+    cell geometry and tail fit windows are built once (``CellQuadrature``);
+    each evaluation is A(g/lam) and one quadrature pass, the same bits as
+    ``GridFn(ts, A(g/lam)).total_integral(0.0)`` on the uncut abscissae.
     """
     if isinstance(g, StepFn):
         widths = np.diff(np.concatenate(([0.0], g.breaks)))
@@ -1101,11 +1107,16 @@ def _modular(A: YoungFn, g: GridFn | StepFn):
     ts = np.concatenate([g.t[0] * np.power(10.0, -np.arange(8.0, 0.0, -1.0)), g.t,
                          g.t[-1] * np.power(10.0, np.arange(1.0, 9.0))])
     gv = np.atleast_1d(np.asarray(g(ts), dtype=float))
+    support = np.flatnonzero(gv)
+    cut = (slice(max(support[0] - 1, 0), support[-1] + 2) if support.size
+           else slice(0, 1))
+    ts, gv = ts[cut], gv[cut]
+    quadrature = CellQuadrature(ts, 0.0)
 
     def grid_modular(lam: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             hv = A._monotone_eval(gv / lam)
-        return GridFn(ts, hv).total_integral(0.0)
+        return quadrature.total_integral(hv)
 
     return gv, grid_modular
 

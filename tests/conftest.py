@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
-from orlicz_calc import young
+from orlicz_calc import grid, young
 from orlicz_calc.young import GammaContext
 
 
@@ -103,4 +103,19 @@ def modular_calls(monkeypatch):
         return values, count
 
     monkeypatch.setattr(young, "_modular", counted)
+    return counts
+
+
+@pytest.fixture
+def gridfn_builds(monkeypatch):
+    """Counts, while the test runs, the ``GridFn`` instances built:
+    ``gridfn_builds.calls``."""
+    counts = SimpleNamespace(calls=0)
+    real = grid.GridFn.__init__
+
+    def counted(self, *args, **kwargs):
+        counts.calls += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(grid.GridFn, "__init__", counted)
     return counts

@@ -2,8 +2,10 @@
 versions they replaced, kept here as references: the table inverse of
 ``YoungFn.inverse_many`` against its 90-step bisection (and against a
 50-digit inverse of the same power interpolant), ``young.log_bisect`` and
-the 64-way plateau search against plain bisections (bit for bit), and the
-hull-based conjugate evaluator against the dense (points x nodes) maximum."""
+the 64-way plateau search against plain bisections (bit for bit), the
+hull-based conjugate evaluator against the dense (points x nodes) maximum,
+and the Luxemburg modular on fixed cell geometry against a fresh ``GridFn``
+per evaluation (bit for bit)."""
 
 import math
 import tracemalloc
@@ -12,9 +14,11 @@ import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
+from orlicz_calc import grid
+from orlicz_calc import oracle as orc
 from orlicz_calc import transforms as tr
 from orlicz_calc import young
-from orlicz_calc.grid import GridFn, GridSpec
+from orlicz_calc.grid import GridFn, GridSpec, StepFn
 from orlicz_calc.specdsl import parse_spec
 from orlicz_calc.young import GammaContext
 
@@ -315,3 +319,161 @@ def test_conjugate_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# ---------------------------------------------------------------------------
+# modular
+
+
+def reference_cell_integrals(t, y, w):
+    """``grid._cell_integrals`` before the part that depends only on the
+    abscissae moved into ``grid.CellGeometry``: every call recomputes it."""
+    tl, tr = t[:-1], t[1:]
+    yl, yr = y[:-1], y[1:]
+    out = np.zeros(len(t) - 1)
+    finite = np.isfinite(yl) & np.isfinite(yr)
+    pos = finite & (yl > 0) & (yr > 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = np.where(pos, np.log(np.where(pos, yr, 1.0) / np.where(pos, yl, 1.0))
+                     / np.log(tr / tl), 0.0)
+        a = m + w + 1.0
+        ratio = tr / tl
+        small = np.abs(a) <= 1e-9
+        powxa = np.where(small, np.log(ratio), (ratio ** np.where(small, 1.0, a) - 1.0)
+                         / np.where(small, 1.0, a))
+        cell = yl * tl ** (w + 1.0) * powxa
+        out[pos] = cell[pos]
+    steep = pos & ~(np.isfinite(m) & np.isfinite(cell))
+    if steep.any():
+        left = np.log(yl[steep]) + (w + 1.0) * np.log(tl[steep])
+        right = np.log(yr[steep]) + (w + 1.0) * np.log(tr[steep])
+        d = np.abs(right - left)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+            out[steep] = (np.exp(np.maximum(left, right)) * shape
+                          * np.log(tr[steep] / tl[steep]))
+    lin = finite & ~pos
+    if lin.any():
+        ymid = 0.5 * (yl[lin] + yr[lin])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if abs(w + 1.0) > 1e-12:
+                seg = (tr[lin] ** (w + 1.0) - tl[lin] ** (w + 1.0)) / (w + 1.0)
+            else:
+                seg = np.log(tr[lin] / tl[lin])
+            out[lin] = np.where(ymid > 0.0, ymid * seg, 0.0)
+            over = np.isnan(seg)
+            if over.any():
+                over &= ymid > 0.0
+                a = w + 1.0
+                log_big = np.log(np.where(a < 0.0, tl[lin], tr[lin])[over])
+                width = np.log(tr[lin] / tl[lin])[over]
+                out[np.flatnonzero(lin)[over]] = np.exp(
+                    np.log(ymid[over]) + a * log_big
+                    + np.log(-np.expm1(-abs(a) * width) / abs(a)))
+    out[np.isinf(yl) | np.isinf(yr)] = np.inf
+    return out
+
+
+def reference_modular(A, g):
+    """``young._modular``'s modular as a fresh ``GridFn`` of A(g/lam) on the
+    whole widened abscissae per evaluation; exact for step functions."""
+    if isinstance(g, StepFn):
+        widths = np.diff(np.concatenate(([0.0], g.breaks)))
+        return lambda lam: float(np.sum(np.where(
+            widths > 0, A._monotone_eval(g.values / lam) * widths, 0.0)))
+    ts = np.concatenate([g.t[0] * np.power(10.0, -np.arange(8.0, 0.0, -1.0)), g.t,
+                         g.t[-1] * np.power(10.0, np.arange(1.0, 9.0))])
+    gv = np.atleast_1d(np.asarray(g(ts), dtype=float))
+
+    def modular(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = A._monotone_eval(gv / lam)
+        return GridFn(ts, hv).total_integral(0.0)
+
+    return modular
+
+
+LAMBDAS = (1e-12, 1e-3, 1.0, 1e3, 1e12)
+
+
+def _probe_functions(ctx):
+    """The default probe family at DEFAULT_SCALES, and their H' images."""
+    for index, fn in enumerate(orc.default_probe_family()):
+        for scale in orc.DEFAULT_SCALES:
+            g = fn.realize(scale)
+            g = g.to_gridfn() if isinstance(g, StepFn) else g
+            yield f"fn{index}@{scale:g}", g
+            yield f"H'fn{index}@{scale:g}", orc.hardy_dual_apply(g, ctx)
+
+
+def _assert_modular_is_reference(A, g, label):
+    _, modular = young._modular(A, g)
+    want = reference_modular(A, g)
+    for lam in LAMBDAS:
+        assert float.hex(modular(lam)) == float.hex(want(lam)), (label, lam)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"n={c.n}")
+def test_modular_matches_reference_on_probe_functions(young_battery, ctx):
+    # the power-log profiles vanish at both widened ends (their abscissae are
+    # cut to the support), the images are positive there (two-point tail
+    # windows), and Linf at lam = 1e-12 has infinite cells
+    functions = list(_probe_functions(ctx))
+    for name, A in young_battery.items():
+        for label, g in functions:
+            _assert_modular_is_reference(A, g, f"{name}, {label}")
+
+
+def test_modular_matches_reference_on_edge_cases(young_battery, ctx31):
+    t = young.DEFAULT_GRID.abscissae()
+    steep = orc.hardy_dual_apply(orc.default_probe_family()[1].realize(1e-4), ctx31)
+    _assert_modular_is_reference(young.from_family(fam.lp(30)), steep, "Lp(30) steep")
+    bump = GridFn(t, np.where((t > 1e-3) & (t < 1e3), t ** -0.5, 0.0))
+    gaps = GridFn(t, np.where((t > 1e-6) & (t < 1e6), 1.0 + np.sin(t) ** 2, 0.0)
+                  * (np.abs(np.log10(t)) > 1.0))
+    for name, A in young_battery.items():
+        _assert_modular_is_reference(A, GridFn(t, np.zeros_like(t)), f"{name}, zero")
+        _assert_modular_is_reference(A, bump, f"{name}, bump")
+        _assert_modular_is_reference(A, gaps, f"{name}, gaps")
+
+
+def test_modular_cuts_the_abscissae_to_the_support():
+    t = young.DEFAULT_GRID.abscissae()
+    g = GridFn(t, np.where((t > 1e-3) & (t < 1e3), 1.0, 0.0))
+    values, _ = young._modular(young.from_family(fam.lp(2)), g)
+    # the support and one zero sample either side
+    assert values.size == np.count_nonzero(g.y) + 2
+    assert values[0] == values[-1] == 0.0
+    values, _ = young._modular(young.from_family(fam.lp(2)), GridFn(t, np.zeros_like(t)))
+    assert values.tolist() == [0.0]
+
+
+def test_luxemburg_norm_builds_no_gridfn(young_battery, ctx31, gridfn_builds,
+                                         modular_calls):
+    images = [g for _, g in _probe_functions(ctx31)]
+    before = gridfn_builds.calls
+    for name in ("t^2", "Linf", "zyg(2,1)"):
+        for g in images:
+            young.luxemburg_norm(young_battery[name], g)
+    assert modular_calls.calls > 3 * len(images)
+    assert gridfn_builds.calls == before
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0] + [-c.q_star - 1.0 for c in CONTEXTS])
+def test_cell_integrals_match_reference(w):
+    rng = np.random.default_rng(7)
+    grids = [young.DEFAULT_GRID.abscissae(),
+             grid.merge_breakpoints(young.DEFAULT_GRID, [1e-3, 0.5, 7.0]),
+             GridSpec(1e-160, 1e160, 4).abscissae()]
+    for t in grids:
+        for _ in range(40):
+            # log-uniform values over the whole double range (steep cells),
+            # with zero, inf and subnormal samples
+            y = np.exp(rng.uniform(-700.0, 700.0, t.size))
+            y[rng.random(t.size) < 0.1] = 0.0
+            y[rng.random(t.size) < 0.03] = np.inf
+            subnormal = 5e-324 * rng.integers(1, 1000, t.size)
+            y = np.where(rng.random(t.size) < 0.05, subnormal, y)
+            want = reference_cell_integrals(t, y, w)
+            got = grid._cell_integrals(grid.CellGeometry(t, w), y)
+            assert got.tobytes() == want.tobytes()
