@@ -252,9 +252,13 @@ class AsymptoticFamily:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         with np.errstate(divide="ignore"):
             u = np.log(t)
-        out = np.where(u <= 0, _finite_exp(self.near_zero.log_value(u)),
-                       _finite_exp(self.near_infinity.log_value(u)))
-        out = np.where(t == 0.0, 0.0, out)
+        # each piece on its own half only, and not at all on an empty half
+        out = np.empty_like(u)
+        low = u <= 0
+        for pc, half in ((self.near_zero, low), (self.near_infinity, ~low)):
+            if half.any():
+                out[half] = _finite_exp(pc.log_value(u[half]))
+        out[t == 0.0] = 0.0
         return float(out[0]) if scalar else out
 
     def log_value(self, u: np.ndarray) -> np.ndarray:

@@ -194,10 +194,13 @@ class GridFn:
     power law between samples that are both finite and positive; a cell with
     a special endpoint evaluates to its left sample (jumps sit at the right
     node, matching left-continuity of Young functions).  Outside the grid the
-    tail fits extrapolate.
+    tail fits extrapolate.  A tail not given at construction is fitted
+    (``fit_tail``) on its first read and kept, and so are the logs of ``t``
+    and ``y`` that interpolation reads: ``t`` and ``y`` are never written
+    after construction, so each is the value an eager build would hold.
     """
 
-    __slots__ = ("t", "y", "tail_zero", "tail_infinity", "_logt", "_logy")
+    __slots__ = ("t", "y", "_tail_zero", "_tail_infinity", "_log_t", "_log_y")
 
     def __init__(self, t: np.ndarray, y: np.ndarray,
                  tail_zero: TailFit | None = None,
@@ -212,13 +215,37 @@ class GridFn:
             raise ValueError("values must be nonnegative and not NaN")
         self.t = t
         self.y = y
-        self.tail_zero = tail_zero if tail_zero is not None else fit_tail(t, y, "zero")
-        self.tail_infinity = (
-            tail_infinity if tail_infinity is not None else fit_tail(t, y, "infinity")
-        )
-        with np.errstate(divide="ignore"):
-            self._logt = np.log(t)
-            self._logy = np.log(y)
+        self._tail_zero = tail_zero
+        self._tail_infinity = tail_infinity
+        self._log_t = self._log_y = None
+
+    @property
+    def tail_zero(self) -> TailFit:
+        """Behaviour below t[0]."""
+        if self._tail_zero is None:
+            self._tail_zero = fit_tail(self.t, self.y, "zero")
+        return self._tail_zero
+
+    @property
+    def tail_infinity(self) -> TailFit:
+        """Behaviour above t[-1]."""
+        if self._tail_infinity is None:
+            self._tail_infinity = fit_tail(self.t, self.y, "infinity")
+        return self._tail_infinity
+
+    @property
+    def _logt(self) -> np.ndarray:
+        if self._log_t is None:
+            with np.errstate(divide="ignore"):
+                self._log_t = np.log(self.t)
+        return self._log_t
+
+    @property
+    def _logy(self) -> np.ndarray:
+        if self._log_y is None:
+            with np.errstate(divide="ignore"):
+                self._log_y = np.log(self.y)
+        return self._log_y
 
     # -- basic structure ---------------------------------------------------
 
@@ -445,13 +472,13 @@ def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
     s = np.asarray(out_t, dtype=float)
     out = np.empty_like(s)
     idx = np.searchsorted(y, s, side="right")
-    lo_tail, hi_tail = g.tail_zero, g.tail_infinity
 
     below = idx == 0
     above = idx == len(y)
     inner = ~(below | above)
 
     if below.any():
+        lo_tail = g.tail_zero
         if lo_tail.kind == "power" and lo_tail.exponent > _PLATEAU_TOL:
             out[below] = lo_tail.inverse(s[below])
         else:
@@ -459,6 +486,7 @@ def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
             out[below] = 0.0
 
     if above.any():
+        hi_tail = g.tail_infinity
         if hi_tail.kind == "power" and hi_tail.exponent > _PLATEAU_TOL:
             out[above] = hi_tail.inverse(s[above])
         else:

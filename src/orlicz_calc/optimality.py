@@ -234,7 +234,8 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
         s = libm_exp(u)
         return B._monotone_eval(s) / s <= lv[idx]
 
-    lo = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80)
+    lo = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80,
+                    libm_exp)
     out[work] = libm_exp(lo)
     return out
 

@@ -22,12 +22,13 @@ Boyd-index gates) are exposed so they can be cross-checked.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from . import families as fam
 from .boyd import boyd_indices
-from .grid import GridFn, grid_inverse
+from .grid import GridFn, GridSpec, grid_inverse
 from .young import (GammaContext, YoungFn, end_integrable, end_sign, inverse_on_grid,
                     per_young)
 
@@ -269,23 +270,37 @@ def supout_inverse(A: YoungFn, ctx: GammaContext) -> GridFn:
 # domain side
 
 
-def widened_sample(B: YoungFn) -> GridFn:
-    """B's monotone view on its grid widened by eight decades on each side,
-    so that integrals of B see its sub-grid modifications."""
-    t = B.grid.abscissae()
-    ppd = B.grid.points_per_decade
+@lru_cache(maxsize=64)
+def _widened_abscissae(grid: GridSpec) -> np.ndarray:
+    """The grid's abscissae widened by eight decades on each side, at the
+    same density; read-only, one array per grid."""
+    t = grid.abscissae()
+    ppd = grid.points_per_decade
     lo = t[0] * np.power(10.0, np.arange(-8 * ppd, 0, dtype=float) / ppd)
     hi = t[-1] * np.power(10.0, np.arange(1, 8 * ppd + 1, dtype=float) / ppd)
-    return B.sampled(np.concatenate([lo, t, hi]))
+    out = np.concatenate([lo, t, hi])
+    out.setflags(write=False)
+    return out
 
 
+def widened_sample(B: YoungFn) -> GridFn:
+    """B's monotone view on its widened grid, so that integrals of B see its
+    sub-grid modifications."""
+    return B.sampled(_widened_abscissae(B.grid))
+
+
+@per_young
 def lower_fractional_integral(B: YoungFn, ctx: GammaContext) -> GridFn:
     """Prefix integral L(t) = int_0^t B(s) / s^(q*+1) ds on the widened grid.
 
-    Values may be +inf when the integral diverges at zero.
+    Values may be +inf when the integral diverges at zero.  One L per (B,
+    ctx), shared by ``criterion_iii`` and ``f_transform``: its arrays are
+    read-only.
     """
     g = widened_sample(B)
-    return GridFn(g.t, np.maximum.accumulate(g.prefix_integral(-ctx.q_star - 1.0)))
+    y = np.maximum.accumulate(g.prefix_integral(-ctx.q_star - 1.0))
+    y.setflags(write=False)
+    return GridFn(g.t, y)
 
 
 def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -133,23 +133,37 @@ def libm_exp(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, u), dtype=float, count=len(u))
 
 
-def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
+# once the brackets of u = log x are narrower than this, log_bisect checks
+# exp(lo) and exp(hi) for equal or adjacent doubles; wider ones cannot be:
+# the spacing of exp's doubles is 2**-52 relative, about 2.2e-16 in u
+_EXP_ADJACENT_WIDTH = 1e-15
+
+
+def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp) -> np.ndarray:
     """Halve the brackets [lo, hi] of u = log x up to ``iters`` times, ``ok``
     holding at each lo and failing at each hi; returns the final lo.
 
     ``ok(u, idx)`` takes the midpoints u of the brackets idx, exponentiates
-    them itself, and moves lo up where it holds, hi down where it fails.  A
-    bracket whose midpoint rounds to one of its ends is final: ``ok`` is
-    known there, so its lo can no longer move.  Such brackets drop out, and
-    the search ends when none is left, with the lo that all ``iters``
-    halvings would give.
+    them itself with ``exp`` (the caller's, which also maps the returned lo),
+    and moves lo up where it holds, hi down where it fails.  A bracket is
+    final when its midpoint rounds to one of its ends, or when exp(lo) and
+    exp(hi) are equal or adjacent doubles: exp of any later midpoint is one
+    of the two, where ``ok`` is known, so exp(lo) can no longer move.  Such
+    brackets drop out, and the search ends when none is left, with the
+    exp(lo) that all ``iters`` halvings would give.  The brackets halve in
+    step, so the exp check starts once the narrowest is narrower than
+    _EXP_ADJACENT_WIDTH.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     idx = np.arange(lo.size)
+    width = float(np.min(hi - lo, initial=math.inf))
     for _ in range(iters):
         lo_i, hi_i = lo[idx], hi[idx]
         mid = 0.5 * (lo_i + hi_i)
         live = (mid != lo_i) & (mid != hi_i)
+        if width < _EXP_ADJACENT_WIDTH:
+            live &= exp(hi_i) > np.nextafter(exp(lo_i), np.inf)
+        width *= 0.5
         idx, mid = idx[live], mid[live]
         if not idx.size:
             break
@@ -333,9 +347,9 @@ class YoungFn:
                     # has its least ratio far out), and a dip below the edge
                     # ratio puts the conjugate above 0 under A's slope
                     ext = np.maximum(ext, t[mask] * (edge_v / edge_t))
-            good = ~np.isnan(ext)
-            if good.all():
-                vals[mask] = ext
+            # a point where the extension is NaN (t = 0: -inf + inf in a log
+            # factor) keeps the table's value; the others take the extension
+            vals[mask] = np.where(np.isnan(ext), vals[mask], ext)
         return vals
 
     def sampled(self, t: np.ndarray) -> GridFn:
@@ -428,7 +442,7 @@ class YoungFn:
             if rest.any():
                 sr = sw[rest]
                 wl = log_bisect(lambda u, i: self._monotone_eval(np.exp(u)) <= sr[i],
-                                lo[work][rest], hi[work][rest], 90)
+                                lo[work][rest], hi[work][rest], 90, np.exp)
                 tw[rest] = np.exp(wl)
             out[work] = tw
         return out
@@ -984,11 +998,15 @@ def end_integrable(A: YoungFn, weight: float, end: str) -> bool:
                         (_Q_TOL, _A_TOL)) > 0
 
 
+@lru_cache(maxsize=64)
 def constant_ladder(cap: float) -> np.ndarray:
-    """CONSTANT_STEPS geometric rungs from 1 to ``cap``."""
+    """CONSTANT_STEPS geometric rungs from 1 to ``cap``; one read-only array
+    per cap."""
     if not 1.0 <= cap < math.inf:
         raise ValueError(f"constant cap must be a finite number >= 1, got {cap:g}")
-    return np.power(10.0, np.linspace(0.0, math.log10(cap), CONSTANT_STEPS))
+    ladder = np.power(10.0, np.linspace(0.0, math.log10(cap), CONSTANT_STEPS))
+    ladder.setflags(write=False)
+    return ladder
 
 
 def least_constant(ok, ladder) -> float | None:

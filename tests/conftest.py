@@ -23,8 +23,7 @@ def make(family, label=""):
     return young.from_family(family, label=label)
 
 
-@pytest.fixture(scope="session")
-def family_battery():
+def battery() -> dict:
     """Representative profiles across the supported families."""
     return {
         "t": fam.l1(),
@@ -43,6 +42,11 @@ def family_battery():
         "mixed-2-4": fam.AsymptoticFamily(fam.piece(fam.PowerFactor(2)),
                                           fam.piece(fam.PowerFactor(4))),
     }
+
+
+@pytest.fixture(scope="session")
+def family_battery():
+    return battery()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ compare_growth, one case per comparison level."""
 
 import math
 
+import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
@@ -117,3 +118,39 @@ class TestCompareGrowth:
         A = young.from_family(fam.AsymptoticFamily(a, a))
         B = young.from_family(fam.AsymptoticFamily(b, b))
         assert young.essentially_dominates(A, B).holds
+
+
+def _two_piece_value(f: fam.AsymptoticFamily, t: np.ndarray) -> np.ndarray:
+    """``AsymptoticFamily.value`` as both pieces on every point, one picked
+    per point by the sign of log t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    with np.errstate(all="ignore"):
+        u = np.log(t)
+        out = np.where(u <= 0, fam._finite_exp(f.near_zero.log_value(u)),
+                       fam._finite_exp(f.near_infinity.log_value(u)))
+    return np.where(t == 0.0, 0.0, out)
+
+
+_VALUE_POINTS = np.concatenate([
+    [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-20,
+     0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0,
+     1e20, 1e300, np.finfo(float).max, np.inf],
+    np.geomspace(1e-300, 1e300, 241),
+])
+
+
+def test_value_is_the_two_piece_value_bit_for_bit(family_battery):
+    # each piece is evaluated on its own half only; the points interleave
+    # the halves, so the subsets are not contiguous
+    rng = np.random.default_rng(5)
+    for name, f in family_battery.items():
+        for t in (_VALUE_POINTS, rng.permutation(_VALUE_POINTS),
+                  _VALUE_POINTS.reshape(16, 16)):
+            with np.errstate(all="ignore"):
+                got = f.value(t)
+            assert got.shape == t.shape, name
+            assert got.tobytes() == _two_piece_value(f, t).reshape(t.shape).tobytes(), name
+        for x in (0.0, 1e-5, 1.0, 3.0):
+            with np.errstate(all="ignore"):
+                got = f.value(x)
+            assert isinstance(got, float) and got == _two_piece_value(f, x)[0], name

@@ -3,11 +3,13 @@ computed once per Young function and never change what a caller sees."""
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from orlicz_calc import boyd, families as fam, reduction as red, transforms as tr, young
+from orlicz_calc import (boyd, families as fam, grid, reduction as red, transforms as tr,
+                         young)
 from orlicz_calc.transforms import TransformGateError
 
 from conftest import make
@@ -124,3 +126,82 @@ def test_shared_and_fresh_instances_give_the_same_verdicts(family_battery,
             shared = red.bounded(young_battery[a], young_battery[b], ctx31)
             fresh = red.bounded(make(fa, label=a), make(fb, label=b), ctx31)
             assert shared == fresh, (a, b)
+
+
+class TestFirstUse:
+    """What ``bounded`` computes at first use and then shares: the prefix
+    integral L of B per (B, ctx), the constant ladder per cap, and the tail
+    fits of a GridFn."""
+
+    def test_one_prefix_integral_per_target_and_context(self, family_battery, ctx31,
+                                                         monkeypatch):
+        # every computation of L samples its B once on the widened grid
+        samples = Counter()
+        real = tr.widened_sample
+
+        def counted(B):
+            samples[B.label] += 1
+            return real(B)
+
+        monkeypatch.setattr(tr, "widened_sample", counted)
+        ys = {k: make(f, label=k) for k, f in family_battery.items()}
+        for A in ys.values():
+            for B in ys.values():
+                red.bounded(A, B, ctx31)
+        assert sum(samples.values()) <= len(ys)
+        assert set(samples.values()) == {1}
+
+    def test_shared_prefix_integral_is_read_only(self, ctx31):
+        B = make(fam.zygmund(2, 1, 2, 1))
+        L = tr.lower_fractional_integral(B, ctx31)
+        assert L is tr.lower_fractional_integral(B, ctx31)
+        for arr in (L.t, L.y):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh = tr.lower_fractional_integral.__wrapped__(B, ctx31)
+        assert L.t is fresh.t  # one widened abscissae array per grid
+        assert L.y.tobytes() == fresh.y.tobytes()
+
+    def test_ladder_is_shared_and_read_only(self):
+        ladder = young.constant_ladder(young.CONSTANT_CAP)
+        assert ladder is young.constant_ladder(young.CONSTANT_CAP)
+        with pytest.raises(ValueError):
+            ladder[0] = 2.0
+        want = np.power(10.0, np.linspace(0.0, 6.0, young.CONSTANT_STEPS))
+        assert ladder.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            young.constant_ladder(0.5)
+
+    @pytest.mark.parametrize("form", ["closed", "callable"])
+    def test_lazy_tails_equal_an_eager_fit(self, family_battery, ctx31, form,
+                                           monkeypatch):
+        # the fit each GridFn would have made at construction, on copies of
+        # its arrays, against what it reads after a round of verdicts
+        eager = []
+        real = grid.GridFn.__init__
+
+        def recording(self, t, y, tail_zero=None, tail_infinity=None):
+            real(self, t, y, tail_zero, tail_infinity)
+            t, y = self.t.copy(), self.y.copy()
+            eager.append((self,
+                          tail_zero or grid.fit_tail(t, y, "zero"),
+                          tail_infinity or grid.fit_tail(t, y, "infinity")))
+
+        monkeypatch.setattr(grid.GridFn, "__init__", recording)
+        ys = {k: (young.from_family(f) if form == "closed"
+                  else young.from_callable(f.value))
+              for k, f in family_battery.items()}
+        tables = [A.table for A in ys.values()]
+        for A in ys.values():
+            for fn in (tr.a_gamma, tr.b_gamma):
+                out = _outcome(lambda: fn(A, ctx31))
+                if not isinstance(out, tuple):
+                    tables.append(out.table)
+            for B in ys.values():
+                red.bounded(A, B, ctx31)
+        assert len(tables) > 30
+        made = {id(g): (z, i) for g, z, i in eager}
+        for g in tables:
+            assert (g.tail_zero, g.tail_infinity) == made[id(g)]
+        for g, z, i in eager:
+            assert g.tail_zero == z and g.tail_infinity == i

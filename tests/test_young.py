@@ -51,6 +51,17 @@ class TestEval:
         A = make(fam.exp_type(-1, 1))
         assert A.eval(1e9) == math.inf
 
+    def test_extension_below_the_table_keeps_a_zero_input_apart(self):
+        # log 0 makes the closed-form extension NaN at t = 0 only: that point
+        # keeps the table's value, the others keep the extension
+        A = make(fam.zygmund(2, 1, 2, 1))
+        t = np.array([1e-40, 1e-20, 1e-13])
+        alone = A._monotone_eval(t)
+        with_zero = A._monotone_eval(np.concatenate([[0.0], t]))
+        assert with_zero[0] == 0.0
+        assert with_zero[1:].tobytes() == alone.tobytes()
+        assert alone[0] == pytest.approx(1e-80 * (1 + 40 * math.log(10)), rel=1e-9)
+
     def test_ratio_nondecreasing_past_table(self):
         # t**1.0625 l**-2 has its least A(t)/t near 3e13, past the table end
         A = make(fam.zygmund(1, 0, 1.0625, -2))

@@ -25,9 +25,10 @@ from orlicz_calc.young import GammaContext
 CONTEXTS = (GammaContext(3, 1.0), GammaContext(1, 0.5))
 
 
-def plain_log_bisect(ok, lo, hi, iters):
-    """``young.log_bisect`` without its exit: every bracket is halved
-    ``iters`` times, and ``ok`` sees every midpoint at every step."""
+def plain_log_bisect(ok, lo, hi, iters, exp=None):
+    """``young.log_bisect`` without its exits: every bracket is halved
+    ``iters`` times, and ``ok`` sees every midpoint at every step (``exp``,
+    which the exits read, is unused)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     every = np.arange(lo.size)
     for _ in range(iters):
@@ -181,6 +182,28 @@ def test_live_bisection_is_plain_bisection_on_exact_sources(family_battery, monk
                         ("callable", young.from_callable(family.value))):
             _assert_live_bisection_is_plain(A, _asked_levels(A), f"{name}, {form}",
                                             monkeypatch)
+
+
+def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
+    # the level s = 1 of every closed form's inverse_on_grid: its bracket
+    # closes on u = 0, where doubles of u are far denser than those of
+    # exp(u), so no midpoint rounds to an end and, without the check of
+    # exp(lo) against exp(hi), it runs all 90 halvings
+    lo, hi = np.full(1, math.log(1e-300)), np.full(1, math.log(1e300))
+    for name in ("t^2", "t^3", "zyg(2,1)", "sqrtlog"):
+        A = young.from_family(family_battery[name])
+        steps = []
+
+        def ok(u, idx):
+            steps.append(idx.size)
+            return A._monotone_eval(np.exp(u)) <= 1.0
+
+        got = young.log_bisect(ok, lo, hi, 90, np.exp)
+        want = plain_log_bisect(lambda u, i: A._monotone_eval(np.exp(u)) <= 1.0,
+                                lo, hi, 90)
+        assert len(steps) <= 63, name
+        assert np.exp(got).tobytes() == np.exp(want).tobytes(), name
+        assert np.exp(got)[0] == 1.0, name
 
 
 @pytest.mark.parametrize("y_of_t", [
