@@ -69,9 +69,7 @@ def _dilations(A: YoungFn, ts: np.ndarray) -> np.ndarray:
     """h(t) for every t > 0 of ts, from one inverse of the products s t.
 
     ``inverse_many`` answers each point on its own, so one call on all the
-    products gives the bits of one call per t (but on a conjugate, whose
-    evaluator refines a whole batch for as many rounds as its slowest
-    point needs)."""
+    products gives the bits of one call per t."""
     s = A.table.t
     inv_s = inverse_on_grid(A)
     inv_st = A.inverse_many(np.concatenate([s * t for t in ts])).reshape(len(ts), len(s))

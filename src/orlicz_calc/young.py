@@ -652,26 +652,32 @@ def _refine_sup(A: YoungFn, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Every sampled value is s t - A(s) for some s, so the result never exceeds
     the exact supremum; a step is capped at one grid cell and taken only
-    where the stencil is concave.
+    where the stencil is concave.  Each point stops after its own first step
+    of at most 1e-10, so its value does not depend on the other points of
+    the call.
     """
     d = _REFINE_STEP
     cap = math.log(10.0) / A.grid.points_per_decade
     offsets = np.array([-d, 0.0, d])
     best = np.full_like(ts, -np.inf)
+    u = np.array(u, dtype=float)
+    live = np.arange(ts.size)
     for _ in range(_REFINE_ROUNDS):
-        s = np.exp(u[:, None] + offsets[None, :])
+        s = np.exp(u[live, None] + offsets[None, :])
         with np.errstate(over="ignore", invalid="ignore"):
-            f = s * ts[:, None] - A._monotone_eval(s.ravel()).reshape(s.shape)
+            f = s * ts[live, None] - A._monotone_eval(s.ravel()).reshape(s.shape)
         f = np.where(np.isnan(f), -np.inf, f)
-        best = np.maximum(best, f.max(axis=1))
+        best[live] = np.maximum(best[live], f.max(axis=1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slope = (f[:, 2] - f[:, 0]) / (2.0 * d)
             curv = (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) / (d * d)
             step = np.where(curv < 0.0, -slope / curv, 0.0)
         step = np.clip(np.where(np.isfinite(step), step, 0.0), -cap, cap)
-        if not np.any(np.abs(step) > 1e-10):
+        moving = np.abs(step) > 1e-10
+        live, step = live[moving], step[moving]
+        if not live.size:
             break
-        u = u + step
+        u[live] = u[live] + step
     return best
 
 

@@ -333,6 +333,20 @@ def test_conjugate_matches_dense_maximum_on_a_non_convex_table():
     _assert_conjugate_is_dense(C, "non-convex")
 
 
+def test_conjugate_is_the_same_alone_and_in_a_batch(family_battery):
+    # the refinement on the exact evaluator stops each point on its own
+    # step; stopped on one rule for the whole batch, a point's value moved
+    # with the other points of its call
+    ts = np.geomspace(1e-8, 1e8, 97)
+    for name in ("t^1.5", "zyg-1branch", "zyg(2,1)", "sqrtlog"):
+        family = family_battery[name]
+        for form, A in (("closed", young.from_family(family)),
+                        ("callable", young.from_callable(family.value))):
+            C = young.conjugate(A)
+            alone = np.concatenate([C(ts[k:k + 1]) for k in range(ts.size)])
+            assert C(ts).tobytes() == alone.tobytes(), f"{name}, {form}"
+
+
 def test_conjugate_memory_is_linear():
     # the dense (points x nodes) evaluator peaked at 102 MB on this span
     tracemalloc.start()
