@@ -10,7 +10,8 @@ log h / log t = 1/i + a * log l(t)/log t + b / log t by least squares; the
 second basis term soaks up the slowly varying corrections that make the naive
 limit converge only at log log speed.  The whole ladder takes two inverses:
 A^{-1} on the table abscissae s (``young.inverse_on_grid``, shared with the
-transforms) and one ``inverse_many`` call on every product s t.
+transforms) and one ``inverse_many`` call on the products s t that are not
+abscissae themselves.
 """
 
 from __future__ import annotations
@@ -66,13 +67,22 @@ def dilation(A: YoungFn, t: float) -> float:
 
 
 def _dilations(A: YoungFn, ts: np.ndarray) -> np.ndarray:
-    """h(t) for every t > 0 of ts, from one inverse of the products s t.
+    """h(t) for every t > 0 of ts, from A^{-1} of the products s t.
 
-    ``inverse_many`` answers each point on its own, so one call on all the
-    products gives the bits of one call per t."""
+    A product that equals a table abscissa bit for bit reads
+    ``inverse_on_grid`` there; on the default grid s 10**k is often the
+    abscissa 24 k places on.  The other products take one ``inverse_many``
+    call.  ``inverse_many`` answers each point on its own, so these are the
+    bits of one call on all the products, and of one call per t."""
     s = A.table.t
     inv_s = inverse_on_grid(A)
-    inv_st = A.inverse_many(np.concatenate([s * t for t in ts])).reshape(len(ts), len(s))
+    st = np.concatenate([s * t for t in ts])
+    j = np.minimum(np.searchsorted(s, st), len(s) - 1)
+    on_grid = s[j] == st
+    inv_st = np.empty_like(st)
+    inv_st[on_grid] = inv_s[j[on_grid]]
+    inv_st[~on_grid] = A.inverse_many(st[~on_grid])
+    inv_st = inv_st.reshape(len(ts), len(s))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inv_st / inv_s
     ends = [A.end_profile(end) for end in ("zero", "infinity")]

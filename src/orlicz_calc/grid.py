@@ -313,6 +313,14 @@ class GridFn:
             out[inner] = np.where(power, np.minimum(x, self.t[r]), self.t[r])
         return out
 
+    def log_slope(self, x: np.ndarray) -> np.ndarray:
+        """The exponent m of the power cell of ``_interp`` that holds each x,
+        of the edge cell past the abscissae (and for NaN); not finite where
+        a cell end is 0 or inf."""
+        r = np.clip(np.searchsorted(self.t, x, side="right"), 1, len(self.t) - 1)
+        with np.errstate(invalid="ignore"):
+            return (self._logy[r] - self._logy[r - 1]) / (self._logt[r] - self._logt[r - 1])
+
     # -- quadrature --------------------------------------------------------
 
     def tail_integral(self, weight: float, end: str) -> float:

@@ -139,9 +139,12 @@ def libm_exp(u: np.ndarray) -> np.ndarray:
 _EXP_ADJACENT_WIDTH = 1e-15
 
 
-def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp) -> np.ndarray:
-    """Halve the brackets [lo, hi] of u = log x up to ``iters`` times, ``ok``
-    holding at each lo and failing at each hi; returns the final lo.
+def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
+               used=0) -> np.ndarray:
+    """Halve the brackets [lo, hi] of u = log x until each has had ``iters``
+    halvings, counting the ``used`` ones (per bracket) that made it from a
+    wider bracket; ``ok`` holds at each lo and fails at each hi.  Returns
+    the final lo.
 
     ``ok(u, idx)`` takes the midpoints u of the brackets idx, exponentiates
     them itself with ``exp`` (the caller's, which also maps the returned lo),
@@ -155,9 +158,13 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp) -> np.ndarra
     _EXP_ADJACENT_WIDTH.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    left = iters - np.broadcast_to(used, lo.shape)  # the halvings left
+    spent = set(np.unique(left).tolist())  # the steps where some run out
     idx = np.arange(lo.size)
     width = float(np.min(hi - lo, initial=math.inf))
-    for _ in range(iters):
+    for step in range(int(np.max(left, initial=0))):
+        if step in spent:
+            idx = idx[left[idx] > step]
         lo_i, hi_i = lo[idx], hi[idx]
         mid = 0.5 * (lo_i + hi_i)
         live = (mid != lo_i) & (mid != hi_i)
@@ -171,6 +178,30 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp) -> np.ndarra
         lo[idx[up]] = mid[up]
         hi[idx[~up]] = mid[~up]
     return lo
+
+
+# ``inverse_many`` searches u = log t on the root bracket [_U_LO, _U_HI] and
+# starts each bisection at a node of that search's tree: the one at the
+# deepest of _SEED_DEPTHS that straddles the level.  A node 50 halvings deep
+# is 1.2e-12 wide, still some 10 doubles of u at |u| = 691, so above it no
+# midpoint has rounded to an end and no exp check has started
+_U_LO, _U_HI = math.log(_TINY), math.log(_HUGE)
+_SEED_DEPTHS = (50, 24)
+
+
+def tree_node(c: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The node [lo, hi] that holds c after ``depth`` halvings (per element)
+    of the root bracket [_U_LO, _U_HI]: where ``log_bisect`` goes when ``ok``
+    reads u <= c.  It forms the search's own midpoints 0.5 * (lo + hi) and
+    evaluates nothing."""
+    lo, hi = np.full_like(c, _U_LO), np.full_like(c, _U_HI)
+    for d in range(int(np.max(depth, initial=0))):
+        mid = 0.5 * (lo + hi)
+        on = depth > d
+        right = mid <= c
+        lo = np.where(on & right, mid, lo)
+        hi = np.where(on & ~right, mid, hi)
+    return lo, hi
 
 
 # the plateau search splits its bracket into this many + 1 parts per round;
@@ -421,19 +452,21 @@ class YoungFn:
         the table's power interpolant (``_table_inverse``), each s is
         inverted in closed form; elsewhere (an exact pointwise evaluator,
         closed-form extrapolation past the table, a table that decreases
-        somewhere) ``log_bisect`` halves [log 1e-300, log 1e300] up to 90
-        times.
+        somewhere) it is the bisection of u = log t that halves the root
+        bracket [log 1e-300, log 1e300] up to 90 times.  Each level starts
+        that bisection at a checked node of its tree (``_seed_brackets``),
+        which gives the same bits and skips the halvings above the node.
+        Every s is answered on its own: its result does not depend on the
+        other levels of the call.
         """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
-        lo = np.full_like(s, math.log(_TINY))
-        hi = np.full_like(s, math.log(_HUGE))
-        v_lo = self._monotone_eval(np.exp(lo))
-        v_hi = self._monotone_eval(np.exp(hi))
+        v_lo = self._monotone_eval(np.exp(np.full_like(s, _U_LO)))
+        v_hi = self._monotone_eval(np.exp(np.full_like(s, _U_HI)))
         dead = ~(v_lo <= s)
         out[dead] = 0.0
         alive_hi = v_hi <= s
-        out[alive_hi] = self.finite_sup if not math.isinf(self.finite_sup) else math.inf
+        out[alive_hi] = self.finite_sup
         work = ~(dead | alive_hi)
         if work.any():
             sw = s[work]
@@ -441,11 +474,69 @@ class YoungFn:
             rest = np.isnan(tw)
             if rest.any():
                 sr = sw[rest]
-                wl = log_bisect(lambda u, i: self._monotone_eval(np.exp(u)) <= sr[i],
-                                lo[work][rest], hi[work][rest], 90, np.exp)
-                tw[rest] = np.exp(wl)
+
+                def ok(u, i):
+                    return self._monotone_eval(np.exp(u)) <= sr[i]
+
+                lo, hi, used = self._seed_brackets(sr, ok)
+                tw[rest] = np.exp(log_bisect(ok, lo, hi, 90, np.exp, used))
             out[work] = tw
         return out
+
+    def _seed_brackets(self, s: np.ndarray, ok):
+        """Where the bisection of each level s starts: the node of the root
+        search's tree at the deepest of _SEED_DEPTHS whose ends straddle s
+        (``ok`` holds at its lo and fails at its hi), else the root; with
+        the halvings that reach it.
+
+        The nodes that hold a guess of log A^{-1}(s) (``_inverse_guess``)
+        are checked in one call of ``ok`` on their ends; a node that lies
+        left of s (``ok`` holds at both ends) is retried once as its right
+        neighbour, one that lies right of it as its left neighbour.  For a
+        monotone ``ok`` a straddling node is the root search's own: each
+        midpoint above it lies on the side of s that the descent took, so
+        from it the search makes exactly the root search's remaining steps.
+        """
+        n = s.size
+        depth = np.repeat(np.array(_SEED_DEPTHS)[:, None], n, axis=1)
+        level = np.broadcast_to(np.arange(n), depth.shape)
+        lo, hi = tree_node(np.broadcast_to(self._inverse_guess(s), depth.shape), depth)
+        good = np.zeros(depth.shape, dtype=bool)
+
+        def check(pick):
+            holds = ok(np.concatenate([lo[pick], hi[pick]]), np.tile(level[pick], 2))
+            at_lo, at_hi = np.split(holds, 2)
+            good[pick] = at_lo & ~at_hi
+            return at_lo
+
+        at_lo = check(np.ones(depth.shape, dtype=bool)).reshape(depth.shape)
+        retry = ~good
+        if retry.any():
+            toward = np.where(at_lo, hi, np.nextafter(lo, -np.inf))
+            lo[retry], hi[retry] = tree_node(toward[retry], depth[retry])
+            check(retry)
+        found = good.any(axis=0)
+        k, cols = np.argmax(good, axis=0), np.arange(n)
+        return (np.where(found, lo[k, cols], _U_LO), np.where(found, hi[k, cols], _U_HI),
+                np.where(found, depth[k, cols], 0))
+
+    def _inverse_guess(self, s: np.ndarray) -> np.ndarray:
+        """A guess of log A^{-1}(s) per level, to pick the nodes that
+        ``_seed_brackets`` checks: the table's power-cell inverse inside its
+        values, a fitted power tail's inverse past them, then one Newton
+        step in u = log t on the view, with the exponent of that cell or
+        tail as the slope."""
+        tab = self.table
+        t = tab.interp_inverse(s)
+        slope = tab.log_slope(t)
+        for end, past in (("zero", s < tab.y[0]), ("infinity", s >= tab.y[-1])):
+            tail = getattr(tab, f"tail_{end}") if past.any() else None
+            if tail is not None and tail.kind == "power" and tail.exponent > 0.0:
+                t[past], slope[past] = tail.inverse(s[past]), tail.exponent
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = np.clip(np.nan_to_num(np.log(t), nan=0.0), _U_LO, _U_HI)
+            newton = u + (np.log(s) - np.log(self._monotone_eval(np.exp(u)))) / slope
+        return np.where(np.isfinite(newton) & (slope > 0.0), newton, u)
 
     def _table_inverse(self, s: np.ndarray) -> np.ndarray:
         """sup{t : view(t) <= s} in closed form where the monotone view is the
@@ -660,24 +751,27 @@ def _refine_sup(A: YoungFn, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
     cap = math.log(10.0) / A.grid.points_per_decade
     offsets = np.array([-d, 0.0, d])
     best = np.full_like(ts, -np.inf)
-    u = np.array(u, dtype=float)
-    live = np.arange(ts.size)
+    # the points still moving: their indices, log s, t and best value so far
+    live, t, top = np.arange(ts.size), ts, best
     for _ in range(_REFINE_ROUNDS):
-        s = np.exp(u[live, None] + offsets[None, :])
+        s = np.exp(u[:, None] + offsets[None, :])
         with np.errstate(over="ignore", invalid="ignore"):
-            f = s * ts[live, None] - A._monotone_eval(s.ravel()).reshape(s.shape)
+            f = s * t[:, None] - A._monotone_eval(s.ravel()).reshape(s.shape)
         f = np.where(np.isnan(f), -np.inf, f)
-        best[live] = np.maximum(best[live], f.max(axis=1))
+        top = np.maximum(top, f.max(axis=1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slope = (f[:, 2] - f[:, 0]) / (2.0 * d)
             curv = (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) / (d * d)
             step = np.where(curv < 0.0, -slope / curv, 0.0)
         step = np.clip(np.where(np.isfinite(step), step, 0.0), -cap, cap)
         moving = np.abs(step) > 1e-10
-        live, step = live[moving], step[moving]
-        if not live.size:
-            break
-        u[live] = u[live] + step
+        if not moving.all():
+            best[live] = top
+            live, u, t, top, step = (x[moving] for x in (live, u, t, top, step))
+            if not live.size:
+                break
+        u = u + step
+    best[live] = top
     return best
 
 

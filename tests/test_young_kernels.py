@@ -1,7 +1,9 @@
 """The numeric kernels of the Young calculus against the brute-force
 versions they replaced, kept here as references: the table inverse of
 ``YoungFn.inverse_many`` against its 90-step bisection (and against a
-50-digit inverse of the same power interpolant), ``young.log_bisect`` and
+50-digit inverse of the same power interpolant), every bisection of
+``inverse_many``, started at a node of the root search's tree, against a
+plain 90-step bisection from the root bracket, ``young.log_bisect`` and
 the 64-way plateau search against plain bisections (bit for bit), the
 hull-based conjugate evaluator against the dense (points x nodes) maximum,
 and the Luxemburg modular on fixed cell geometry against a fresh ``GridFn``
@@ -15,6 +17,7 @@ import pytest
 
 from orlicz_calc import families as fam
 from orlicz_calc import grid
+from orlicz_calc import optimality
 from orlicz_calc import oracle as orc
 from orlicz_calc import transforms as tr
 from orlicz_calc import young
@@ -127,17 +130,25 @@ def dense_conjugate(L, ts):
 # inverse
 
 
-def _transform_outputs(family_battery):
-    """Every a_gamma / b_gamma output of the battery, closed and callable."""
+@pytest.fixture(scope="module")
+def views(family_battery):
+    """The views whose inverses the checks below bisect, built once: the
+    battery's closed forms and callables ("exact"), every a_gamma / b_gamma
+    output of them ("transform") and their conjugates ("conjugate")."""
+    out = {"exact": {}, "transform": {}, "conjugate": {}}
     for name, family in family_battery.items():
         for form, A in (("closed", young.from_family(family)),
                         ("callable", young.from_callable(family.value))):
+            out["exact"][f"{name}, {form}"] = A
+            out["conjugate"][f"conj {name}, {form}"] = young.conjugate(A)
             for ctx in CONTEXTS:
                 for tname, transform in (("a_gamma", tr.a_gamma), ("b_gamma", tr.b_gamma)):
                     try:
-                        yield f"{tname}({name}, {form}, n={ctx.n})", transform(A, ctx)
+                        out["transform"][f"{tname}({name}, {form}, n={ctx.n})"] = \
+                            transform(A, ctx)
                     except tr.TransformGateError:
                         continue
+    return out
 
 
 def _assert_inverses_agree(A, s, label):
@@ -156,40 +167,136 @@ def _asked_levels(A):
                           + [tab.y[np.isfinite(tab.y)], [0.0, 1e-310, 1e300, np.inf]])
 
 
-def _assert_live_bisection_is_plain(A, s, label, monkeypatch):
-    got = A.inverse_many(s)
+ROOT = (math.log(1e-300), math.log(1e300))
+LOG_BISECT = young.log_bisect
+
+
+def _bisections(A, s, monkeypatch):
+    """``A.inverse_many(s)``, and per ``log_bisect`` call that it made: the
+    predicate, the returned lo and the halvings each bracket started with."""
+    calls = []
+
+    def recording(ok, lo, hi, iters, exp, used=0):
+        got = LOG_BISECT(ok, lo, hi, iters, exp, used)
+        calls.append((ok, got, np.broadcast_to(used, got.shape)))
+        return got
+
     with monkeypatch.context() as m:
-        m.setattr(young, "log_bisect", plain_log_bisect)
-        want = A.inverse_many(s)
-    assert np.array_equal(got, want), label
+        m.setattr(young, "log_bisect", recording)
+        return A.inverse_many(s), calls
 
 
-def test_inverse_matches_bisection_on_transform_outputs(family_battery, monkeypatch):
-    checked = 0
-    for label, X in _transform_outputs(family_battery):
+def _assert_bisected_from_root(A, s, label, monkeypatch):
+    """Every level that ``A.inverse_many(s)`` bisects gets the bits of
+    ``plain_log_bisect`` over 90 steps from the root bracket
+    [log 1e-300, log 1e300]; returns the halvings each bisection skipped."""
+    _, calls = _bisections(A, s, monkeypatch)
+    for ok, got, _ in calls:
+        n = got.size
+        want = plain_log_bisect(ok, np.full(n, ROOT[0]), np.full(n, ROOT[1]), 90)
+        assert np.exp(got).tobytes() == np.exp(want).tobytes(), label
+    return np.concatenate([used for *_, used in calls] or [np.zeros(0, int)])
+
+
+def test_inverse_matches_bisection_on_transform_outputs(views, monkeypatch):
+    for label, X in views["transform"].items():
         s = _asked_levels(X)
         _assert_inverses_agree(X, s, label)
-        _assert_live_bisection_is_plain(X, s, label, monkeypatch)
-        checked += 1
-    assert checked > 40
+        _assert_bisected_from_root(X, s, label, monkeypatch)
+    assert len(views["transform"]) > 40
 
 
-def test_live_bisection_is_plain_bisection_on_exact_sources(family_battery, monkeypatch):
-    # closed forms and callables whose evaluator backs the monotone view:
-    # every level between the extreme ones is bisected
-    for name, family in family_battery.items():
-        for form, A in (("closed", young.from_family(family)),
-                        ("callable", young.from_callable(family.value))):
-            _assert_live_bisection_is_plain(A, _asked_levels(A), f"{name}, {form}",
-                                            monkeypatch)
+def test_live_bisection_is_plain_bisection_on_exact_sources(views, monkeypatch):
+    # closed forms, callables and conjugates whose evaluator backs the
+    # monotone view: every level between the extreme ones is bisected, most
+    # from the deepest node of the root's tree and few from the root (the
+    # level 0, and guesses past the table that ignore a log factor)
+    skipped = []
+    for label, A in views["exact"].items():
+        skipped.append(_assert_bisected_from_root(A, _asked_levels(A), label, monkeypatch))
+    for label, C in views["conjugate"].items():
+        skipped.append(_assert_bisected_from_root(C, _asked_levels(C)[::8], label,
+                                                  monkeypatch))
+    skipped = np.concatenate(skipped)
+    assert skipped.size > 50_000
+    assert np.mean(skipped == max(young._SEED_DEPTHS)) > 0.8
+    assert np.mean(skipped == 0) < 0.02
+
+
+@pytest.mark.parametrize("guess", [lambda t: 10.0 * t, lambda t: np.full_like(t, np.nan)],
+                         ids=["ten-times-off", "nan"])
+def test_bad_guesses_keep_the_root_bits(views, monkeypatch, guess):
+    # the table's power-cell inverse seeds the descent; made 10x off or NaN,
+    # the straddle check, the neighbours and the shallower nodes still end
+    # every bisection on the root's bits (views whose table inverse answers
+    # some levels read it too, so only exact sources are run)
+    interp_inverse = GridFn.interp_inverse
+    skipped = []
+    with monkeypatch.context() as m:
+        m.setattr(GridFn, "interp_inverse", lambda self, s: guess(interp_inverse(self, s)))
+        for label, A in views["exact"].items():
+            if A._mono_source:
+                s = _asked_levels(A)
+                got, calls = _bisections(A, s, monkeypatch)
+                assert got.tobytes() == bisect_inverse_many(A, s).tobytes(), label
+                skipped += [used for *_, used in calls]
+    skipped = np.concatenate(skipped)
+    assert np.any(skipped < max(young._SEED_DEPTHS))
+
+
+def test_bisection_past_the_table_keeps_the_root_bits():
+    # a domain level past the table, where the closed-form extension of the
+    # view is not monotone in its last bit: across adjacent doubles of u
+    # the predicate flips more than once, so a bracket that is not a node
+    # of the root's tree can end on another flip (an arbitrary bracket
+    # around the guess once moved this level by 2.8e-14 relative)
+    D = optimality.optimal_domain(young.from_family(fam.zygmund(2, 1, 2, 1)),
+                                  GammaContext(3, 1.0)).domain
+    s = np.logspace(-150, 150, 301)[87:88]
+    got = D.inverse_many(s)
+    assert got[0] < D.table.t[0]
+    assert got.tobytes() == bisect_inverse_many(D, s).tobytes()
+    u = math.log(got[0])
+    near = u + np.arange(-8, 9) * np.spacing(u)
+    holds = D._monotone_eval(np.exp(near)) <= s[0]
+    assert np.count_nonzero(holds[1:] != holds[:-1]) > 1
+
+
+def test_seed_nodes_lie_above_the_exits_of_the_root_search():
+    # at the deepest seed depth a node is still several doubles of u wide
+    # where those are sparsest, at the root's ends, and wider than where
+    # the exp check starts: the root search reaches every node by plain
+    # halvings, with none of its exits taken
+    c = np.array([ROOT[0], -1.0, 0.0, 1e-20, 1.0, ROOT[1]])
+    lo, hi = young.tree_node(c, np.full(c.shape, max(young._SEED_DEPTHS)))
+    assert np.all((lo <= c) & ((c < hi) | (hi == ROOT[1])))
+    assert np.all(hi - lo > 4.0 * np.spacing(ROOT[1]))
+    assert np.all(hi - lo > young._EXP_ADJACENT_WIDTH)
+
+
+def test_log_bisect_stops_each_bracket_at_its_budget():
+    # brackets that used 0, 30 and 85 of the 90 halvings: each makes the
+    # rest, as a plain bisection of as many steps
+    def ok(u, idx):
+        return u <= 0.123
+
+    lo, hi = np.full(3, ROOT[0]), np.full(3, ROOT[1])
+    got = young.log_bisect(ok, lo, hi, 90, np.exp, np.array([0, 30, 85]))
+    for k, used in enumerate((0, 30, 85)):
+        want = plain_log_bisect(ok, lo[:1], hi[:1], 90 - used)
+        assert np.exp(got[k]) == np.exp(want[0]), used
 
 
 def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
     # the level s = 1 of every closed form's inverse_on_grid: its bracket
     # closes on u = 0, where doubles of u are far denser than those of
     # exp(u), so no midpoint rounds to an end and, without the check of
-    # exp(lo) against exp(hi), it runs all 90 halvings
-    lo, hi = np.full(1, math.log(1e-300)), np.full(1, math.log(1e300))
+    # exp(lo) against exp(hi), it runs all 90 halvings.  Started at the
+    # node of the root's tree that holds u = 0, it makes the same steps
+    # after that node, within the same 90 halvings in total
+    depth = max(young._SEED_DEPTHS)
+    lo, hi = np.full(1, ROOT[0]), np.full(1, ROOT[1])
+    node = young.tree_node(np.zeros(1), np.full(1, depth))
     for name in ("t^2", "t^3", "zyg(2,1)", "sqrtlog"):
         A = young.from_family(family_battery[name])
         steps = []
@@ -199,10 +306,14 @@ def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
             return A._monotone_eval(np.exp(u)) <= 1.0
 
         got = young.log_bisect(ok, lo, hi, 90, np.exp)
+        root_steps, steps[:] = len(steps), []
+        seeded = young.log_bisect(ok, *node, 90, np.exp, depth)
         want = plain_log_bisect(lambda u, i: A._monotone_eval(np.exp(u)) <= 1.0,
                                 lo, hi, 90)
-        assert len(steps) <= 63, name
+        assert root_steps <= 63, name
+        assert len(steps) == root_steps - depth, name
         assert np.exp(got).tobytes() == np.exp(want).tobytes(), name
+        assert np.exp(seeded).tobytes() == np.exp(want).tobytes(), name
         assert np.exp(got)[0] == 1.0, name
 
 
@@ -212,12 +323,13 @@ def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
     lambda t: np.where(t > 1e5, np.inf, t ** 2),                 # jump to inf
     lambda t: np.where(t > 1e5, np.inf, np.where(t < 1e-4, 0.0, t ** 1.5)),
 ], ids=["zero-plateau", "zero-plateau-continuous", "jump-to-inf", "both"])
-def test_inverse_matches_bisection_on_plateau_tables(y_of_t):
+def test_inverse_matches_bisection_on_plateau_tables(y_of_t, monkeypatch):
     t = young.DEFAULT_GRID.abscissae()
     A = young.from_table(GridFn(t, y_of_t(t)))
     s = np.concatenate([np.geomspace(1e-30, 1e30, 1201), A.table.y[np.isfinite(A.table.y)],
                         [0.0, np.inf]])
     _assert_inverses_agree(A, s, "plateau table")
+    _assert_bisected_from_root(A, s, "plateau table", monkeypatch)
 
 
 def test_table_inverse_is_closer_to_a_50_digit_inverse():
@@ -271,19 +383,15 @@ def test_plateau_search_matches_scalar_bisection_on_thresholds(edge, strict):
     assert got == scalar_boundary(pred, 1e-12, 1e13)
 
 
-def test_plateau_search_matches_scalar_bisection(family_battery, monkeypatch):
+def test_plateau_search_matches_scalar_bisection(views, monkeypatch):
     inside = 0
-    for name, family in family_battery.items():
-        for form, A in (("closed", young.from_family(family)),
-                        ("callable", young.from_callable(family.value))):
-            for label, X in ((f"{name}, {form}", A), (f"conj {name}, {form}",
-                                                      young.conjugate(A))):
-                got = (X._find_zero_plateau(), X._find_finite_sup())
-                with monkeypatch.context() as m:
-                    m.setattr(young, "_bisect_boundary", scalar_boundary)
-                    want = (X._find_zero_plateau(), X._find_finite_sup())
-                assert got == want, label
-                inside += sum(0.0 < x < math.inf for x in got)
+    for label, X in {**views["exact"], **views["conjugate"]}.items():
+        got = (X._find_zero_plateau(), X._find_finite_sup())
+        with monkeypatch.context() as m:
+            m.setattr(young, "_bisect_boundary", scalar_boundary)
+            want = (X._find_zero_plateau(), X._find_finite_sup())
+        assert got == want, label
+        inside += sum(0.0 < x < math.inf for x in got)
     assert inside >= 8
 
 
@@ -315,11 +423,9 @@ def _assert_conjugate_is_dense(C, label):
         assert np.array_equal(got, want), label
 
 
-def test_conjugate_matches_dense_maximum(young_battery):
-    for name, A in young_battery.items():
-        _assert_conjugate_is_dense(young.conjugate(A), name)
-        _assert_conjugate_is_dense(young.conjugate(young.from_callable(A.symbolic.value)),
-                                   f"callable {name}")
+def test_conjugate_matches_dense_maximum(views):
+    for label, C in views["conjugate"].items():
+        _assert_conjugate_is_dense(C, label)
 
 
 def test_conjugate_matches_dense_maximum_on_a_non_convex_table():
@@ -333,16 +439,14 @@ def test_conjugate_matches_dense_maximum_on_a_non_convex_table():
     _assert_conjugate_is_dense(C, "non-convex")
 
 
-def test_conjugate_is_the_same_alone_and_in_a_batch(family_battery):
+def test_conjugate_is_the_same_alone_and_in_a_batch(views):
     # the refinement on the exact evaluator stops each point on its own
     # step; stopped on one rule for the whole batch, a point's value moved
     # with the other points of its call
     ts = np.geomspace(1e-8, 1e8, 97)
     for name in ("t^1.5", "zyg-1branch", "zyg(2,1)", "sqrtlog"):
-        family = family_battery[name]
-        for form, A in (("closed", young.from_family(family)),
-                        ("callable", young.from_callable(family.value))):
-            C = young.conjugate(A)
+        for form in ("closed", "callable"):
+            C = views["conjugate"][f"conj {name}, {form}"]
             alone = np.concatenate([C(ts[k:k + 1]) for k in range(ts.size)])
             assert C(ts).tobytes() == alone.tobytes(), f"{name}, {form}"
 
