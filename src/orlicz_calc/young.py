@@ -158,12 +158,12 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
     _EXP_ADJACENT_WIDTH.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    left = iters - np.broadcast_to(used, lo.shape)  # the halvings left
-    spent = set(np.unique(left).tolist())  # the steps where some run out
+    left = iters - np.asarray(used)  # the halvings left, for all or each
+    least = int(np.min(left, initial=iters))
     idx = np.arange(lo.size)
     width = float(np.min(hi - lo, initial=math.inf))
     for step in range(int(np.max(left, initial=0))):
-        if step in spent:
+        if step >= least:
             idx = idx[left[idx] > step]
         lo_i, hi_i = lo[idx], hi[idx]
         mid = 0.5 * (lo_i + hi_i)
