@@ -69,20 +69,22 @@ def dilation(A: YoungFn, t: float) -> float:
 def _dilations(A: YoungFn, ts: np.ndarray) -> np.ndarray:
     """h(t) for every t > 0 of ts, from A^{-1} of the products s t.
 
-    A product that equals a table abscissa bit for bit reads
-    ``inverse_on_grid`` there; on the default grid s 10**k is often the
-    abscissa 24 k places on.  The other products take one ``inverse_many``
-    call.  ``inverse_many`` answers each point on its own, so these are the
-    bits of one call on all the products, and of one call per t."""
+    On a geometric table s t is often the abscissa log t / log(spacing)
+    places on (24 k places for t = 10**k on the default grid).  A product
+    that equals that abscissa bit for bit reads ``inverse_on_grid`` there;
+    the other products take one ``inverse_many`` call.  ``inverse_many``
+    answers each point on its own, so these are the bits of one call on all
+    the products, and of one call per t."""
     s = A.table.t
+    n = len(s)
     inv_s = inverse_on_grid(A)
-    st = np.concatenate([s * t for t in ts])
-    j = np.minimum(np.searchsorted(s, st), len(s) - 1)
-    on_grid = s[j] == st
-    inv_st = np.empty_like(st)
-    inv_st[on_grid] = inv_s[j[on_grid]]
-    inv_st[~on_grid] = A.inverse_many(st[~on_grid])
-    inv_st = inv_st.reshape(len(ts), len(s))
+    st = ts[:, None] * s
+    spacing = math.log(s[-1] / s[0]) / (n - 1)
+    j = np.arange(n) + np.rint(np.log(ts) / spacing).astype(int)[:, None]
+    at = np.clip(j, 0, n - 1)
+    off_grid = (at != j) | (s[at] != st)
+    inv_st = inv_s[at]
+    inv_st[off_grid] = A.inverse_many(st[off_grid])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inv_st / inv_s
     ends = [A.end_profile(end) for end in ("zero", "infinity")]
