@@ -142,9 +142,9 @@ _EXP_ADJACENT_WIDTH = 1e-15
 def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
                used=0) -> np.ndarray:
     """Halve the brackets [lo, hi] of u = log x until each has had ``iters``
-    halvings, counting the ``used`` ones (per bracket) that made it from a
-    wider bracket; ``ok`` holds at each lo and fails at each hi.  Returns
-    the final lo.
+    halvings in all, ``used`` of them (one count for all or one each) before
+    this call; ``ok`` holds at each lo and fails at each hi.  Returns the
+    final lo.
 
     ``ok(u, idx)`` takes the midpoints u of the brackets idx, exponentiates
     them itself with ``exp`` (the caller's, which also maps the returned lo),
