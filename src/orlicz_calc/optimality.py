@@ -36,6 +36,8 @@ from .young import (
     least_constant,
     libm_exp,
     log_bisect,
+    newton_log,
+    seed_brackets,
 )
 
 
@@ -157,14 +159,20 @@ class WitnessResult:
 _SCAN_FLOOR = 1e-60
 _SCAN_PPD = 16
 _MAX_RUNGS = 12
-_TAU_LOG_FLOOR = math.log(1e-90)
+_TAU_ROOT = (math.log(1e-90), 0.0)
+# Newton steps of the guess that seeds each tau bisection
+_TAU_GUESS_STEPS = 5
+# the rung scan bisects its candidates in blocks of this many, doubling
+_FIRST_BLOCK = 16
 
 
 def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     """Manufacture a comparison profile from B on the d_k = 1/log(k+1) ladder.
 
     Returns (profile, rung abscissae); the profile's density is piecewise
-    d_k t^q* below 1 and C t^q* beyond, integrated over (0, 2t)."""
+    d_k t^q* below 1 and C t^q* beyond, integrated over (0, 2t).  The
+    profile is None when the ladder has no rung: B's prefix integral
+    exceeds d_1 on all of the scan."""
     q_star = ctx.q_star
     scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.31, 1.0 / _SCAN_PPD))
     prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
@@ -180,6 +188,8 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
             break
         t_rungs.append(float(scan[idx[-1]]))
     rungs = np.array(t_rungs[1:][::-1])  # ascending
+    if not rungs.size:
+        return None, rungs
     dvals = np.array([1.0 / math.log(k + 1.0)
                       for k in range(len(rungs), 0, -1)])
     top = max(total_below_1, 1.0 / math.log(2.0)) * 1.01
@@ -215,14 +225,40 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     return D, rungs
 
 
+def _tau_guess(B: YoungFn, levels: np.ndarray) -> np.ndarray:
+    """A guess of log sup{s: B(s)/s <= level} per level, to pick the nodes
+    that ``seed_brackets`` checks: the table of phi = B(s)/s read backwards
+    in log-log, cell by cell and past its ends along its end cells, then
+    Newton steps on phi itself (``newton_log``) from that cell's slope."""
+    tab = B.table
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logt = np.log(tab.t)
+        logphi = np.log(tab.y) - logt
+        usable = np.isfinite(logphi)
+        x, y = logphi[usable], logt[usable]
+        loglv = np.log(levels)
+        if x.size < 2:
+            u, slope = np.full_like(levels, 0.5 * _TAU_ROOT[0]), np.ones_like(levels)
+        else:
+            cell = np.clip(np.searchsorted(x, loglv), 1, x.size - 1)
+            slope = (x[cell] - x[cell - 1]) / (y[cell] - y[cell - 1])
+            u = y[cell] + (loglv - x[cell]) / slope
+        u = np.clip(np.nan_to_num(u, nan=0.0), *_TAU_ROOT)
+        return newton_log(lambda s: B._monotone_eval(s) / s, u, loglv, slope,
+                          _TAU_GUESS_STEPS)
+
+
 def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
 
-    B(s)/s is nondecreasing, so each level is bisected in log s over
-    [log 1e-90, 0] with up to 80 halvings, through libm's exp so that the rungs
-    do not depend on numpy's; 0.0 where the level lies below B(1e-90)/1e-90
-    and 1.0 where B(1) <= level."""
-    lo_s = math.exp(_TAU_LOG_FLOOR)
+    B(s)/s is nondecreasing, so each level is bisected in log s over the
+    root bracket [log 1e-90, 0] with up to 80 halvings, through libm's exp
+    so that the rungs do not depend on numpy's; 0.0 where the level lies
+    below B(1e-90)/1e-90 and 1.0 where B(1) <= level.  Each bisection starts
+    at a checked node of the root search's tree (``seed_brackets``, picked
+    by ``_tau_guess``), which gives the bits of the search from the root;
+    so every level is answered on its own, whatever else is in the call."""
+    lo_s = math.exp(_TAU_ROOT[0])
     phi_lo = B._monotone_eval(np.array([lo_s]))[0] / lo_s
     phi_1 = B._monotone_eval(np.array([1.0]))[0]
     dead = phi_lo > levels
@@ -234,10 +270,68 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
         s = libm_exp(u)
         return B._monotone_eval(s) / s <= lv[idx]
 
-    lo = log_bisect(below, np.full(len(lv), _TAU_LOG_FLOOR), np.zeros(len(lv)), 80,
-                    libm_exp)
-    out[work] = libm_exp(lo)
+    if lv.size:
+        lo, hi, used = seed_brackets(_tau_guess(B, lv), below, _TAU_ROOT)
+        out[work] = libm_exp(log_bisect(below, lo, hi, 80, libm_exp, used))
     return out
+
+
+def _select_rungs(B: YoungFn, D: YoungFn, q_star: float):
+    """The witness ladder: the rungs t_k and tau_k, and their selection ratios.
+
+    Rung k scans its candidates t downward in 16 per decade; the first that
+    passes every test becomes the rung: D(t)/t^q* at most half the last
+    rung's, tau = sup{s: B(s)/s <= D(t)/t} in [2t, last t), and the
+    selection ratio (B(tau)/tau) * (t / B(k t)) finite and at least 10 k.
+    The first test needs no tau, so it runs first; the candidates that pass
+    it get their tau in growing blocks, in scan order, and the scan stops at
+    the first block that holds a rung.  Each tau is answered on its own
+    (``_tau_many``), so the rung is the one a scan of every candidate finds.
+    """
+    t_rungs: list[float] = []
+    tau_rungs: list[float] = []
+    sel_ratios: list[float] = []
+    prev_t = 1.0
+    prev_dr = None
+    cursor = 0.3
+    for k in range(1, _MAX_RUNGS + 1):
+        cands = []
+        t = min(cursor, prev_t * 0.49)
+        while t > _SCAN_FLOOR:
+            cands.append(t)
+            t /= 10.0 ** (1.0 / _SCAN_PPD)
+        ts = np.array(cands)
+        # python-float powers: numpy's array power takes a sqrt shortcut at 0.5
+        d_ratio = D._monotone_eval(ts) / np.array([x ** q_star for x in cands])
+        level = d_ratio * np.array([x ** (q_star - 1.0) for x in cands])  # D(t)/t
+        live = (np.arange(ts.size) if prev_dr is None
+                else np.nonzero(d_ratio <= 0.5 * prev_dr)[0])
+        rung = None
+        start, size = 0, _FIRST_BLOCK
+        while rung is None and start < live.size:
+            block = live[start:start + size]
+            start, size = start + size, 2 * size
+            tau = _tau_many(B, level[block])
+            ok = (tau >= 2.0 * ts[block]) & (tau < prev_t)
+            idx, tau = block[ok], tau[ok]
+            # B(k t) underflows to 0 deep down: a ratio that saturates to
+            # inf (or NaN) is no evidence of growth and never makes a rung
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ratio = ((B._monotone_eval(tau) / tau)
+                         * (ts[idx] / B._monotone_eval(k * ts[idx])))
+            hit = np.nonzero(np.isfinite(ratio) & (ratio >= 10.0 * k))[0]
+            if hit.size:
+                rung = idx[hit[0]], float(tau[hit[0]]), float(ratio[hit[0]])
+        if rung is None:
+            break
+        j, tau_j, ratio_j = rung
+        t_rungs.append(cands[j])
+        tau_rungs.append(tau_j)
+        sel_ratios.append(ratio_j)
+        prev_t = cands[j]
+        prev_dr = float(d_ratio[j])
+        cursor = prev_t / 2.0
+    return t_rungs, tau_rungs, sel_ratios
 
 
 def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessResult:
@@ -261,6 +355,10 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
         D_used, _ = _auxiliary_profile(B, ctx)
         auxiliary = D_used
         flags.append("auxiliary-profile")
+        if D_used is None:
+            # nothing to compare against: no rung, no constant, B unchanged
+            return WitnessResult(B, (), (), (), (), math.nan, math.nan,
+                                 (*flags, "witness-unconstructible"))
     else:
         D_used = D
 
@@ -279,41 +377,7 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
         flags.append("defining-inequality-unverified")
         c_found = 1.0
 
-    t_rungs: list[float] = []
-    tau_rungs: list[float] = []
-    sel_ratios: list[float] = []
-    prev_t = 1.0
-    prev_dr = None
-    cursor = 0.3
-    for k in range(1, _MAX_RUNGS + 1):
-        # the candidates of this rung, in scan order; the first one passing
-        # every test below becomes the rung
-        cands = []
-        t = min(cursor, prev_t * 0.49)
-        while t > _SCAN_FLOOR:
-            cands.append(t)
-            t /= 10.0 ** (1.0 / _SCAN_PPD)
-        ts = np.array(cands)
-        # python-float powers: numpy's array power takes a sqrt shortcut at 0.5
-        d_ratio = D_used._monotone_eval(ts) / np.array([x ** q_star for x in cands])
-        level = d_ratio * np.array([x ** (q_star - 1.0) for x in cands])  # D(t)/t
-        tau = _tau_many(B, level)
-        ok = (tau >= 2.0 * ts) & (tau < prev_t)
-        if prev_dr is not None:
-            ok &= d_ratio <= 0.5 * prev_dr
-        idx = np.nonzero(ok)[0]
-        ratio = ((B._monotone_eval(tau[idx]) / tau[idx])
-                 * (ts[idx] / B._monotone_eval(k * ts[idx])))
-        hit = np.nonzero(ratio >= 10.0 * k)[0]
-        if len(hit) == 0:
-            break
-        j = idx[hit[0]]
-        t_rungs.append(cands[j])
-        tau_rungs.append(float(tau[j]))
-        sel_ratios.append(float(ratio[hit[0]]))
-        prev_t = cands[j]
-        prev_dr = float(d_ratio[j])
-        cursor = prev_t / 2.0
+    t_rungs, tau_rungs, sel_ratios = _select_rungs(B, D_used, q_star)
 
     if len(t_rungs) < 3:
         flags.append("witness-unconstructible")

@@ -184,17 +184,21 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
 # starts each bisection at a node of that search's tree: the one at the
 # deepest of _SEED_DEPTHS that straddles the level.  A node 50 halvings deep
 # is 1.2e-12 wide, still some 10 doubles of u at |u| = 691, so above it no
-# midpoint has rounded to an end and no exp check has started
+# midpoint has rounded to an end and no exp check has started.  The
+# witness's tau search does the same on [log 1e-90, 0], where such a node
+# is 1.8e-13 wide, some 6 doubles of u at |u| = 207
 _U_LO, _U_HI = math.log(_TINY), math.log(_HUGE)
 _SEED_DEPTHS = (50, 24)
 
 
-def tree_node(c: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tree_node(c: np.ndarray, depth: np.ndarray,
+              root: tuple[float, float] = (_U_LO, _U_HI)) -> tuple[np.ndarray, np.ndarray]:
     """The node [lo, hi] that holds c after ``depth`` halvings (per element)
-    of the root bracket [_U_LO, _U_HI]: where ``log_bisect`` goes when ``ok``
-    reads u <= c.  It forms the search's own midpoints 0.5 * (lo + hi) and
-    evaluates nothing."""
-    lo, hi = np.full_like(c, _U_LO), np.full_like(c, _U_HI)
+    of the root bracket ``root`` (by default the inverse's [_U_LO, _U_HI]):
+    where ``log_bisect`` goes when ``ok`` reads u <= c.
+    It forms the search's own midpoints 0.5 * (lo + hi) and evaluates
+    nothing."""
+    lo, hi = np.full_like(c, root[0]), np.full_like(c, root[1])
     for d in range(int(np.max(depth, initial=0))):
         mid = 0.5 * (lo + hi)
         on = depth > d
@@ -202,6 +206,63 @@ def tree_node(c: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         lo = np.where(on & right, mid, lo)
         hi = np.where(on & ~right, mid, hi)
     return lo, hi
+
+
+def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float] = (_U_LO, _U_HI)):
+    """Where the bisection of each level starts: the node of the root
+    bracket's tree at the deepest of _SEED_DEPTHS whose ends straddle the
+    level (``ok`` holds at its lo and fails at its hi), else the root; with
+    the halvings that reach it.
+
+    The nodes that hold ``guess`` (a guess of each level's answer in u) are
+    checked in one call of ``ok(u, idx)`` on their ends; a node that lies
+    left of the level (``ok`` holds at both ends) is retried once as its
+    right neighbour, one that lies right of it as its left neighbour.  For
+    a monotone ``ok`` a straddling node is the root search's own: each
+    midpoint above it lies on the side of the level that the descent took,
+    so from it the search makes exactly the root search's remaining steps.
+    """
+    n = guess.size
+    depth = np.repeat(np.array(_SEED_DEPTHS)[:, None], n, axis=1)
+    level = np.broadcast_to(np.arange(n), depth.shape)
+    lo, hi = tree_node(np.broadcast_to(guess, depth.shape), depth, root)
+    good = np.zeros(depth.shape, dtype=bool)
+
+    def check(pick):
+        holds = ok(np.concatenate([lo[pick], hi[pick]]), np.tile(level[pick], 2))
+        at_lo, at_hi = np.split(holds, 2)
+        good[pick] = at_lo & ~at_hi
+        return at_lo
+
+    at_lo = check(np.ones(depth.shape, dtype=bool)).reshape(depth.shape)
+    retry = ~good
+    if retry.any():
+        toward = np.where(at_lo, hi, np.nextafter(lo, -np.inf))
+        lo[retry], hi[retry] = tree_node(toward[retry], depth[retry], root)
+        check(retry)
+    found = good.any(axis=0)
+    k, cols = np.argmax(good, axis=0), np.arange(n)
+    return (np.where(found, lo[k, cols], root[0]), np.where(found, hi[k, cols], root[1]),
+            np.where(found, depth[k, cols], 0))
+
+
+def newton_log(view, u: np.ndarray, logs: np.ndarray, slope: np.ndarray,
+               steps: int) -> np.ndarray:
+    """``steps`` Newton steps in u toward log view(exp(u)) = logs, per
+    element: the first with ``slope`` (d log view / du), each later one with
+    the secant slope of the last two points where that is finite and
+    positive.  A step that is not finite, or taken with a slope that is
+    not positive, keeps its u.  Evaluates ``view`` once per step."""
+    last = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(steps):
+            f = np.log(view(np.exp(u))) - logs
+            if last is not None:
+                secant = (f - last[1]) / (u - last[0])
+                slope = np.where(np.isfinite(secant) & (secant > 0.0), secant, slope)
+            step = u - f / slope
+            last, u = (u, f), np.where(np.isfinite(step) & (slope > 0.0), step, u)
+    return u
 
 
 # the plateau search splits its bracket into this many + 1 parts per round;
@@ -454,7 +515,7 @@ class YoungFn:
         closed-form extrapolation past the table, a table that decreases
         somewhere) it is the bisection of u = log t that halves the root
         bracket [log 1e-300, log 1e300] up to 90 times.  Each level starts
-        that bisection at a checked node of its tree (``_seed_brackets``),
+        that bisection at a checked node of its tree (``seed_brackets``),
         which gives the same bits and skips the halvings above the node.
         Every s is answered on its own: its result does not depend on the
         other levels of the call.
@@ -478,54 +539,19 @@ class YoungFn:
                 def ok(u, i):
                     return self._monotone_eval(np.exp(u)) <= sr[i]
 
-                lo, hi, used = self._seed_brackets(sr, ok)
+                lo, hi, used = seed_brackets(self._inverse_guess(sr), ok)
                 tw[rest] = np.exp(log_bisect(ok, lo, hi, 90, np.exp, used))
             out[work] = tw
         return out
 
-    def _seed_brackets(self, s: np.ndarray, ok):
-        """Where the bisection of each level s starts: the node of the root
-        search's tree at the deepest of _SEED_DEPTHS whose ends straddle s
-        (``ok`` holds at its lo and fails at its hi), else the root; with
-        the halvings that reach it.
-
-        The nodes that hold a guess of log A^{-1}(s) (``_inverse_guess``)
-        are checked in one call of ``ok`` on their ends; a node that lies
-        left of s (``ok`` holds at both ends) is retried once as its right
-        neighbour, one that lies right of it as its left neighbour.  For a
-        monotone ``ok`` a straddling node is the root search's own: each
-        midpoint above it lies on the side of s that the descent took, so
-        from it the search makes exactly the root search's remaining steps.
-        """
-        n = s.size
-        depth = np.repeat(np.array(_SEED_DEPTHS)[:, None], n, axis=1)
-        level = np.broadcast_to(np.arange(n), depth.shape)
-        lo, hi = tree_node(np.broadcast_to(self._inverse_guess(s), depth.shape), depth)
-        good = np.zeros(depth.shape, dtype=bool)
-
-        def check(pick):
-            holds = ok(np.concatenate([lo[pick], hi[pick]]), np.tile(level[pick], 2))
-            at_lo, at_hi = np.split(holds, 2)
-            good[pick] = at_lo & ~at_hi
-            return at_lo
-
-        at_lo = check(np.ones(depth.shape, dtype=bool)).reshape(depth.shape)
-        retry = ~good
-        if retry.any():
-            toward = np.where(at_lo, hi, np.nextafter(lo, -np.inf))
-            lo[retry], hi[retry] = tree_node(toward[retry], depth[retry])
-            check(retry)
-        found = good.any(axis=0)
-        k, cols = np.argmax(good, axis=0), np.arange(n)
-        return (np.where(found, lo[k, cols], _U_LO), np.where(found, hi[k, cols], _U_HI),
-                np.where(found, depth[k, cols], 0))
-
     def _inverse_guess(self, s: np.ndarray) -> np.ndarray:
         """A guess of log A^{-1}(s) per level, to pick the nodes that
-        ``_seed_brackets`` checks: the table's power-cell inverse inside its
-        values, a fitted power tail's inverse past them, then one Newton
-        step in u = log t on the view, with the exponent of that cell or
-        tail as the slope."""
+        ``seed_brackets`` checks: the table's power-cell inverse inside its
+        values, a fitted power tail's inverse past them, then two Newton
+        steps in u = log t on the view (``newton_log``): the first with the
+        exponent of that cell or tail as the slope, the second with the
+        secant slope.  One step leaves levels of order-1 and log-factor
+        profiles too far from their answer for the deepest node."""
         tab = self.table
         t = tab.interp_inverse(s)
         slope = tab.log_slope(t)
@@ -533,10 +559,9 @@ class YoungFn:
             tail = getattr(tab, f"tail_{end}") if past.any() else None
             if tail is not None and tail.kind == "power" and tail.exponent > 0.0:
                 t[past], slope[past] = tail.inverse(s[past]), tail.exponent
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             u = np.clip(np.nan_to_num(np.log(t), nan=0.0), _U_LO, _U_HI)
-            newton = u + (np.log(s) - np.log(self._monotone_eval(np.exp(u)))) / slope
-        return np.where(np.isfinite(newton) & (slope > 0.0), newton, u)
+            return newton_log(self._monotone_eval, u, np.log(s), slope, 2)
 
     def _table_inverse(self, s: np.ndarray) -> np.ndarray:
         """sup{t : view(t) <= s} in closed form where the monotone view is the
