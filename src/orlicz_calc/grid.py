@@ -75,6 +75,8 @@ def _abscissae_cached(t_min: float, t_max: float, ppd: int) -> np.ndarray:
     lo, hi = math.log10(t_min), math.log10(t_max)
     n = int(round((hi - lo) * ppd)) + 1
     pts = np.power(10.0, np.linspace(lo, hi, n))
+    if np.any(pts[1:] <= pts[:-1]):
+        raise ValueError("grid points closer than adjacent doubles; use fewer per decade")
     pts.setflags(write=False)
     return pts
 

@@ -409,8 +409,9 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
                            / B._monotone_eval(np.arange(1, len(tk) + 1) * tk)))
     prefix1 = B1.sampled(scan).prefix_integral(-q_star - 1.0)
     rhs = d_scaled(5.0 * c_found)
+    # where both sides are 0 the bound holds; a positive side over 0 does not
     with np.errstate(divide="ignore", invalid="ignore"):
-        margins = np.where(rhs > 0, prefix1 / rhs, np.inf)
+        margins = np.where(rhs > 0, prefix1 / rhs, np.where(prefix1 == 0, 0.0, np.inf))
     bound_margin = float(np.nanmax(margins))
     if bound_margin > 1.0 + 1e-6:
         flags.append("bound-exceeded")

@@ -3,11 +3,13 @@
 A Young function is convex, left-continuous, vanishes at 0 and may take the
 value +inf.  Instances carry an optional closed-form profile, an optional
 exact callable (the pointwise evaluator when given, else the closed form is),
-and always a normalized sample table on a log grid.  Normalization takes the greatest convex minorant of the raw
-samples in linear coordinates, which repairs the join of asymptotic pieces at
-t = 1 and pins the structural inequalities (monotonicity, k*A(t) <= A(k*t),
-the conjugate product bounds) to machine precision while staying within a
-bounded factor of the raw profile.
+and always a normalized sample table on a log grid.  Normalization
+(``_lower_hull``) takes the greatest convex minorant of the raw samples in
+linear coordinates, which repairs the join of asymptotic pieces at t = 1 and
+pins the structural inequalities (monotonicity, k*A(t) <= A(k*t), the
+conjugate product bounds) to machine precision while staying at or below
+the finite raw samples (up to rounding) and within a bounded factor of the
+raw profile.
 
 The generalized inverse follows the right-continuous convention
 A^{-1}(s) = sup{t : A(t) <= s}, which handles zero plateaus and jumps to
@@ -74,10 +76,11 @@ class GammaContext:
 
 
 def _convex_minorant(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Greatest convex minorant through (0,0) of the finite samples.
-
-    Infinite values are kept as-is; the hull is computed in linear
-    coordinates, so the output node sequence is convex and nondecreasing.
+    """Greatest convex minorant through (0,0) of the finite samples, in
+    linear coordinates: interpolated between the vertices ``_lower_hull``
+    keeps of them and the origin.  Infinite values past the last finite
+    sample are kept as-is (before it, the samples are returned untouched);
+    for nonnegative samples the output is nondecreasing.
     """
     out = y.copy()
     finite = np.isfinite(y)
@@ -88,21 +91,8 @@ def _convex_minorant(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         return out  # interior infinities: malformed, leave untouched
     xs = np.concatenate(([0.0], t[: last + 1]))
     ys = np.concatenate(([0.0], y[: last + 1]))
-    hx = [xs[0]]
-    hy = [ys[0]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for xi, yi in zip(xs[1:], ys[1:]):
-            while len(hx) >= 2:
-                cross = (hx[-1] - hx[-2]) * (yi - hy[-2]) \
-                    - (hy[-1] - hy[-2]) * (xi - hx[-2])
-                if cross <= 0.0:
-                    hx.pop()
-                    hy.pop()
-                else:
-                    break  # keeps the vertex also when cross overflows to nan
-            hx.append(xi)
-            hy.append(yi)
-    out[: last + 1] = np.interp(t[: last + 1], hx, hy)
+    hull = _lower_hull(xs, ys)
+    out[: last + 1] = np.interp(t[: last + 1], xs[hull], ys[hull])
     return out
 
 
@@ -191,21 +181,22 @@ _U_LO, _U_HI = math.log(_TINY), math.log(_HUGE)
 _SEED_DEPTHS = (50, 24)
 
 
-def tree_node(c: np.ndarray, depth: np.ndarray,
+def tree_node(c: np.ndarray, depths: tuple[int, ...],
               root: tuple[float, float] = (_U_LO, _U_HI)) -> tuple[np.ndarray, np.ndarray]:
-    """The node [lo, hi] that holds c after ``depth`` halvings (per element)
-    of the root bracket ``root`` (by default the inverse's [_U_LO, _U_HI]):
-    where ``log_bisect`` goes when ``ok`` reads u <= c.
-    It forms the search's own midpoints 0.5 * (lo + hi) and evaluates
-    nothing."""
+    """The nodes [lo, hi] that hold c after each of ``depths`` halvings of
+    the root bracket ``root`` (by default the inverse's [_U_LO, _U_HI]), one
+    row per depth: where ``log_bisect`` goes when ``ok`` reads u <= c.
+    One walk records every depth.  It forms the search's own midpoints
+    0.5 * (lo + hi) and evaluates nothing."""
     lo, hi = np.full_like(c, root[0]), np.full_like(c, root[1])
-    for d in range(int(np.max(depth, initial=0))):
-        mid = 0.5 * (lo + hi)
-        on = depth > d
-        right = mid <= c
-        lo = np.where(on & right, mid, lo)
-        hi = np.where(on & ~right, mid, hi)
-    return lo, hi
+    nodes, walked = {}, 0
+    for depth in sorted(depths):
+        for _ in range(depth - walked):
+            mid = 0.5 * (lo + hi)
+            right = mid <= c
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        nodes[depth], walked = (lo, hi), depth
+    return np.array([nodes[d][0] for d in depths]), np.array([nodes[d][1] for d in depths])
 
 
 def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float] = (_U_LO, _U_HI)):
@@ -223,10 +214,9 @@ def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float] = (_U_LO, _U_
     so from it the search makes exactly the root search's remaining steps.
     """
     n = guess.size
-    depth = np.repeat(np.array(_SEED_DEPTHS)[:, None], n, axis=1)
-    level = np.broadcast_to(np.arange(n), depth.shape)
-    lo, hi = tree_node(np.broadcast_to(guess, depth.shape), depth, root)
-    good = np.zeros(depth.shape, dtype=bool)
+    lo, hi = tree_node(guess, _SEED_DEPTHS, root)
+    level = np.broadcast_to(np.arange(n), lo.shape)
+    good = np.zeros(lo.shape, dtype=bool)
 
     def check(pick):
         holds = ok(np.concatenate([lo[pick], hi[pick]]), np.tile(level[pick], 2))
@@ -234,16 +224,19 @@ def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float] = (_U_LO, _U_
         good[pick] = at_lo & ~at_hi
         return at_lo
 
-    at_lo = check(np.ones(depth.shape, dtype=bool)).reshape(depth.shape)
+    at_lo = check(np.ones(lo.shape, dtype=bool)).reshape(lo.shape)
     retry = ~good
     if retry.any():
         toward = np.where(at_lo, hi, np.nextafter(lo, -np.inf))
-        lo[retry], hi[retry] = tree_node(toward[retry], depth[retry], root)
+        for k in np.flatnonzero(retry.any(axis=1)):
+            pick = retry[k]
+            node_lo, node_hi = tree_node(toward[k, pick], (_SEED_DEPTHS[k],), root)
+            lo[k, pick], hi[k, pick] = node_lo[0], node_hi[0]
         check(retry)
     found = good.any(axis=0)
     k, cols = np.argmax(good, axis=0), np.arange(n)
     return (np.where(found, lo[k, cols], root[0]), np.where(found, hi[k, cols], root[1]),
-            np.where(found, depth[k, cols], 0))
+            np.where(found, np.array(_SEED_DEPTHS)[k], 0))
 
 
 def newton_log(view, u: np.ndarray, logs: np.ndarray, slope: np.ndarray,

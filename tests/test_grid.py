@@ -50,6 +50,11 @@ class TestGridSpec:
                      points_per_decade=POINT_LIMIT // 320 + 1)
         GridSpec(points_per_decade=(POINT_LIMIT - 1) // 24)  # 24 decades
 
+    def test_abscissae_closer_than_adjacent_doubles_are_refused(self):
+        # 86,868 points within 4,504 doubles: many would repeat
+        with pytest.raises(ValueError, match="adjacent doubles"):
+            GridSpec(t_min=1.0, t_max=1.0 + 1e-12, points_per_decade=2 * 10 ** 17).abscissae()
+
     def test_widest_span(self):
         # t_max / t_min overflows to inf here; the span comes from the logs
         g = GridSpec(t_min=1.0 / SPAN_LIMIT, t_max=SPAN_LIMIT)

@@ -173,7 +173,7 @@ def test_tau_seed_nodes_lie_above_the_exits_of_the_root_search():
     # wide at |u| = 207, and wider than where the exp check starts
     root = op._TAU_ROOT
     c = np.array([root[0], -100.0, -1.0, -1e-20, root[1]])
-    lo, hi = young.tree_node(c, np.full(c.shape, max(young._SEED_DEPTHS)), root)
+    (lo,), (hi,) = young.tree_node(c, (max(young._SEED_DEPTHS),), root)
     assert np.all((root[0] <= lo) & (hi <= root[1]))
     assert np.all((lo <= c) & ((c < hi) | (hi == root[1])))
     assert np.all(hi - lo > 4.0 * np.spacing(root[0]))
@@ -199,6 +199,17 @@ def test_saturated_ratios_make_no_rung(name):
     assert all(math.isfinite(r) for r in w.selection_ratios)
     k_t = np.arange(1, len(w.t_rungs) + 1) * np.array(w.t_rungs)
     assert np.all(B._monotone_eval(k_t) > 0.0)
+
+
+def test_scan_points_where_both_sides_are_zero_hold_the_bound():
+    # no rung is found, and at some scan points both the prefix integral of
+    # B and the right-hand side 5 C d underflow to 0: such a point holds the
+    # bound, where 0/0 once read as inf and flagged it exceeded
+    B, D = inputs("underflow-direct")
+    w = op.witness_improvement(B, D, CTX)
+    assert w.t_rungs == ()
+    assert 0.0 <= w.bound_margin < 1e-3
+    assert w.flags == ("witness-unconstructible",)
 
 
 def test_no_auxiliary_ladder_gives_no_rungs():

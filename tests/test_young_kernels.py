@@ -5,7 +5,9 @@ versions they replaced, kept here as references: the table inverse of
 ``inverse_many``, started at a node of the root search's tree, against a
 plain 90-step bisection from the root bracket, ``young.log_bisect`` and
 the 64-way plateau search against plain bisections (bit for bit), the
-hull-based conjugate evaluator against the dense (points x nodes) maximum,
+lower hull that normalises every source and carries the conjugate against
+exact integer cross products, the hull-based conjugate evaluator against
+the dense (points x nodes) maximum,
 and the Luxemburg modular on fixed cell geometry against a fresh ``GridFn``
 per evaluation (bit for bit)."""
 
@@ -14,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orlicz_calc import families as fam
 from orlicz_calc import grid
@@ -268,7 +271,7 @@ def test_seed_nodes_lie_above_the_exits_of_the_root_search():
     # the exp check starts: the root search reaches every node by plain
     # halvings, with none of its exits taken
     c = np.array([ROOT[0], -1.0, 0.0, 1e-20, 1.0, ROOT[1]])
-    lo, hi = young.tree_node(c, np.full(c.shape, max(young._SEED_DEPTHS)))
+    (lo,), (hi,) = young.tree_node(c, (max(young._SEED_DEPTHS),))
     assert np.all((lo <= c) & ((c < hi) | (hi == ROOT[1])))
     assert np.all(hi - lo > 4.0 * np.spacing(ROOT[1]))
     assert np.all(hi - lo > young._EXP_ADJACENT_WIDTH)
@@ -296,7 +299,7 @@ def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
     # after that node, within the same 90 halvings in total
     depth = max(young._SEED_DEPTHS)
     lo, hi = np.full(1, ROOT[0]), np.full(1, ROOT[1])
-    node = young.tree_node(np.zeros(1), np.full(1, depth))
+    node = [row[0] for row in young.tree_node(np.zeros(1), (depth,))]
     for name in ("t^2", "t^3", "zyg(2,1)", "sqrtlog"):
         A = young.from_family(family_battery[name])
         steps = []
@@ -407,6 +410,79 @@ def test_plateau_search_takes_few_view_evaluations(young_calls):
         young_calls.calls.clear()
         search()
         assert young_calls.calls["_monotone_eval"] <= 25
+
+
+# ---------------------------------------------------------------------------
+# lower hull
+
+
+def brute_lower_hull(x, y):
+    """The vertices of the lower hull of integer points, x strictly
+    increasing: i is kept when no chord (j, k) with j < i < k passes at or
+    below it, by exact integer cross products."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    j, i, k = np.meshgrid(*(np.arange(x.size),) * 3, indexing="ij")
+    cross = (x[k] - x[j]) * (y[i] - y[j]) - (y[k] - y[j]) * (x[i] - x[j])
+    on_or_above = (j < i) & (i < k) & (cross >= 0)
+    return np.flatnonzero(~on_or_above.any(axis=(0, 2)))
+
+
+@st.composite
+def integer_polylines(draw):
+    """At most 40 points with integer coordinates in [-1000, 1000] and x
+    strictly increasing: each step either repeats the last step (a collinear
+    run) or draws a new one, often flat (repeated y)."""
+    steps, last = [], None
+    for _ in range(draw(st.integers(0, 39))):
+        if last is None or not draw(st.booleans()):
+            last = (draw(st.integers(1, 24)),
+                    draw(st.one_of(st.just(0), st.integers(-20, 20))))
+        steps.append(last)
+    start = [draw(st.integers(0, 40)), draw(st.integers(-200, 200))]
+    x, y = np.cumsum(np.array([start, *steps], dtype=np.int64), axis=0).T
+    return x, y
+
+
+@given(integer_polylines())
+def test_lower_hull_matches_exact_cross_products(points):
+    # integers this small make every float slope compare exact, so the
+    # kernel must keep exactly the strict vertices
+    x, y = points
+    got = young._lower_hull(x.astype(float), y.astype(float))
+    assert got.tolist() == brute_lower_hull(x, y).tolist()
+
+
+def _zero_at_the_end(t):
+    y = np.asarray(t, dtype=float) ** 2
+    y[-1] = 0.0
+    return y
+
+
+def test_minorant_stays_below_the_samples(family_battery):
+    # the battery, perfbench's probe inputs Lp(30) and L1, and a callable
+    # that is not monotone: the minorant is convex, does not decrease and
+    # lies at or below every finite sample (a cross-product test rose above
+    # Lp(30)'s subnormal samples near 1e-12, and above L1's by an ulp)
+    sources = {f"{name}, closed": (young.from_family(f), f.value)
+               for name, f in {**family_battery, "Lp(30)": fam.lp(30)}.items()}
+    sources.update({f"{name}, callable": (young.from_callable(f.value), f.value)
+                    for name, f in family_battery.items()})
+    sources["t^2 with 0 last"] = young.from_callable(_zero_at_the_end), _zero_at_the_end
+    eps = np.finfo(float).eps
+    for label, (A, f) in sources.items():
+        t = A.table.t
+        raw = np.asarray(f(t), dtype=float)
+        out = young._convex_minorant(t, raw)
+        fin = np.isfinite(raw)
+        assert np.all(out[fin] <= raw[fin]), label
+        o, x = out[fin], t[fin]
+        assert np.all(np.diff(o) >= 0.0), label
+        chord = o[:-2] + (o[2:] - o[:-2]) * ((x[1:-1] - x[:-2]) / (x[2:] - x[:-2]))
+        assert np.all(o[1:-1] <= chord + 4.0 * eps * np.abs(o[1:-1])), label
+        if label == "Lp(30), closed":
+            low = t <= 3.2e-11
+            assert np.count_nonzero(low) == 37
+            assert out[low].tobytes() == raw[low].tobytes()
 
 
 # ---------------------------------------------------------------------------
