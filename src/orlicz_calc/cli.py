@@ -206,7 +206,10 @@ def cmd_probe(args, grid: GridSpec, ctx: GammaContext) -> int:
     if args.fixtures:
         try:
             with open(args.fixtures) as fh:
-                pairs.extend((e["A"], e["B"]) for e in json.load(fh))
+                entries = [(e["A"], e["B"]) for e in json.load(fh)]
+            if not all(isinstance(x, str) for pair in entries for x in pair):
+                raise TypeError("each A and B must be a string")
+            pairs.extend(entries)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"cannot read fixtures {args.fixtures}: {exc}", file=sys.stderr)
             return 2
@@ -285,6 +288,7 @@ def main(argv=None) -> int:
     try:
         grid = GridSpec(t_min=args.tmin, t_max=args.tmax,
                         points_per_decade=args.grid_points_per_decade)
+        grid.abscissae()  # refuses points closer than adjacent doubles
         ctx = GammaContext(args.n, args.gamma)
     except ValueError as exc:
         print(f"orlicz-calc: error: {exc}", file=sys.stderr)

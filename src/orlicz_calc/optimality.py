@@ -26,6 +26,7 @@ import numpy as np
 
 from . import transforms as tr
 from .boyd import boyd_indices
+from .grid import GridFn
 from .young import (
     GammaContext,
     YoungFn,
@@ -33,11 +34,11 @@ from .young import (
     equivalent,
     from_callable,
     grid_leq,
+    guess_levels,
     least_constant,
     libm_exp,
-    log_bisect,
-    newton_log,
-    seed_brackets,
+    per_young,
+    search_levels,
 )
 
 
@@ -225,39 +226,22 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     return D, rungs
 
 
-def _tau_guess(B: YoungFn, levels: np.ndarray) -> np.ndarray:
-    """A guess of log sup{s: B(s)/s <= level} per level, to pick the nodes
-    that ``seed_brackets`` checks: the table of phi = B(s)/s read backwards
-    in log-log, cell by cell and past its ends along its end cells, then
-    Newton steps on phi itself (``newton_log``) from that cell's slope."""
-    tab = B.table
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logt = np.log(tab.t)
-        logphi = np.log(tab.y) - logt
-        usable = np.isfinite(logphi)
-        x, y = logphi[usable], logt[usable]
-        loglv = np.log(levels)
-        if x.size < 2:
-            u, slope = np.full_like(levels, 0.5 * _TAU_ROOT[0]), np.ones_like(levels)
-        else:
-            cell = np.clip(np.searchsorted(x, loglv), 1, x.size - 1)
-            slope = (x[cell] - x[cell - 1]) / (y[cell] - y[cell - 1])
-            u = y[cell] + (loglv - x[cell]) / slope
-        u = np.clip(np.nan_to_num(u, nan=0.0), *_TAU_ROOT)
-        return newton_log(lambda s: B._monotone_eval(s) / s, u, loglv, slope,
-                          _TAU_GUESS_STEPS)
+@per_young
+def _ratio_table(B: YoungFn) -> GridFn:
+    """B(s)/s on B's abscissae: the table ``guess_levels`` reads for tau,
+    kept with its tail fits for all the witness's calls."""
+    return GridFn(B.table.t, B.table.y / B.table.t)
 
 
 def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
 
-    B(s)/s is nondecreasing, so each level is bisected in log s over the
-    root bracket [log 1e-90, 0] with up to 80 halvings, through libm's exp
-    so that the rungs do not depend on numpy's; 0.0 where the level lies
-    below B(1e-90)/1e-90 and 1.0 where B(1) <= level.  Each bisection starts
-    at a checked node of the root search's tree (``seed_brackets``, picked
-    by ``_tau_guess``), which gives the bits of the search from the root;
-    so every level is answered on its own, whatever else is in the call."""
+    phi = B(s)/s is nondecreasing: 0.0 where the level lies below
+    phi(1e-90), 1.0 where B(1) <= level, else ``search_levels`` over the root
+    bracket [log 1e-90, 0] of log s with up to 80 halvings, through libm's
+    exp so that the rungs do not depend on numpy's.  ``guess_levels`` reads
+    the table of phi on B's abscissae.  Each level is answered on its own,
+    with the bits of the search from the root."""
     lo_s = math.exp(_TAU_ROOT[0])
     phi_lo = B._monotone_eval(np.array([lo_s]))[0] / lo_s
     phi_1 = B._monotone_eval(np.array([1.0]))[0]
@@ -265,14 +249,12 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     work = ~dead & ~(phi_1 <= levels)
     out = np.where(dead, 0.0, 1.0)
     lv = levels[work]
-
-    def below(u, idx):
-        s = libm_exp(u)
-        return B._monotone_eval(s) / s <= lv[idx]
-
     if lv.size:
-        lo, hi, used = seed_brackets(_tau_guess(B, lv), below, _TAU_ROOT)
-        out[work] = libm_exp(log_bisect(below, lo, hi, 80, libm_exp, used))
+        def phi(s):
+            return B._monotone_eval(s) / s
+
+        guess = guess_levels(phi, _ratio_table(B), lv, _TAU_GUESS_STEPS, _TAU_ROOT)
+        out[work] = search_levels(phi, lv, guess, _TAU_ROOT, 80, libm_exp)
     return out
 
 

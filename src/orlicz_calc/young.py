@@ -170,13 +170,13 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
     return lo
 
 
-# ``inverse_many`` searches u = log t on the root bracket [_U_LO, _U_HI] and
-# starts each bisection at a node of that search's tree: the one at the
-# deepest of _SEED_DEPTHS that straddles the level.  A node 50 halvings deep
-# is 1.2e-12 wide, still some 10 doubles of u at |u| = 691, so above it no
-# midpoint has rounded to an end and no exp check has started.  The
-# witness's tau search does the same on [log 1e-90, 0], where such a node
-# is 1.8e-13 wide, some 6 doubles of u at |u| = 207
+# ``search_levels`` starts each bisection at a node of the root search's
+# tree: the one at the deepest of _SEED_DEPTHS that straddles the level.
+# ``inverse_many`` searches u = log t on the root [_U_LO, _U_HI], where a
+# node 50 halvings deep is 1.2e-12 wide, still some 10 doubles of u at
+# |u| = 691, so above it no midpoint has rounded to an end and no exp check
+# has started.  The witness's tau search runs on [log 1e-90, 0], where such
+# a node is 1.8e-13 wide, some 6 doubles of u at |u| = 207
 _U_LO, _U_HI = math.log(_TINY), math.log(_HUGE)
 _SEED_DEPTHS = (50, 24)
 
@@ -199,7 +199,7 @@ def tree_node(c: np.ndarray, depths: tuple[int, ...],
     return np.array([nodes[d][0] for d in depths]), np.array([nodes[d][1] for d in depths])
 
 
-def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float] = (_U_LO, _U_HI)):
+def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float]):
     """Where the bisection of each level starts: the node of the root
     bracket's tree at the deepest of _SEED_DEPTHS whose ends straddle the
     level (``ok`` holds at its lo and fails at its hi), else the root; with
@@ -256,6 +256,39 @@ def newton_log(view, u: np.ndarray, logs: np.ndarray, slope: np.ndarray,
             step = u - f / slope
             last, u = (u, f), np.where(np.isfinite(step) & (slope > 0.0), step, u)
     return u
+
+
+def search_levels(view, s: np.ndarray, guess: np.ndarray, root: tuple[float, float],
+                  iters: int, exp) -> np.ndarray:
+    """sup{x : view(x) <= s} per level: ``log_bisect`` of u = log x with up
+    to ``iters`` halvings of the bracket ``root``, started at the node of its
+    tree that ``seed_brackets`` checks around ``guess`` (in u).  Each level
+    gets the bits of the search from the root, whatever else is in the call.
+    The caller answers the levels whose answer lies outside the root."""
+    def ok(u, i):
+        return view(exp(u)) <= s[i]
+
+    lo, hi, used = seed_brackets(guess, ok, root)
+    return exp(log_bisect(ok, lo, hi, iters, exp, used))
+
+
+def guess_levels(view, table: GridFn, s: np.ndarray, steps: int,
+                 root: tuple[float, float]) -> np.ndarray:
+    """A guess of log sup{x : view(x) <= s} per level, for ``seed_brackets``:
+    ``table``, samples of the view, inverted cell by cell and past its values
+    by a fitted power tail, clipped to ``root``; then ``steps`` Newton steps
+    on the view (``newton_log``) from that cell's or tail's exponent.  One
+    step leaves levels of order-1 and log-factor profiles too far from their
+    answer for the deepest node."""
+    t = table.interp_inverse(s)
+    slope = table.log_slope(t)
+    for end, past in (("zero", s < table.y[0]), ("infinity", s >= table.y[-1])):
+        tail = getattr(table, f"tail_{end}") if past.any() else None
+        if tail is not None and tail.kind == "power" and tail.exponent > 0.0:
+            t[past], slope[past] = tail.inverse(s[past]), tail.exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip(np.nan_to_num(np.log(t), nan=0.0), *root)
+        return newton_log(view, u, np.log(s), slope, steps)
 
 
 # the plateau search splits its bracket into this many + 1 parts per round;
@@ -506,12 +539,12 @@ class YoungFn:
         the table's power interpolant (``_table_inverse``), each s is
         inverted in closed form; elsewhere (an exact pointwise evaluator,
         closed-form extrapolation past the table, a table that decreases
-        somewhere) it is the bisection of u = log t that halves the root
-        bracket [log 1e-300, log 1e300] up to 90 times.  Each level starts
-        that bisection at a checked node of its tree (``seed_brackets``),
-        which gives the same bits and skips the halvings above the node.
-        Every s is answered on its own: its result does not depend on the
-        other levels of the call.
+        somewhere) it is ``search_levels``: the bisection of u = log t that
+        halves the root bracket [log 1e-300, log 1e300] up to 90 times,
+        started at a checked node of its tree that ``guess_levels`` picks
+        from the table and two Newton steps.  The node gives the same bits
+        and skips the halvings above it, so every s is answered on its own:
+        its result does not depend on the other levels of the call.
         """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
@@ -527,34 +560,11 @@ class YoungFn:
             tw = self._table_inverse(sw)
             rest = np.isnan(tw)
             if rest.any():
-                sr = sw[rest]
-
-                def ok(u, i):
-                    return self._monotone_eval(np.exp(u)) <= sr[i]
-
-                lo, hi, used = seed_brackets(self._inverse_guess(sr), ok)
-                tw[rest] = np.exp(log_bisect(ok, lo, hi, 90, np.exp, used))
+                sr, view, root = sw[rest], self._monotone_eval, (_U_LO, _U_HI)
+                guess = guess_levels(view, self.table, sr, 2, root)
+                tw[rest] = search_levels(view, sr, guess, root, 90, np.exp)
             out[work] = tw
         return out
-
-    def _inverse_guess(self, s: np.ndarray) -> np.ndarray:
-        """A guess of log A^{-1}(s) per level, to pick the nodes that
-        ``seed_brackets`` checks: the table's power-cell inverse inside its
-        values, a fitted power tail's inverse past them, then two Newton
-        steps in u = log t on the view (``newton_log``): the first with the
-        exponent of that cell or tail as the slope, the second with the
-        secant slope.  One step leaves levels of order-1 and log-factor
-        profiles too far from their answer for the deepest node."""
-        tab = self.table
-        t = tab.interp_inverse(s)
-        slope = tab.log_slope(t)
-        for end, past in (("zero", s < tab.y[0]), ("infinity", s >= tab.y[-1])):
-            tail = getattr(tab, f"tail_{end}") if past.any() else None
-            if tail is not None and tail.kind == "power" and tail.exponent > 0.0:
-                t[past], slope[past] = tail.inverse(s[past]), tail.exponent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.clip(np.nan_to_num(np.log(t), nan=0.0), _U_LO, _U_HI)
-            return newton_log(self._monotone_eval, u, np.log(s), slope, 2)
 
     def _table_inverse(self, s: np.ndarray) -> np.ndarray:
         """sup{t : view(t) <= s} in closed form where the monotone view is the

@@ -149,6 +149,9 @@ class TestCli:
         (("bounded", "Lp(1e308)", "Lp(6)"), 0),
         # q* = 300: the prefix integral of F overflows where t**q* underflows
         (("domain", "ExpType(-1,1)", "--n", "3", "--gamma", "2.99"), 3),
+        # 86,860 abscissae inside the limit, closer than adjacent doubles
+        (("bounded", "Lp(2)", "Lp(6)", "--tmin", "1", "--tmax", "1.000000000001",
+          "--grid-points-per-decade", "200000000000000000"), 2),
     ])
     def test_extreme_inputs_end_in_one_line(self, capsys, argv, code):
         got, out, err = run_cli(capsys, *argv)
@@ -193,3 +196,11 @@ class TestCli:
         assert reports[0]["trend"] == "bounded" and reports[0]["bounded_verdict"]
         assert reports[1]["trend"] == "diverging" and not reports[1]["bounded_verdict"]
         assert all(r["consistent"] for r in reports)
+
+    @pytest.mark.parametrize("entry", [{"A": 1, "B": 2}, {"A": "Lp(2)", "B": None}])
+    def test_probe_fixture_that_is_not_a_string(self, capsys, tmp_path, entry):
+        fixtures = tmp_path / "pairs.json"
+        fixtures.write_text(json.dumps([entry]))
+        code, _, err = run_cli(capsys, "probe", "--fixtures", str(fixtures))
+        assert code == 2
+        assert len(err.splitlines()) == 1, err

@@ -161,8 +161,8 @@ def test_each_tau_is_answered_on_its_own(asked, name):
 def test_bad_tau_guesses_keep_the_root_bits(asked, monkeypatch, guess):
     # guesses that miss the seed nodes fall back to shallower nodes or the
     # root, and still end on the root search's bits
-    real = op._tau_guess
-    monkeypatch.setattr(op, "_tau_guess", lambda B, lv: guess(real(B, lv)))
+    real = op.guess_levels
+    monkeypatch.setattr(op, "guess_levels", lambda *args: guess(real(*args)))
     for B, levels, _ in asked.values():
         assert op._tau_many(B, levels).tobytes() == root_tau(B, levels).tobytes()
 
@@ -182,8 +182,8 @@ def test_tau_seed_nodes_lie_above_the_exits_of_the_root_search():
 
 def test_tau_of_a_table_with_no_finite_positive_ratio():
     # B jumps from 0 to inf at 1/2: no sample of B(s)/s is finite and
-    # positive, so the guess has no table to read, and the bisection still
-    # ends on the root search's bits
+    # positive, so the guess's table has no power cell, and the bisection
+    # still ends on the root search's bits
     B = young.from_callable(lambda t: np.where(np.asarray(t) < 0.5, 0.0, np.inf))
     levels = np.array([0.0, 1.0, 1e5])
     assert op._tau_many(B, levels).tolist() == [scalar_tau(B, x) for x in levels]
