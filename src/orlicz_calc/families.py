@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 _CLIP = 700.0
-# |log t| < 745.2 for every positive double t, so p log t can overflow only
-# for |p| above this
+# |log t| < 745.2 for every positive double t, and the t-parts of l(t),
+# l(l(t)) and |log t|**k (k <= 1) are smaller still, so the log value of a
+# piece of k factors can overflow only when a coefficient is above this / k
 _P_OVERFLOW = 2e305
 
 
@@ -37,13 +39,10 @@ class PowerFactor:
 
     p: float
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
         if math.isinf(self.p):
             return np.where(u < 0, -np.inf, np.where(u > 0, np.inf, 0.0))
-        if abs(self.p) < _P_OVERFLOW:
-            return self.p * u
-        with np.errstate(over="ignore"):  # a log value past double range is +-inf
-            return self.p * u
+        return self.p / scale * u
 
     def render(self) -> str:
         return f"t^{_fmt(self.p)}"
@@ -55,8 +54,8 @@ class LogFactor:
 
     alpha: float
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
-        return self.alpha * np.log1p(np.abs(u))
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        return self.alpha / scale * np.log1p(np.abs(u))
 
     def render(self) -> str:
         return f"l(t)^{_fmt(self.alpha)}"
@@ -68,8 +67,8 @@ class LogLogFactor:
 
     alpha: float
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
-        return self.alpha * np.log1p(np.log1p(np.abs(u)))
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        return self.alpha / scale * np.log1p(np.log1p(np.abs(u)))
 
     def render(self) -> str:
         return f"ll(t)^{_fmt(self.alpha)}"
@@ -82,8 +81,8 @@ class ExpLogFactor:
     coef: float
     power: float = 0.5
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
-        return self.coef * np.abs(u) ** self.power
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        return self.coef / scale * np.abs(u) ** self.power
 
     def render(self) -> str:
         sign = "+" if self.coef >= 0 else "-"
@@ -97,11 +96,11 @@ class ExpPowerFactor:
     coef: float
     power: float
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
         with np.errstate(over="ignore"):
             tp = np.exp(np.minimum(self.power * u, _CLIP))
             tp = np.where(self.power * u > _CLIP, np.inf, tp)
-        return self.coef * tp
+        return self.coef / scale * tp
 
     def render(self) -> str:
         return f"exp({_fmt(self.coef)}*t^{_fmt(self.power)})"
@@ -113,7 +112,7 @@ class ConstFactor:
 
     value: float  # 0.0 or inf
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
+    def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
         fill = -np.inf if self.value == 0.0 else np.inf
         return np.full_like(np.asarray(u, dtype=float), fill)
 
@@ -122,6 +121,13 @@ class ConstFactor:
 
 
 Factor = PowerFactor | LogFactor | LogLogFactor | ExpLogFactor | ExpPowerFactor | ConstFactor
+
+
+def _coefficient(f: Factor) -> float:
+    """The multiplier of a factor's t-part in its log value; 0 for the
+    constants and the power jump, whose log values are 0 or +-inf."""
+    c = getattr(f, "p", getattr(f, "alpha", getattr(f, "coef", 0.0)))
+    return c if math.isfinite(c) else 0.0
 
 
 def _fmt(x: float) -> str:
@@ -140,10 +146,22 @@ class AsymPiece:
 
     def log_value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        scale = self._log_scale
         total = np.zeros_like(u)
         for f in self.factors:
-            total = total + f.log_value(u)
-        return total
+            total = total + f.log_value(u, scale)
+        if scale == 1.0:
+            return total
+        with np.errstate(over="ignore"):  # a log value past double range is +-inf
+            return total * scale
+
+    @cached_property
+    def _log_scale(self) -> float:
+        """1, or the largest coefficient when the log value could overflow: the
+        factors then add their log values over it, so that t**1e308 t**-1e308
+        is 1, not exp(inf - inf)."""
+        big = max(abs(_coefficient(f)) for f in self.factors)
+        return big if big * len(self.factors) >= _P_OVERFLOW else 1.0
 
     def value(self, t: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -362,7 +380,11 @@ def conjugate_piece(pc: AsymPiece, end: str) -> AsymPiece | None:
         if llog:
             factors.append(LogLogFactor(-llog / qq))
         for f in explogs:
-            factors.append(ExpLogFactor(-f.coef / qq ** (1.0 + f.power), f.power))
+            try:
+                scale = qq ** (1.0 + f.power)
+            except OverflowError:  # the coefficient is below double range: 0
+                scale = math.inf
+            factors.append(ExpLogFactor(-f.coef / scale, f.power))
         return AsymPiece(tuple(factors))
     if abs(q - 1.0) < 1e-12 and not llog and not explogs:
         if alpha == 0.0:

@@ -38,6 +38,7 @@ POINT_LIMIT = 100_000
 BREAK_EPS = 1e-12
 
 _EXP_CLIP = 700.0  # exp() overflow guard; beyond this we saturate to inf
+_LOG_TOP = 709.0  # exp() of this is below the largest double, 1.8e308
 
 
 @dataclass(frozen=True)
@@ -168,13 +169,48 @@ def fit_tail(t: np.ndarray, y: np.ndarray, side: str,
     return TailFit("power", slope, math.log(ye) - slope * math.log(t[edge]))
 
 
+def _tail_shape(b: float, x: float) -> float:
+    """e**x x**-b Gamma(b+1, x) for b > 0: the tail integral of s**(a-1) l(s)**b
+    over its edge term, x = |a| l(edge); 1/(1 - b/x) to first order.  By a
+    continued fraction (modified Lentz) for x > b + 2, else by the series of
+    the lower incomplete gamma function; inf past double range."""
+    s = b + 1.0
+    if x > s + 1.0:
+        bn = x + 1.0 - s
+        c, d = 1e300, 1.0 / bn
+        h = d
+        for i in range(1, 300):
+            bn += 2.0
+            d, c = 1.0 / (bn - i * (i - s) * d), bn - i * (i - s) / c
+            h *= d * c
+            if abs(d * c - 1.0) < 1e-15:
+                break
+        return x * h
+    term = total = 1.0 / s
+    for n in range(1, 1000):
+        term *= x / (s + n)
+        total += term
+        if term <= total * 1e-16:
+            break
+    p = math.exp(min(s * math.log(x) - x - math.lgamma(s), _LOG_TOP)) * total
+    logr = math.lgamma(s) + x - b * math.log(x) + math.log1p(-min(p, 1.0 - 1e-16))
+    return math.exp(logr) if logr < _LOG_TOP else math.inf
+
+
 def _tail_integral(tail: TailFit, te: float, weight: float, zero: bool) -> float:
     """Integral of tail.value(s) * s**weight beyond the end ``te``: over
     (0, te) when ``zero``, else over (te, inf).  See GridFn.tail_integral."""
     if tail.kind != "power":
         return 0.0 if tail.kind == "zero" else math.inf
-    edge = (float(np.exp(np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)))
-            * te ** (weight + 1.0))
+    power = weight + 1.0
+    head = np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)
+    if power * math.log(te) < _LOG_TOP:
+        edge = float(np.exp(head)) * te ** power
+    else:
+        # te**power is at the top of the double range or past it, and the
+        # tail's value times it need not be: take the product in logs
+        logv = float(head) + power * math.log(te)
+        edge = math.exp(logv) if logv < _LOG_TOP else math.inf
     a = tail.exponent + weight + 1.0
     away = a if zero else -a  # positive when s**a decays away from the edge
     b = tail.log_exponent if tail.exact else 0.0
@@ -182,7 +218,9 @@ def _tail_integral(tail: TailFit, te: float, weight: float, zero: bool) -> float
     if away > tol:
         val = edge / away
         if b:
-            val /= 1.0 - b / (away * float(ell(te)))
+            x = away * float(ell(te))
+            # the first order holds where l(s)**b varies slowly over the tail
+            val = val * _tail_shape(b, x) if b / x >= 0.5 else val / (1.0 - b / x)
         return val
     if abs(a) <= tol and b < -1.0 - tol:
         return edge * float(ell(te)) / (-b - 1.0)

@@ -8,17 +8,16 @@ functions.  Two equivalent criteria are implemented:
 * domain-side: B_gamma(t) <= A(C t) for all t, together with the convergence
   of the defining integral of B_gamma.
 
-Both search the constant over a geometric ladder on [1, constant_cap] and
-screen beyond-grid behaviour through the fitted end profiles.  Endpoint
-shortcuts cover the L-infinity target (A(t) >= C t^(n/gamma)) and the L^1
-domain (full-line convergence of the B-integral).
+Both end in ``young.ladder_verdict``, the decision ``young.dominates`` makes
+too: the end profiles screen beyond-grid behaviour, then the least rung of a
+geometric ladder on [1, constant_cap] that fits on the grid is the constant.
+Endpoint shortcuts cover the L-infinity target (A(t) >= C t^(n/gamma)) and
+the L^1 domain (full-line convergence of the B-integral).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,39 +27,18 @@ from . import transforms as tr
 from .young import (  # noqa: F401
     CONSTANT_CAP,
     CONSTANT_STEPS,
+    DoubleRangeError,
     EndProfile,
     GammaContext,
+    Verdict,
     YoungFn,
     _q_category,
     constant_ladder,
     end_integrable,
     end_sign,
     exponent_signs,
-    grid_leq,
-    least_constant,
-    tail_screen,
+    ladder_verdict,
 )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Boundedness decision with the constant found and an evidence trail."""
-
-    holds: bool
-    constant: float
-    criterion_used: str  # "iii" | "iv" | "endpoint-i" | "endpoint-ii"
-    worst_t: float
-    flags: tuple[str, ...] = ()
-
-
-def _worst_ratio_t(t: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((rhs > 0) & np.isfinite(rhs) & np.isfinite(lhs),
-                         lhs / rhs, -np.inf)
-        ratio = np.where(np.isfinite(lhs) | np.isfinite(rhs), ratio, -np.inf)
-        ratio = np.where(np.isinf(lhs) & np.isfinite(rhs), np.inf, ratio)
-    idx = int(np.argmax(ratio))
-    return float(t[idx])
 
 
 def _lhs_profile(pb: EndProfile, ctx: GammaContext, end: str) -> EndProfile:
@@ -86,18 +64,6 @@ def _rhs_profile(pa: EndProfile, ctx: GammaContext) -> EndProfile:
     return EndProfile("power", pa.q - ctx.q_star, pa.alpha, exact=pa.exact)
 
 
-def _ladder_verdict(criterion: str, t: np.ndarray, lhs: np.ndarray, rhs_at,
-                    ladder: np.ndarray, flags: list[str]) -> Verdict:
-    """Least ladder constant c with lhs <= rhs_at(c) on the grid."""
-    rhs_at = lru_cache(maxsize=1)(rhs_at)  # the last rung tried is read again
-    c = least_constant(lambda c: grid_leq(lhs, rhs_at(c)), ladder)
-    if c is None:
-        return Verdict(False, math.nan, criterion,
-                       _worst_ratio_t(t, lhs, rhs_at(ladder[-1])),
-                       tuple(flags) + ("constant-range-exhausted",))
-    return Verdict(True, c, criterion, _worst_ratio_t(t, lhs, rhs_at(c)), tuple(flags))
-
-
 def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
                   constant_cap: float = CONSTANT_CAP) -> Verdict:
     """Target-side criterion: the prefix integral of B against the target
@@ -112,18 +78,19 @@ def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         return Verdict(False, math.nan, "iii", float(t[0]), ("lhs-divergent",))
 
     q_star = ctx.q_star
-    rejected, flags = tail_screen(
-        lambda end: _rhs_profile(AG.end_profile(end), ctx),
-        lambda end: _lhs_profile(B.end_profile(end), ctx, end))
-    if rejected:
-        return Verdict(False, math.nan, "iii",
-                       float(t[0] if rejected == "zero" else t[-1]), tuple(flags))
+    with np.errstate(over="ignore"):
+        tq = t ** q_star
 
     def rhs_at(c):
+        if tq[0] == 0.0:  # A_gamma(ct) / 0 is inf or NaN, the true quotient neither
+            raise DoubleRangeError(f"A_gamma(ct) / t^q* at q* = {q_star:.4g}: t^q* "
+                                   f"underflows (t = {t[tq == 0.0][-1]:.3g})")
         with np.errstate(over="ignore", invalid="ignore"):
-            return AG._monotone_eval(c * t) / t ** q_star
+            return AG._monotone_eval(c * t) / tq
 
-    return _ladder_verdict("iii", t, L.y, rhs_at, ladder, flags)
+    return ladder_verdict("iii", lambda end: _rhs_profile(AG.end_profile(end), ctx),
+                          lambda end: _lhs_profile(B.end_profile(end), ctx, end),
+                          t, L.y, rhs_at, ladder)
 
 
 def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
@@ -134,15 +101,8 @@ def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         return Verdict(False, math.nan, "iv", B.grid.t_min, ("bconv-failed",))
     BG = tr.b_gamma(B, ctx)
     t = BG.table.t
-    lhs = BG.table.y
-
-    rejected, flags = tail_screen(A.end_profile, BG.end_profile)
-    if rejected:
-        return Verdict(False, math.nan, "iv",
-                       float(t[0] if rejected == "zero" else t[-1]), tuple(flags))
-
-    return _ladder_verdict("iv", t, lhs, lambda c: A._monotone_eval(c * t),
-                           ladder, flags)
+    return ladder_verdict("iv", A.end_profile, BG.end_profile, t, BG.table.y,
+                          lambda c: A._monotone_eval(c * t), ladder)
 
 
 def bounded(A: YoungFn, B: YoungFn, ctx: GammaContext, *,

@@ -132,7 +132,10 @@ def _num(cur: _Cursor) -> float:
     if cur.peek()[0] in ("+", "-"):
         sign = -1.0 if cur.take(cur.peek()[0])[1] == "-" else 1.0
     tok = cur.take("num")
-    return sign * float(tok[1])
+    value = float(tok[1])
+    if not math.isfinite(value):
+        raise SpecParseError(f"number {tok[1]} is out of double range", tok[2])
+    return sign * value
 
 
 @dataclass(frozen=True)

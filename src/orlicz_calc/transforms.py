@@ -29,13 +29,8 @@ import numpy as np
 from . import families as fam
 from .boyd import boyd_indices
 from .grid import GridFn, GridSpec, grid_inverse
-from .young import (GammaContext, YoungFn, end_integrable, end_sign, inverse_on_grid,
-                    per_young)
-
-
-class DoubleRangeError(ValueError):
-    """A transform's value is out of double range where a saturated value
-    would be wrong: an overflowed integral times an underflowed power."""
+from .young import (DoubleRangeError, GammaContext, YoungFn, end_integrable, end_sign,
+                    inverse_on_grid, per_young)
 
 
 class TransformGateError(ValueError):

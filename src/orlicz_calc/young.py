@@ -41,6 +41,10 @@ class IntegralDivergentError(ValueError):
     """Raised when a Luxemburg modular is infinite for every scale in range."""
 
 
+class DoubleRangeError(ValueError):
+    """A value is out of double range where a saturated value would be wrong."""
+
+
 @dataclass(frozen=True)
 class GammaContext:
     """Dimension n and smoothing order gamma with the derived exponents.
@@ -548,8 +552,7 @@ class YoungFn:
         """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
-        v_lo = self._monotone_eval(np.exp(np.full_like(s, _U_LO)))
-        v_hi = self._monotone_eval(np.exp(np.full_like(s, _U_HI)))
+        v_lo, v_hi = self._monotone_eval(np.exp(np.array([_U_LO, _U_HI])))
         dead = ~(v_lo <= s)
         out[dead] = 0.0
         alive_hi = v_hi <= s
@@ -827,6 +830,9 @@ class _Legendre:
         t_nodes = np.concatenate([ext_lo, tab.t, ext_hi])
         y_nodes = np.maximum.accumulate(np.concatenate([y_lo, tab.y, y_hi]))
         finite = np.isfinite(y_nodes)
+        if finite.sum() < 2:  # the running max carries an early overflow on
+            raise DoubleRangeError(f"the conjugate needs A(s) finite at two nodes, "
+                                   f"but it overflows from s = {t_nodes[0]:.3g} on")
         s_i = self.s_i = t_nodes[finite]
         y_i = self.y_i = y_nodes[finite]
 
@@ -986,9 +992,16 @@ def conjugate(A: YoungFn) -> YoungFn:
 
 
 @dataclass(frozen=True)
-class DominationVerdict:
+class Verdict:
+    """Does lower(t) <= upper(c t) hold for all t?  ``constant`` is the least
+    ladder rung c that fits (NaN if none), ``criterion_used`` one of "iii",
+    "iv", "endpoint-i", "endpoint-ii" and "dominates", and ``worst_t`` the grid
+    point of the tightest ratio or the grid end that ruled domination out."""
+
     holds: bool
     constant: float
+    criterion_used: str
+    worst_t: float
     flags: tuple[str, ...] = ()
 
 
@@ -1066,23 +1079,6 @@ def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     return _compare_power_profiles(pa, pb, end)
 
 
-def tail_screen(upper, lower) -> tuple[str | None, list[str]]:
-    """Screen lower(t) <= upper(c t) beyond the grid at both ends.
-
-    ``upper(end)`` and ``lower(end)`` return the end profiles.  Returns the
-    first end whose profiles rule domination out with its reject code as the
-    only flag, else None with a tail-indeterminate flag per undecided end.
-    """
-    flags: list[str] = []
-    for end in ("zero", "infinity"):
-        adm = _tail_admits_domination(upper(end), lower(end), end)
-        if adm is False:
-            return end, [f"tail-exponent-reject-{end}"]
-        if adm is None:
-            flags.append(f"tail-indeterminate-{end}")
-    return None, flags
-
-
 def exponent_signs(p: EndProfile, q_shift: float,
                    a_shift: float = 0.0) -> tuple[int, int]:
     """Signs of p.q + q_shift and p.alpha + a_shift for a power profile, gaps
@@ -1153,30 +1149,56 @@ def grid_leq(lhs: np.ndarray, rhs: np.ndarray, floor: float = 1e-300) -> bool:
     return bool(np.all(ok))
 
 
-def dominates(A: YoungFn, B: YoungFn) -> DominationVerdict:
+def _worst_ratio_t(t: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((rhs > 0) & np.isfinite(rhs) & np.isfinite(lhs),
+                         lhs / rhs, -np.inf)
+        ratio = np.where(np.isfinite(lhs) | np.isfinite(rhs), ratio, -np.inf)
+        ratio = np.where(np.isinf(lhs) & np.isfinite(rhs), np.inf, ratio)
+    idx = int(np.argmax(ratio))
+    return float(t[idx])
+
+
+def ladder_verdict(criterion: str, upper, lower, t: np.ndarray, lhs: np.ndarray,
+                   rhs_at, ladder: np.ndarray) -> Verdict:
+    """lower(t) <= upper(c t), decided by the end profiles ``upper(end)`` and
+    ``lower(end)`` beyond the grid t and by the least rung c of the ladder
+    with ``grid_leq(lhs, rhs_at(c))`` on it.  An end that rules domination
+    out decides at once; an undecided end is flagged tail-indeterminate."""
+    flags: list[str] = []
+    for end in ("zero", "infinity"):
+        adm = _tail_admits_domination(upper(end), lower(end), end)
+        if adm is False:
+            worst = float(t[0] if end == "zero" else t[-1])
+            return Verdict(False, math.nan, criterion, worst, (f"tail-exponent-reject-{end}",))
+        if adm is None:
+            flags.append(f"tail-indeterminate-{end}")
+    rhs_at = lru_cache(maxsize=1)(rhs_at)  # the last rung tried is read again
+    c = least_constant(lambda c: grid_leq(lhs, rhs_at(c)), ladder)
+    if c is None:
+        return Verdict(False, math.nan, criterion,
+                       _worst_ratio_t(t, lhs, rhs_at(ladder[-1])),
+                       tuple(flags) + ("constant-range-exhausted",))
+    return Verdict(True, c, criterion, _worst_ratio_t(t, lhs, rhs_at(c)), tuple(flags))
+
+
+def dominates(A: YoungFn, B: YoungFn) -> Verdict:
     """Least c in the constant ladder with B(t) <= A(c t) on the grid.
 
     Beyond-grid behaviour is screened with the fitted/exact end profiles, so a
     crossing outside [t_min, t_max] (e.g. t**2.99 vs t**3) is still rejected.
     """
-    rejected, flags = tail_screen(A.end_profile, B.end_profile)
-    if rejected:
-        return DominationVerdict(False, math.nan, tuple(flags))
     t = A.grid.abscissae()
-    bt = B._monotone_eval(t)
-    c = least_constant(lambda c: grid_leq(bt, A._monotone_eval(c * t)),
-                       constant_ladder(CONSTANT_CAP))
-    if c is None:
-        return DominationVerdict(False, math.nan,
-                                 tuple(flags) + ("constant-range-exhausted",))
-    return DominationVerdict(True, c, tuple(flags))
+    return ladder_verdict("dominates", A.end_profile, B.end_profile, t,
+                          B._monotone_eval(t), lambda c: A._monotone_eval(c * t),
+                          constant_ladder(CONSTANT_CAP))
 
 
 def equivalent(A: YoungFn, B: YoungFn) -> EquivalenceVerdict:
     d_ab = dominates(A, B)
     d_ba = dominates(B, A)
-    return EquivalenceVerdict(d_ab.holds and d_ba.holds, d_ab.constant,
-                              d_ba.constant, tuple(set(d_ab.flags + d_ba.flags)))
+    return EquivalenceVerdict(d_ab.holds and d_ba.holds, d_ab.constant, d_ba.constant,
+                              tuple(sorted(set(d_ab.flags + d_ba.flags))))
 
 
 # the grid heuristic of essentially_dominates: the dilations tried, and the

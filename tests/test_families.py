@@ -154,3 +154,18 @@ def test_value_is_the_two_piece_value_bit_for_bit(family_battery):
             with np.errstate(all="ignore"):
                 got = f.value(x)
             assert isinstance(got, float) and got == _two_piece_value(f, x)[0], name
+
+
+@pytest.mark.parametrize("factors,want", [
+    # coefficients whose products leave double range cancel as in exact
+    # arithmetic: t**1e308 t**-1e308 t**2 is t**2
+    ((PowerFactor(1e308), PowerFactor(-1e308), PowerFactor(2.0)), lambda t: t * t),
+    # a log value past double range saturates: l(t)**1e308 t**1e308 is 0
+    # below 1, where t**1e308 wins, and +inf above
+    ((LogFactor(1e308), PowerFactor(1e308)),
+     lambda t: np.where(t < 1.0, 0.0, np.where(t > 1.0, np.inf, 1.0))),
+])
+def test_huge_coefficients_saturate_without_warnings(factors, want):
+    t = np.array([1e-150, 1e-5, 0.5, 1.0, 2.0, 1e5, 1e150])
+    got = piece(*factors).value(t)  # the suite turns warnings into errors
+    assert np.allclose(got, want(t), rtol=1e-12, atol=0.0)

@@ -170,6 +170,24 @@ class TestTailIntegral:
         assert g.tail_integral(weight, end) == pytest.approx(
             want, rel=2.0 / (abs(a) * l_e) ** 2)
 
+    @pytest.mark.parametrize("end", ["zero", "infinity"])
+    @pytest.mark.parametrize("a,b", [(0.999, 42.44), (0.05, 1.0), (0.3, 100.0),
+                                     (2.0, 40.0)])
+    def test_exact_log_where_it_is_not_slowly_varying(self, end, a, b):
+        # b >= |a| l / 2: the first-order correction 1/(1 - b/(|a| l)) is far
+        # off or negative; the exact integral is
+        # c e**(|a|) |a|**(-b-1) Gamma(b+1, |a| l(edge))
+        mpmath = pytest.importorskip("mpmath")
+        t = DEFAULT_GRID.abscissae()
+        p = 1.0
+        tail = TailFit("power", p, math.log(self.C), b, exact=True)
+        g = GridFn(t, self.C * t ** p * ell(t) ** b, tail_zero=tail, tail_infinity=tail)
+        weight, te = (a - p - 1.0, t[0]) if end == "zero" else (-a - p - 1.0, t[-1])
+        with mpmath.workdps(30):
+            want = float(self.C * mpmath.e ** a * mpmath.mpf(a) ** (-b - 1)
+                         * mpmath.gammainc(b + 1, a * float(ell(te))))
+        assert g.tail_integral(weight, end) == pytest.approx(want, rel=1e-10)
+
     def test_plateau_tails(self):
         t = DEFAULT_GRID.abscissae()
         g = GridFn(t, np.where(t < 1.0, 0.0, np.inf))

@@ -1,5 +1,7 @@
 """DSL parsing, rendering, and the command-line frontend."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orlicz_calc import cli, specdsl as dsl
 
@@ -204,3 +207,87 @@ class TestCli:
         code, _, err = run_cli(capsys, "probe", "--fixtures", str(fixtures))
         assert code == 2
         assert len(err.splitlines()) == 1, err
+
+
+# -- the exit-code contract over the grammar ---------------------------------
+
+# finite numbers at the edges of the double range, and ordinary ones
+_NUMS = st.one_of(
+    st.sampled_from((0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 1e300, -1e300,
+                     1e308, -1e308)),
+    st.floats(-10.0, 10.0), st.floats(1.0, 60.0))
+
+
+def _factor(draw) -> str:
+    x = repr(draw(_NUMS))
+    kind = draw(st.sampled_from(("t", "l(t)", "ll(t)", "exp")))
+    if kind == "exp":
+        return f"exp({'' if x.startswith('-') else '+'}{x} sqrtlog)"
+    return f"{kind}^{x}"
+
+
+def _piece(draw) -> str:
+    return " ".join(_factor(draw) for _ in range(draw(st.integers(1, 4))))
+
+
+@st.composite
+def _spec(draw) -> str:
+    name, arity = draw(st.sampled_from(
+        (("Lp", 1), ("Zygmund", 4), ("ExpType", 2), ("Linf", 0), ("L1", 0), ("Pow", 0))))
+    text = name
+    if arity:
+        text += "(" + ",".join(repr(draw(_NUMS)) for _ in range(arity)) + ")"
+    for end in ("@0", "@inf"):
+        if name == "Pow" or draw(st.booleans()):
+            text += f" {end} {_piece(draw)}"
+    return text
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(("target", "domain", "bounded", "boyd", "conjugate")))
+    specs = [draw(_spec()) for _ in range(2 if command == "bounded" else 1)]
+    n = draw(st.integers(1, 4))
+    # gamma near 0, near n, or in between
+    frac = draw(st.one_of(st.sampled_from((1e-9, 1e-3, 1 - 1e-3, 1 - 1e-9)),
+                          st.floats(0.01, 0.99)))
+    argv = [command, *specs, "--n", str(n), "--gamma", repr(n * frac)]
+    if draw(st.booleans()):
+        # a grid inside grid.SPAN_LIMIT with at most 4,000 points, far below
+        # grid.POINT_LIMIT
+        lo, hi = draw(st.integers(0, 160)), draw(st.integers(1, 160))
+        ppd = draw(st.integers(2, max(2, min(48, 4000 // (lo + hi)))))
+        argv += ["--tmin", f"1e-{lo}", "--tmax", f"1e{hi}",
+                 "--grid-points-per-decade", str(ppd)]
+    return argv
+
+
+@settings(deadline=None)  # the suite turns warnings into errors
+@given(argv=_argv())
+# each of these once ended in a traceback, a warning or a second stderr line
+@example(argv=["target", "Lp(1e400)"])
+@example(argv=["conjugate", "Zygmund(2,600,2,0)"])
+@example(argv=["conjugate", "Pow @0 t^1e300 exp(+1 sqrtlog) @inf t^2"])
+@example(argv=["bounded", "L1", "L1", "--n", "2", "--gamma", "1.999999998"])
+@example(argv=["target", "Zygmund(2,-1e308,2,0)"])
+@example(argv=["boyd", "Pow @0 t^2 exp(-1e308 sqrtlog) @inf t^2"])
+@example(argv=["bounded", "L1", "ExpType(-1,1)", "--n", "2", "--gamma", "1.999999998"])
+# found by this property: log values past double range, and a tail integral
+# whose first-order log correction turned negative
+@example(argv=["boyd", "Linf @0 l(t)^1e308 t^1e308"])
+@example(argv=["domain", "Pow @0 t^2 ll(t)^-1e308 ll(t)^-1e308 @inf t^2"])
+@example(argv=["target", "Pow @0 t^1e308 t^-1e308 t^2 @inf t^2"])
+@example(argv=["bounded", "L1", "Zygmund(2,42.44,19,1.37)", "--n", "1", "--gamma", "0.001",
+               "--tmin", "1e-7", "--tmax", "1e9", "--grid-points-per-decade", "36"])
+def test_every_command_keeps_the_exit_code_contract(argv):
+    """Exit 0, 2 or 3, at most one stderr line, and JSON on stdout when any."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())

@@ -2,6 +2,10 @@
 domination, Luxemburg norms, rearrangement."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,43 @@ class TestDomination:
     def test_log_gap_is_not_equivalent(self):
         assert not young.equivalent(make(fam.lp(2)),
                                     make(fam.zygmund(2, 1, 2, 1))).holds
+
+    def test_verdict_names_the_decision_and_its_worst_point(self):
+        A = make(fam.lp(3))
+        t = A.grid.abscissae()
+        v = young.dominates(A, make(fam.zygmund(3, 0, 3, 0.01)))
+        assert v.criterion_used == "dominates" and v.holds
+        assert v.worst_t in t
+        # t**2 near zero is above t**3 there: rejected at the zero end
+        v = young.dominates(A, make(fam.AsymptoticFamily(
+            fam.piece(fam.PowerFactor(2)), fam.piece(fam.PowerFactor(3)))))
+        assert not v.holds and math.isnan(v.constant)
+        assert v.flags == ("tail-exponent-reject-zero",) and v.worst_t == t[0]
+
+    def test_ladder_verdict_reports_an_exhausted_ladder(self):
+        A, B = make(fam.lp(2)), make(fam.lp(2))
+        t = A.grid.abscissae()
+        v = young.ladder_verdict("dominates", A.end_profile, B.end_profile, t,
+                                 4.0 * B._monotone_eval(t),
+                                 lambda c: A._monotone_eval(c * t),
+                                 np.array([1.0, 1.5]))
+        # equal profiles tie at both ends, so the grid decides
+        assert not v.holds and math.isnan(v.constant)
+        assert v.flags == ("tail-indeterminate-zero", "tail-indeterminate-infinity",
+                           "constant-range-exhausted")
+
+    def test_equivalent_flags_do_not_follow_string_hashing(self):
+        code = ("from orlicz_calc import families as fam, young\n"
+                "print(young.equivalent(young.from_family(fam.zygmund(2, .01, 3, .01)),"
+                " young.from_family(fam.zygmund(2, 0, 3, 0))).flags)")
+        src = Path(young.__file__).resolve().parents[1]
+        outs = {subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=str(src),
+                                        PYTHONHASHSEED=seed)).stdout
+                for seed in ("1", "2")}
+        assert len(outs) == 1, outs
+        assert "tail-indeterminate-zero" in outs.pop()
 
 
 class TestTailScreen:

@@ -11,7 +11,9 @@ by its table, its plateau ends, and its monotone view and inverse at 97
 points.  An op that raises is hashed by its error message.  With
 ``--against FILE`` the ops whose digest differs from FILE's are printed, and
 the exit code is 1 if any did (2 if the files hold different op names or
-seeds).  Nothing under ``perfbench/`` is written.
+seeds).  Stderr also gets the number of ``YoungFn._monotone_eval`` calls the
+ops of the round made and the points they passed (the hashing's own reads
+are not counted).  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -93,19 +95,36 @@ def digest(x) -> str:
     return h.hexdigest()
 
 
-def op_digests(seed: int) -> dict[str, str]:
-    """op name -> the digest of its result, one round of each workload."""
+def op_digests(seed: int, evals: dict | None = None) -> dict[str, str]:
+    """op name -> the digest of its result, one round of each workload.
+
+    ``evals``, when given, gets the "calls" and "points" of
+    ``YoungFn._monotone_eval`` made inside the ops.
+    """
+    tally = {"calls": 0, "points": 0}
+    view = YoungFn._monotone_eval
+
+    def counted(self, t):
+        tally["calls"] += 1
+        tally["points"] += np.size(t)
+        return view(self, t)
+
     out = {}
     for name in WORKLOADS:
         plan = workloads.WORKLOADS[name](workloads.Env(seed))
         order = list(plan.ops)
         random.Random(seed).shuffle(order)
         for op in order:
+            YoungFn._monotone_eval = counted
             try:
                 res = op.call()
             except Exception as exc:  # a raised error is a result too
                 res = workloads.OpError(exc)
+            finally:
+                YoungFn._monotone_eval = view
             out[op.name] = res
+    if evals is not None:
+        evals.update(tally)
     return {k: digest(v) for k, v in sorted(out.items())}
 
 
@@ -115,7 +134,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="write the digests to this JSON file")
     p.add_argument("--against", help="compare with the digests in this JSON file")
     args = p.parse_args(argv)
-    doc = {"seed": args.seed, "digests": op_digests(args.seed)}
+    evals: dict = {}
+    doc = {"seed": args.seed, "digests": op_digests(args.seed, evals)}
+    print(f"_monotone_eval: {evals['calls']} calls on {evals['points']} points "
+          "in the ops of the round", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     if not args.against:
