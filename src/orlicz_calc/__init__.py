@@ -44,8 +44,6 @@ from .reduction import (
     bounded,
     criterion_iii,
     criterion_iv,
-    endpoint_l1_domain,
-    endpoint_linf_target,
 )
 from .specdsl import SpaceSpec, SpecParseError, parse_spec, render
 from .transforms import (
@@ -57,10 +55,7 @@ from .transforms import (
     check_bconv,
     f_transform,
     g_transform,
-    gsup_transform,
-    intout_inverse,
     lower_fractional_integral,
-    supout_inverse,
 )
 from .young import (
     GammaContext,
@@ -69,13 +64,10 @@ from .young import (
     conjugate,
     dominates,
     equivalent,
-    essentially_dominates,
     from_callable,
     from_family,
-    from_table,
     luxemburg_norm,
     rearrangement,
-    validate,
 )
 
 __version__ = "0.1.0"

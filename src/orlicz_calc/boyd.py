@@ -44,10 +44,6 @@ class BoydEstimate:
     def i_conservative(self) -> float:
         return self.i_lower - self.ci_halfwidth
 
-    @property
-    def I_conservative(self) -> float:
-        return self.I_upper + self.ci_halfwidth
-
     def indeterminate_against(self, gate: float) -> bool:
         """Does the estimate straddle a strict-inequality gate at ``gate``?"""
         if self.method == "symbolic-exact":

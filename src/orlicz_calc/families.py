@@ -8,9 +8,9 @@ exponential-type spaces).  Every factor evaluates to 1 at t = 1, so pieces
 join continuously except for explicit constant pieces.
 
 All evaluation happens in log space, which keeps t**15 at t = 1e10 or
-exp(t**1.5) finite or cleanly saturated at +inf.  The exact end comparisons
-(`limit_sign`, `integrable`, `compare_growth`) read the factor exponents
-instead, order by order through one tie-band rule, `lex_sign`.
+exp(t**1.5) finite or cleanly saturated at +inf.  The exact end tests
+(`limit_sign`, `integrable`) read the factor exponents instead, order by
+order through one tie-band rule, `lex_sign`.
 """
 
 from __future__ import annotations
@@ -442,37 +442,3 @@ def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
     return lex_sign((flip * (pc.effective_power(end) + weight + 1.0),
                      -1.0 - pc.log_exponent(end), -1.0 - pc.loglog_exponent()),
                     (1e-9,) * 3) > 0
-
-
-def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
-    """Is a(t)/b(lambda t) unbounded toward the end, for every lambda >= 1?
-
-    Returns +1 (unbounded), -1 (tends to zero for large lambda), 0 (comparable).
-    Exact for the factor algebra: a constant piece 0 lies below and inf above
-    every other piece; exp(t**beta) scales beat everything else and are
-    compared by beta (coefficients lose to the lambda-inflation), then powers,
-    then exp(|log|**kappa) corrections, then l, then l(l).
-    """
-    ca, cb = a.is_const(), b.is_const()
-    if ca is not None or cb is not None:
-        # rank 0 < positive finite < inf; two equal constants are comparable
-        ra, rb = (0 if c is None else 1 if math.isinf(c) else -1 for c in (ca, cb))
-        return (ra > rb) - (ra < rb)
-    ea, eb = a.effective_power(end), b.effective_power(end)
-    if math.isinf(ea) and math.isinf(eb):
-        # both superpolynomial (or superflat): at both ends the larger beta
-        # is the larger function (near zero the more negative, the flatter)
-        (ca, beta_a), (cb, beta_b) = a.exppower(end), b.exppower(end)
-        if beta_a != beta_b:
-            return 1 if beta_a > beta_b else -1
-        return -1 if (ca or cb) else 0
-    # sub-polynomial corrections survive any lambda; of two exp-log factors
-    # the one with the larger |log|-power dominates and its sign decides.
-    # Only once they tie do the l(t) exponents compare, as plain sums:
-    # log_exponent is infinite for both pieces when they share an exp-log factor
-    (xa, ka), (xb, kb) = a.explog(), b.explog()
-    dx = xa - xb if ka == kb else (xa if ka > kb else -xb)
-    flip = 1.0 if end == "infinity" else -1.0
-    return lex_sign((flip * (ea - eb), dx, a.l_exponent() - b.l_exponent(),
-                     a.loglog_exponent() - b.loglog_exponent()),
-                    (1e-12, 0.0, 1e-12, 1e-12))

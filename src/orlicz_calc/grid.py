@@ -204,12 +204,13 @@ def _tail_integral(tail: TailFit, te: float, weight: float, zero: bool) -> float
         return 0.0 if tail.kind == "zero" else math.inf
     power = weight + 1.0
     head = np.minimum(tail.log_value(np.log(te)), _EXP_CLIP)
-    if power * math.log(te) < _LOG_TOP:
+    logp = power * math.log(te)
+    logv = float(head) + logp
+    if logp < _LOG_TOP and logv < _LOG_TOP:
         edge = float(np.exp(head)) * te ** power
     else:
-        # te**power is at the top of the double range or past it, and the
-        # tail's value times it need not be: take the product in logs
-        logv = float(head) + power * math.log(te)
+        # te**power or the product is at the top of the double range or past
+        # it, and the other need not be: take the product in logs
         edge = math.exp(logv) if logv < _LOG_TOP else math.inf
     a = tail.exponent + weight + 1.0
     away = a if zero else -a  # positive when s**a decays away from the edge
@@ -393,11 +394,13 @@ class GridFn:
 
 
 def _prefix_sums(head: float, cells: np.ndarray) -> np.ndarray:
-    """head, then head plus the running sums of ``cells``."""
+    """head, then head plus the running sums of ``cells``; a sum past the
+    double range saturates to inf."""
     out = np.empty(len(cells) + 1)
     out[0] = head
-    np.cumsum(cells, out=out[1:])
-    out[1:] += head
+    with np.errstate(over="ignore"):
+        np.cumsum(cells, out=out[1:])
+        out[1:] += head
     return out
 
 

@@ -11,8 +11,6 @@ functions.  Two equivalent criteria are implemented:
 Both end in ``young.ladder_verdict``, the decision ``young.dominates`` makes
 too: the end profiles screen beyond-grid behaviour, then the least rung of a
 geometric ladder on [1, constant_cap] that fits on the grid is the constant.
-Endpoint shortcuts cover the L-infinity target (A(t) >= C t^(n/gamma)) and
-the L^1 domain (full-line convergence of the B-integral).
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .young import (  # noqa: F401
     YoungFn,
     _q_category,
     constant_ladder,
-    end_integrable,
-    end_sign,
     exponent_signs,
     ladder_verdict,
 )
@@ -108,8 +104,22 @@ def criterion_iv(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
 def bounded(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
             constant_cap: float = CONSTANT_CAP) -> Verdict:
     """Both criteria, which must agree; on disagreement the conservative
-    (negative) verdict is returned with a diagnostic flag."""
-    v3 = criterion_iii(A, B, ctx, constant_cap=constant_cap)
+    (negative) verdict is returned with a diagnostic flag.
+
+    A false criterion iv decides alone: the verdict is false whatever iii
+    says, so a range error in iii then only adds the flag
+    ``iii-out-of-range``.  Otherwise iii's range error is raised."""
+    try:
+        v3 = criterion_iii(A, B, ctx, constant_cap=constant_cap)
+    except DoubleRangeError:
+        try:
+            v4 = criterion_iv(A, B, ctx, constant_cap=constant_cap)
+        except DoubleRangeError:
+            v4 = None
+        if v4 is None or v4.holds:
+            raise
+        return Verdict(False, v4.constant, v4.criterion_used, v4.worst_t,
+                       tuple(sorted(v4.flags + ("iii-out-of-range",))))
     v4 = criterion_iv(A, B, ctx, constant_cap=constant_cap)
     if v3.holds != v4.holds:
         neg = v4 if v3.holds else v3
@@ -118,49 +128,3 @@ def bounded(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
     use = v3 if v3.holds or not v4.holds else v4
     flags = tuple(sorted(set(v3.flags) | set(v4.flags)))
     return Verdict(v3.holds, use.constant, use.criterion_used, use.worst_t, flags)
-
-
-def endpoint_linf_target(A: YoungFn, ctx: GammaContext) -> Verdict:
-    """Boundedness into L-infinity: A(t) >= C t^(n/gamma) on (0, inf)."""
-    r = ctx.r_star
-    if A.zero_plateau_end > 0.0:
-        return Verdict(False, math.nan, "endpoint-i", A.zero_plateau_end,
-                       ("zero-plateau",))
-    ok = end_sign(A, -r, "zero") >= 0 and end_sign(A, -r, "infinity") >= 0
-    flags = [] if A.closed_form is not None else ["heuristic"]
-    t = A.table.t
-    vals = np.atleast_1d(np.asarray(A._monotone_eval(t), dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = vals / t ** r
-    finite = ratio[np.isfinite(ratio)]
-    inf_val = float(np.min(finite)) if len(finite) else math.inf
-    if np.any(vals == 0.0):
-        ok = False
-        inf_val = 0.0
-    worst = float(t[int(np.argmin(np.where(np.isfinite(ratio), ratio, np.inf)))])
-    return Verdict(bool(ok), inf_val if ok else math.nan, "endpoint-i", worst,
-                   tuple(flags))
-
-
-def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> Verdict:
-    """Boundedness from L^1: the full-line integral of B(s)/s^(q*+1) converges."""
-    q_star = ctx.q_star
-    if not tr.check_bconv(B, ctx):
-        return Verdict(False, math.nan, "endpoint-ii", B.grid.t_min,
-                       ("diverges-at-zero",))
-    if math.isfinite(B.finite_sup):
-        return Verdict(False, math.nan, "endpoint-ii", B.finite_sup,
-                       ("diverges-at-infinity",))
-    ok = end_integrable(B, -q_star - 1.0, "infinity")
-    flags = [] if B.closed_form is not None else ["heuristic"]
-    if not ok:
-        return Verdict(False, math.nan, "endpoint-ii", B.grid.t_max, tuple(flags))
-    g = tr.widened_sample(B)
-    partial = float(g.prefix_integral(-q_star - 1.0)[-1])
-    total = float(partial + g.tail_integral(-q_star - 1.0, "infinity"))
-    if not math.isfinite(total):
-        # analytic upper-tail term disagrees with the profile decision: report
-        # the convergent verdict with the partial integral and a flag
-        flags.append("tail-term-indeterminate")
-        total = partial
-    return Verdict(True, total, "endpoint-ii", B.grid.t_max, tuple(flags))

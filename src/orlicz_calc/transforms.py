@@ -15,8 +15,6 @@ Given the context exponents q* = n/(n-gamma), r* = n/gamma, s* = gamma/n:
 Every transform is a single monotone pass over the shared log grid (running
 suprema and prefix quadratures), with the sub-grid singularity handled by the
 fitted (or closed-form) power of the lowest decade plus its analytic integral.
-Both the integral forms and the simplified inverse relations (valid under the
-Boyd-index gates) are exposed so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import families as fam
-from .boyd import boyd_indices
 from .grid import GridFn, GridSpec, grid_inverse
 from .young import (DoubleRangeError, GammaContext, YoungFn, end_integrable, end_sign,
                     inverse_on_grid, per_young)
@@ -248,19 +245,6 @@ def a_gamma(A: YoungFn, ctx: GammaContext) -> YoungFn:
                            hint=target_profile_family(A, ctx))
 
 
-def supout_inverse(A: YoungFn, ctx: GammaContext) -> GridFn:
-    """Simplified target inverse A^{-1}(t) t^(-gamma/n), valid when the upper
-    Boyd index of A sits below n/gamma."""
-    est = boyd_indices(A)
-    if not (est.I_conservative < ctx.r_star):
-        raise TransformGateError("index-gate-failed",
-                                 f"upper Boyd index {est.I_upper:.4g} is not below "
-                                 f"n/gamma = {ctx.r_star:.4g}")
-    t, inv = _inverse_on_abscissae(A)
-    vals = inv * t ** (-ctx.s_star)
-    return GridFn(t, np.maximum.accumulate(vals))
-
-
 # ---------------------------------------------------------------------------
 # domain side
 
@@ -328,35 +312,17 @@ def b_gamma(B: YoungFn, ctx: GammaContext) -> YoungFn:
                            hint=domain_profile_family(B, ctx))
 
 
-def intout_inverse(B: YoungFn, ctx: GammaContext) -> GridFn:
-    """Simplified domain inverse t^(gamma/n) B^{-1}(t), valid when the lower
-    Boyd index of B exceeds n/(n-gamma)."""
-    est = boyd_indices(B)
-    if not (est.i_conservative > ctx.q_star):
-        raise TransformGateError("index-gate-failed",
-                                 f"lower Boyd index {est.i_lower:.4g} is not above "
-                                 f"n/(n-gamma) = {ctx.q_star:.4g}")
-    t, inv = _inverse_on_abscissae(B)
-    vals = t ** ctx.s_star * inv
-    return GridFn(t, np.maximum.accumulate(vals))
-
-
 # ---------------------------------------------------------------------------
 # domain improvement
-
-
-def gsup_transform(A: YoungFn, ctx: GammaContext) -> GridFn:
-    """G_sup(t) = t^(gamma/n) sup_{s<=t} A^{-1}(s) s^(-gamma/n); increasing."""
-    G = g_transform(A, ctx)
-    vals = G.y * G.t ** ctx.s_star
-    return GridFn(G.t, np.maximum.accumulate(vals))
 
 
 @per_young
 def a_sup(A: YoungFn, ctx: GammaContext) -> YoungFn:
     """The improved (largest equivalent-target) domain: integral form over
-    G_sup^{-1}; dominated by A and with the same target profile as A."""
-    Gs = gsup_transform(A, ctx)
+    the inverse of G_sup(t) = t^(gamma/n) sup_{s<=t} A^{-1}(s) s^(-gamma/n);
+    dominated by A and with the same target profile as A."""
+    G = g_transform(A, ctx)
+    Gs = GridFn(G.t, np.maximum.accumulate(G.y * G.t ** ctx.s_star))
     gs_inv = grid_inverse(Gs, Gs.t)
     return _integral_young(gs_inv, f"a_sup({A.label})", A.grid,
                            hint=improved_profile_family(A, ctx))

@@ -749,10 +749,6 @@ def from_family(family: fam.AsymptoticFamily, grid: GridSpec = DEFAULT_GRID,
     return _with_plateau_breakpoints(symbolic=family, grid=grid, label=label)
 
 
-def from_table(table: GridFn, grid: GridSpec = DEFAULT_GRID, label: str = "") -> YoungFn:
-    return YoungFn(table=table, grid=grid, label=label)
-
-
 def from_callable(fn, grid: GridSpec = DEFAULT_GRID, label: str = "",
                   breakpoints: tuple[float, ...] = (), normalize: bool = True) -> YoungFn:
     return _with_plateau_breakpoints(breakpoints, raw=fn, grid=grid, label=label,
@@ -988,15 +984,15 @@ def conjugate(A: YoungFn) -> YoungFn:
 
 
 # ---------------------------------------------------------------------------
-# domination / equivalence / essential domination
+# domination / equivalence
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Does lower(t) <= upper(c t) hold for all t?  ``constant`` is the least
     ladder rung c that fits (NaN if none), ``criterion_used`` one of "iii",
-    "iv", "endpoint-i", "endpoint-ii" and "dominates", and ``worst_t`` the grid
-    point of the tightest ratio or the grid end that ruled domination out."""
+    "iv" and "dominates", and ``worst_t`` the grid point of the tightest
+    ratio or the grid end that ruled domination out."""
 
     holds: bool
     constant: float
@@ -1011,13 +1007,6 @@ class EquivalenceVerdict:
     constant_ab: float
     constant_ba: float
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class EssentialVerdict:
-    holds: bool
-    flags: tuple[str, ...] = ()
-    sup_values: tuple[float, ...] = ()
 
 
 _Q_TOL = 1e-3
@@ -1201,53 +1190,6 @@ def equivalent(A: YoungFn, B: YoungFn) -> EquivalenceVerdict:
                               tuple(sorted(set(d_ab.flags + d_ba.flags))))
 
 
-# the grid heuristic of essentially_dominates: the dilations tried, and the
-# sup of A(t)/B(lambda t) each must clear
-_ESSENTIAL_LAMBDAS = (1, 2, 4, 8, 16, 32)
-_ESSENTIAL_SUP = 1e6
-
-
-def essentially_dominates(A: YoungFn, B: YoungFn) -> EssentialVerdict:
-    """Is sup_t A(t)/B(lambda t) infinite for every lambda >= 1?
-
-    Exact decision from the factor algebra when both profiles are symbolic;
-    otherwise a flagged grid heuristic: every lambda must reach a sup above
-    the threshold with the running sup still growing at a grid edge.
-    """
-    closed_a, closed_b = A.closed_form, B.closed_form
-    if closed_a is not None and closed_b is not None:
-        hit = any(
-            fam.compare_growth(closed_a.piece(end), closed_b.piece(end), end) > 0
-            for end in ("zero", "infinity"))
-        return EssentialVerdict(hit, ("symbolic-exact",))
-
-    t = A.grid.abscissae()
-    at = np.atleast_1d(np.asarray(A.eval(t), dtype=float))
-    sups = []
-    ok = True
-    for lam in _ESSENTIAL_LAMBDAS:
-        blam = np.atleast_1d(np.asarray(B.eval(lam * t), dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where((blam > 0) & np.isfinite(blam), at / blam, np.nan)
-            ratio = np.where((at == 0) & (blam == 0), 1.0, ratio)
-            ratio = np.where(np.isinf(at) & np.isfinite(blam) & (blam > 0),
-                             np.inf, ratio)
-        finite = ratio[~np.isnan(ratio)]
-        if len(finite) == 0:
-            ok = False
-            sups.append(math.nan)
-            continue
-        run = np.maximum.accumulate(finite)
-        sup = float(run[-1])
-        sups.append(sup)
-        growing_edge = (run[-1] > run[max(0, len(run) - 25)]) or math.isinf(sup)
-        rev = np.maximum.accumulate(finite[::-1])
-        growing_zero_edge = rev[-1] > rev[max(0, len(rev) - 25)]
-        if not (sup > _ESSENTIAL_SUP and (growing_edge or growing_zero_edge)):
-            ok = False
-    return EssentialVerdict(ok, ("heuristic",), tuple(sups))
-
-
 # ---------------------------------------------------------------------------
 # Luxemburg norm and rearrangement
 
@@ -1398,59 +1340,3 @@ def rearrangement(cells) -> StepFn:
     acc = np.cumsum(vm[:, 1])  # sequential, as a running sum
     last = np.append(values[1:] != values[:-1], True)  # the end of each run
     return StepFn(acc[last], values[last])
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-# relative slack of validate's convexity and k A(t) <= A(k t) checks
-_RTOL_CONVEX = 1e-9
-_RTOL_KT = 1e-6
-
-
-def validate(A: YoungFn) -> list[str]:
-    """Check the representation invariants; returns a list of violations."""
-    issues: list[str] = []
-    t, y = A.table.t, A.table.y
-    if not A.table.nondecreasing(rtol=1e-12):
-        issues.append("values not nondecreasing")
-    fin = np.isfinite(y)
-    tf, yf = t[fin], y[fin]
-    if len(tf) >= 3:
-        lam = (tf[1:-1] - tf[:-2]) / (tf[2:] - tf[:-2])
-        interp = yf[:-2] * (1 - lam) + yf[2:] * lam
-        bad = yf[1:-1] > interp + _RTOL_CONVEX * np.maximum(interp, 1e-300)
-        # stencils inside a breakpoint eps-cluster are float-cancellation noise
-        bad &= (tf[2:] - tf[:-2]) > 1e-9 * tf[:-2]
-        if bad.any():
-            issues.append(f"convexity violated at {int(bad.sum())} stencils")
-    for k in (1.0, 2.0, 10.0):
-        # test against the normalized table: that is the convex object the
-        # library computes with (raw profiles are only equivalent to it)
-        lhs = k * np.atleast_1d(np.asarray(A.table(tf), dtype=float))
-        rhs = np.atleast_1d(np.asarray(A.table(k * tf), dtype=float))
-        with np.errstate(invalid="ignore"):
-            bad = lhs > rhs * (1 + _RTOL_KT) + 1e-300
-        bad &= ~(np.isinf(rhs))
-        if bad.any():
-            issues.append(f"k*A(t) <= A(k t) violated for k={k}")
-    if A.symbolic is not None and not _views_agree(A):
-        issues.append("symbolic and tabulated views are not equivalent")
-    return issues
-
-
-def _views_agree(A: YoungFn) -> bool:
-    """Cross-domination of the raw profile and the normalized table on the
-    grid, restricted to float-representable values (no tail extrapolation)."""
-    t = A.table.t
-    sym = lambda x: np.atleast_1d(np.asarray(A.symbolic.value(x), dtype=float))
-    tab = lambda x: np.atleast_1d(np.asarray(A.table(x), dtype=float))
-    ladder = constant_ladder(CONSTANT_CAP)
-
-    def dominated(upper, lower) -> bool:
-        lower_v = lower(t)
-        return least_constant(
-            lambda c: grid_leq(lower_v, upper(c * t), floor=1e-280), ladder) is not None
-
-    return dominated(tab, sym) and dominated(sym, tab)

@@ -1,0 +1,173 @@
+"""The paper's shortcut formulas, as oracles the library is checked against.
+
+None of these is on the library's own path.  Each one is a simpler statement
+of a result that the library reaches another way, valid under a gate:
+
+* ``supout_inverse`` / ``intout_inverse``: the target and domain inverses
+  without the running supremum and the prefix integral, valid under the Boyd
+  index gates; compared with ``a_gamma`` and ``b_gamma``;
+* ``endpoint_linf_target`` / ``endpoint_l1_domain``: the endpoint theorems,
+  compared with ``bounded(A, Linf)`` and ``bounded(L1, B)``;
+* ``compare_growth``: the exact growth order of two closed-form pieces,
+  which decides essential domination; compared with ``dominates``;
+* ``validate``: the representation invariants of a ``YoungFn``.
+"""
+
+import math
+
+import numpy as np
+
+from orlicz_calc import transforms as tr
+from orlicz_calc.boyd import boyd_indices
+from orlicz_calc.families import AsymPiece, lex_sign
+from orlicz_calc.grid import GridFn
+from orlicz_calc.transforms import TransformGateError
+from orlicz_calc.young import (CONSTANT_CAP, GammaContext, YoungFn, constant_ladder,
+                               end_integrable, end_sign, grid_leq, least_constant)
+
+
+# ---------------------------------------------------------------------------
+# simplified inverses under the Boyd gates
+
+
+def supout_inverse(A: YoungFn, ctx: GammaContext) -> GridFn:
+    """Simplified target inverse A^{-1}(t) t^(-gamma/n), valid when the upper
+    Boyd index of A sits below n/gamma."""
+    est = boyd_indices(A)
+    if not (est.I_upper + est.ci_halfwidth < ctx.r_star):
+        raise TransformGateError("index-gate-failed",
+                                 f"upper Boyd index {est.I_upper:.4g} is not below "
+                                 f"n/gamma = {ctx.r_star:.4g}")
+    t, inv = tr._inverse_on_abscissae(A)
+    vals = inv * t ** (-ctx.s_star)
+    return GridFn(t, np.maximum.accumulate(vals))
+
+
+def intout_inverse(B: YoungFn, ctx: GammaContext) -> GridFn:
+    """Simplified domain inverse t^(gamma/n) B^{-1}(t), valid when the lower
+    Boyd index of B exceeds n/(n-gamma)."""
+    est = boyd_indices(B)
+    if not (est.i_conservative > ctx.q_star):
+        raise TransformGateError("index-gate-failed",
+                                 f"lower Boyd index {est.i_lower:.4g} is not above "
+                                 f"n/(n-gamma) = {ctx.q_star:.4g}")
+    t, inv = tr._inverse_on_abscissae(B)
+    vals = t ** ctx.s_star * inv
+    return GridFn(t, np.maximum.accumulate(vals))
+
+
+# ---------------------------------------------------------------------------
+# endpoint theorems
+
+
+def endpoint_linf_target(A: YoungFn, ctx: GammaContext) -> bool:
+    """Is M_gamma bounded from L^A into L-infinity: A(t) >= C t^(n/gamma)
+    on (0, inf)?"""
+    r = ctx.r_star
+    if A.zero_plateau_end > 0.0:
+        return False
+    vals = np.atleast_1d(np.asarray(A._monotone_eval(A.table.t), dtype=float))
+    return bool(end_sign(A, -r, "zero") >= 0 and end_sign(A, -r, "infinity") >= 0
+                and not np.any(vals == 0.0))
+
+
+def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> bool:
+    """Is M_gamma bounded from L^1 into L^B: does the full-line integral of
+    B(s)/s^(q*+1) converge?"""
+    if not tr.check_bconv(B, ctx) or math.isfinite(B.finite_sup):
+        return False
+    return end_integrable(B, -ctx.q_star - 1.0, "infinity")
+
+
+# ---------------------------------------------------------------------------
+# exact growth comparison of closed-form pieces
+
+
+def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
+    """Is a(t)/b(lambda t) unbounded toward the end, for every lambda >= 1?
+
+    Returns +1 (unbounded), -1 (tends to zero for large lambda), 0 (comparable).
+    Exact for the factor algebra: a constant piece 0 lies below and inf above
+    every other piece; exp(t**beta) scales beat everything else and are
+    compared by beta (coefficients lose to the lambda-inflation), then powers,
+    then exp(|log|**kappa) corrections, then l, then l(l).
+    """
+    ca, cb = a.is_const(), b.is_const()
+    if ca is not None or cb is not None:
+        # rank 0 < positive finite < inf; two equal constants are comparable
+        ra, rb = (0 if c is None else 1 if math.isinf(c) else -1 for c in (ca, cb))
+        return (ra > rb) - (ra < rb)
+    ea, eb = a.effective_power(end), b.effective_power(end)
+    if math.isinf(ea) and math.isinf(eb):
+        # both superpolynomial (or superflat): at both ends the larger beta
+        # is the larger function (near zero the more negative, the flatter)
+        (ca, beta_a), (cb, beta_b) = a.exppower(end), b.exppower(end)
+        if beta_a != beta_b:
+            return 1 if beta_a > beta_b else -1
+        return -1 if (ca or cb) else 0
+    # sub-polynomial corrections survive any lambda; of two exp-log factors
+    # the one with the larger |log|-power dominates and its sign decides.
+    # Only once they tie do the l(t) exponents compare, as plain sums:
+    # log_exponent is infinite for both pieces when they share an exp-log factor
+    (xa, ka), (xb, kb) = a.explog(), b.explog()
+    dx = xa - xb if ka == kb else (xa if ka > kb else -xb)
+    flip = 1.0 if end == "infinity" else -1.0
+    return lex_sign((flip * (ea - eb), dx, a.l_exponent() - b.l_exponent(),
+                     a.loglog_exponent() - b.loglog_exponent()),
+                    (1e-12, 0.0, 1e-12, 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# representation invariants
+
+
+# relative slack of validate's convexity and k A(t) <= A(k t) checks
+_RTOL_CONVEX = 1e-9
+_RTOL_KT = 1e-6
+
+
+def validate(A: YoungFn) -> list[str]:
+    """Check the representation invariants; returns a list of violations."""
+    issues: list[str] = []
+    t, y = A.table.t, A.table.y
+    if not A.table.nondecreasing(rtol=1e-12):
+        issues.append("values not nondecreasing")
+    fin = np.isfinite(y)
+    tf, yf = t[fin], y[fin]
+    if len(tf) >= 3:
+        lam = (tf[1:-1] - tf[:-2]) / (tf[2:] - tf[:-2])
+        interp = yf[:-2] * (1 - lam) + yf[2:] * lam
+        bad = yf[1:-1] > interp + _RTOL_CONVEX * np.maximum(interp, 1e-300)
+        # stencils inside a breakpoint eps-cluster are float-cancellation noise
+        bad &= (tf[2:] - tf[:-2]) > 1e-9 * tf[:-2]
+        if bad.any():
+            issues.append(f"convexity violated at {int(bad.sum())} stencils")
+    for k in (1.0, 2.0, 10.0):
+        # test against the normalized table: that is the convex object the
+        # library computes with (raw profiles are only equivalent to it)
+        lhs = k * np.atleast_1d(np.asarray(A.table(tf), dtype=float))
+        rhs = np.atleast_1d(np.asarray(A.table(k * tf), dtype=float))
+        with np.errstate(invalid="ignore"):
+            bad = lhs > rhs * (1 + _RTOL_KT) + 1e-300
+        bad &= ~(np.isinf(rhs))
+        if bad.any():
+            issues.append(f"k*A(t) <= A(k t) violated for k={k}")
+    if A.symbolic is not None and not _views_agree(A):
+        issues.append("symbolic and tabulated views are not equivalent")
+    return issues
+
+
+def _views_agree(A: YoungFn) -> bool:
+    """Cross-domination of the raw profile and the normalized table on the
+    grid, restricted to float-representable values (no tail extrapolation)."""
+    t = A.table.t
+    sym = lambda x: np.atleast_1d(np.asarray(A.symbolic.value(x), dtype=float))
+    tab = lambda x: np.atleast_1d(np.asarray(A.table(x), dtype=float))
+    ladder = constant_ladder(CONSTANT_CAP)
+
+    def dominated(upper, lower) -> bool:
+        lower_v = lower(t)
+        return least_constant(
+            lambda c: grid_leq(lower_v, upper(c * t), floor=1e-280), ladder) is not None
+
+    return dominated(tab, sym) and dominated(sym, tab)

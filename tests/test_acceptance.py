@@ -14,6 +14,7 @@ from orlicz_calc import boyd, families as fam, optimality as op, oracle as orc
 from orlicz_calc import reduction as red, transforms as tr, young
 from orlicz_calc.young import GammaContext
 
+import paper_oracles as oracles
 from conftest import bisect_inverse, make
 
 CTX = GammaContext(3, 1.0)
@@ -95,7 +96,7 @@ def test_04_endpoint_corollary():
     ]
     for bfam in fixtures:
         B = make(bfam)
-        ok &= (red.endpoint_l1_domain(B, CTX).holds
+        ok &= (oracles.endpoint_l1_domain(B, CTX)
                == red.bounded(l1, B, CTX).holds)
     report(4, "endpoint corollary", ok)
 

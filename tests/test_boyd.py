@@ -76,7 +76,7 @@ class TestIndices:
 
     def test_conservative_gating(self):
         est = boyd.boyd_indices(make(fam.lp(2)), force_numeric=True)
-        assert est.i_conservative <= est.i_lower <= est.I_conservative + 1e-12
+        assert est.i_conservative <= est.i_lower <= est.I_upper + est.ci_halfwidth + 1e-12
         assert not est.indeterminate_against(1.5)
 
 

@@ -10,6 +10,7 @@ from orlicz_calc import boyd, families as fam, young
 from orlicz_calc.families import ExpLogFactor, LogFactor, LogLogFactor, PowerFactor, piece
 from orlicz_calc.grid import StepFn
 
+import paper_oracles as oracles
 from conftest import bisect_inverse
 
 
@@ -34,7 +35,7 @@ families = st.one_of(
 @given(families)
 def test_table_invariants(family):
     A = young.from_family(family)
-    assert young.validate(A) == []
+    assert oracles.validate(A) == []
 
 
 @settings(max_examples=25, deadline=None)

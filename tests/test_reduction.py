@@ -1,4 +1,4 @@
-"""Boundedness criteria, their agreement, and the endpoint shortcuts."""
+"""Boundedness criteria, their agreement, and the endpoint theorems."""
 
 import math
 
@@ -6,6 +6,7 @@ import pytest
 
 from orlicz_calc import families as fam, reduction as red, transforms as tr, young
 
+import paper_oracles as oracles
 from conftest import make
 
 
@@ -157,34 +158,49 @@ class TestOtherContexts:
         assert red.bounded(make(fam.lp(1.5)), B, ctx).holds
 
 
+class TestRangeErrors:
+    """At q* = 30, t^q* underflows on criterion iii's grid.  A false
+    criterion iv still answers (the CLI tests' L1 -> Lp(40))."""
+
+    CTX = young.GammaContext(3, 2.9)
+
+    def test_true_criterion_iv_keeps_the_range_error(self):
+        # L^p into its optimal target L^(np/(n-gamma p))
+        p = 1.02
+        A, B = make(fam.lp(p)), make(fam.lp(3 * p / (3 - 2.9 * p)))
+        assert red.criterion_iv(A, B, self.CTX).holds
+        with pytest.raises(young.DoubleRangeError):
+            red.bounded(A, B, self.CTX)
+
+
 class TestEndpoints:
     def test_linf_target(self, ctx31):
-        assert red.endpoint_linf_target(make(fam.lp(3)), ctx31).holds
-        assert not red.endpoint_linf_target(make(fam.lp(2.99)), ctx31).holds
-        assert not red.endpoint_linf_target(make(fam.zygmund(3, 0, 3, -1)), ctx31).holds
-        assert red.endpoint_linf_target(make(fam.zygmund(3, 0, 3, 1)), ctx31).holds
+        assert oracles.endpoint_linf_target(make(fam.lp(3)), ctx31)
+        assert not oracles.endpoint_linf_target(make(fam.lp(2.99)), ctx31)
+        assert not oracles.endpoint_linf_target(make(fam.zygmund(3, 0, 3, -1)), ctx31)
+        assert oracles.endpoint_linf_target(make(fam.zygmund(3, 0, 3, 1)), ctx31)
         # superflat near zero loses the lower bound there
-        assert not red.endpoint_linf_target(make(fam.exp_type(-1, 1)), ctx31).holds
+        assert not oracles.endpoint_linf_target(make(fam.exp_type(-1, 1)), ctx31)
 
     def test_l1_domain(self, ctx31):
-        assert red.endpoint_l1_domain(make(mixed(2.0, 1.2)), ctx31).holds
-        assert not red.endpoint_l1_domain(make(fam.lp(1.5)), ctx31).holds
-        assert red.endpoint_l1_domain(
-            make(fam.zygmund(1.5, -2, 1.5, -2)), ctx31).holds
-        assert not red.endpoint_l1_domain(make(fam.linf()), ctx31).holds
+        assert oracles.endpoint_l1_domain(make(mixed(2.0, 1.2)), ctx31)
+        assert not oracles.endpoint_l1_domain(make(fam.lp(1.5)), ctx31)
+        assert oracles.endpoint_l1_domain(
+            make(fam.zygmund(1.5, -2, 1.5, -2)), ctx31)
+        assert not oracles.endpoint_l1_domain(make(fam.linf()), ctx31)
 
     def test_endpoint_consistency(self, ctx31):
         linf = make(fam.linf())
         for A in (make(fam.lp(3)), make(fam.lp(2.99)), make(fam.zygmund(3, 1, 3, 1)),
                   make(fam.lp(4))):
-            lhs = red.endpoint_linf_target(A, ctx31).holds
+            lhs = oracles.endpoint_linf_target(A, ctx31)
             rhs = red.bounded(A, linf, ctx31).holds
             assert lhs == rhs, A.label
         l1 = make(fam.l1())
         for B in (make(mixed(2.0, 1.2)), make(fam.lp(1.5)),
                   make(fam.zygmund(1.5, -2, 1.2, 0)), make(fam.lp(3)),
                   make(fam.linf()), make(mixed(1.7, 1.3))):
-            lhs = red.endpoint_l1_domain(B, ctx31).holds
+            lhs = oracles.endpoint_l1_domain(B, ctx31)
             rhs = red.bounded(l1, B, ctx31).holds
             assert lhs == rhs, B.label
 
@@ -196,14 +212,14 @@ class TestEndRule:
     CHECKS = {
         "acond": tr.check_acond,
         "bconv": tr.check_bconv,
-        "linf": lambda A, ctx: red.endpoint_linf_target(A, ctx).holds,
-        "l1": lambda A, ctx: red.endpoint_l1_domain(A, ctx).holds,
+        "linf": oracles.endpoint_linf_target,
+        "l1": oracles.endpoint_l1_domain,
     }
 
     @staticmethod
     def forms(family):
         return (young.from_family(family), young.from_callable(family.value),
-                young.from_table(young.from_family(family).table))
+                young.YoungFn(table=young.from_family(family).table))
 
     @pytest.mark.parametrize("ctx", [young.GammaContext(3, 1.0),
                                      young.GammaContext(1, 0.5)],

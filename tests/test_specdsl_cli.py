@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,16 @@ class TestCli:
         if code == 0:
             json.loads(out)
 
+    def test_false_criterion_iv_answers_past_iii_range(self, capsys):
+        # q* = 30: t^q* underflows on criterion iii's grid, and iv rejects at
+        # infinity on its own
+        code, out, err = run_cli(capsys, "bounded", "L1", "Lp(40)", "--n", "3",
+                                 "--gamma", "2.9")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert payload["holds"] is False and payload["criterion"] == "iv"
+        assert payload["flags"] == ["iii-out-of-range", "tail-exponent-reject-infinity"]
+
     @pytest.mark.parametrize("argv", [
         ("bounded", "Lp(2)", "Lp(6)"), ("boyd", "Lp(2)"), ("probe", "Lp(2)", "Lp(6)")])
     def test_format_only_where_csv_exists(self, capsys, argv):
@@ -243,15 +254,19 @@ def _spec(draw) -> str:
     return text
 
 
-@st.composite
-def _argv(draw) -> list[str]:
-    command = draw(st.sampled_from(("target", "domain", "bounded", "boyd", "conjugate")))
-    specs = [draw(_spec()) for _ in range(2 if command == "bounded" else 1)]
+def _context(draw) -> list[str]:
     n = draw(st.integers(1, 4))
     # gamma near 0, near n, or in between
     frac = draw(st.one_of(st.sampled_from((1e-9, 1e-3, 1 - 1e-3, 1 - 1e-9)),
                           st.floats(0.01, 0.99)))
-    argv = [command, *specs, "--n", str(n), "--gamma", repr(n * frac)]
+    return ["--n", str(n), "--gamma", repr(n * frac)]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(("target", "domain", "bounded", "boyd", "conjugate")))
+    specs = [draw(_spec()) for _ in range(2 if command == "bounded" else 1)]
+    argv = [command, *specs, *_context(draw)]
     if draw(st.booleans()):
         # a grid inside grid.SPAN_LIMIT with at most 4,000 points, far below
         # grid.POINT_LIMIT
@@ -280,6 +295,10 @@ def _argv(draw) -> list[str]:
 @example(argv=["bounded", "L1", "Zygmund(2,42.44,19,1.37)", "--n", "1", "--gamma", "0.001",
                "--tmin", "1e-7", "--tmax", "1e9", "--grid-points-per-decade", "36"])
 def test_every_command_keeps_the_exit_code_contract(argv):
+    _assert_exit_code_contract(argv)
+
+
+def _assert_exit_code_contract(argv):
     """Exit 0, 2 or 3, at most one stderr line, and JSON on stdout when any."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -291,3 +310,43 @@ def test_every_command_keeps_the_exit_code_contract(argv):
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue())
+
+
+# an A or B field of a fixtures entry: a spec, or something that is not a string
+_FIELD = st.one_of(_spec(), st.none(), st.integers(), st.lists(st.integers(), max_size=1))
+_ENTRY = st.one_of(st.fixed_dictionaries({}, optional={"A": _FIELD, "B": _FIELD}),
+                   st.none(), st.integers(), st.text(max_size=3))
+# the text of a --fixtures file: a list of entries, JSON that is not a list,
+# or no JSON at all
+_FIXTURES = st.one_of(
+    st.lists(_ENTRY, max_size=2).map(json.dumps),
+    st.one_of(st.none(), st.integers(), st.text(max_size=3),
+              st.dictionaries(st.sampled_from(("A", "B")), _FIELD)).map(json.dumps),
+    st.sampled_from(("", "[", '[{"A": "Lp(2)"', "Lp(2) Lp(6)")))
+
+
+@st.composite
+def _probe_case(draw) -> tuple[list[str], str | None]:
+    """probe's argv, with none, one or two specs, and a fixtures file's text
+    or None."""
+    specs = [draw(_spec()) for _ in range(draw(st.integers(0, 2)))]
+    return ["probe", *specs, *_context(draw)], draw(st.none() | _FIXTURES)
+
+
+# each probe runs about 30 Luxemburg norms, about 0.1 s
+@settings(max_examples=20, deadline=None)  # the suite turns warnings into errors
+@given(case=_probe_case())
+# each of these once ended in a warning: the edge value of a tail integral
+# overflowed in a product, and a modular's running sum of cell integrals
+# in an accumulate
+@example(case=(["probe", "L1", "Lp(40)", "--n", "3", "--gamma", "2.9"], None))
+@example(case=(["probe", "Lp(1.0)", "Pow @0 t^1e+300 @inf t^20.0", "--n", "1",
+                "--gamma", "0.999"], None))
+def test_probe_keeps_the_exit_code_contract(case):
+    argv, fixtures = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if fixtures is not None:
+            path = Path(tmp) / "pairs.json"
+            path.write_text(fixtures)
+            argv = [*argv, "--fixtures", str(path)]
+        _assert_exit_code_contract(argv)

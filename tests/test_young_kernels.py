@@ -328,7 +328,7 @@ def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
 ], ids=["zero-plateau", "zero-plateau-continuous", "jump-to-inf", "both"])
 def test_inverse_matches_bisection_on_plateau_tables(y_of_t, monkeypatch):
     t = young.DEFAULT_GRID.abscissae()
-    A = young.from_table(GridFn(t, y_of_t(t)))
+    A = young.YoungFn(table=GridFn(t, y_of_t(t)))
     s = np.concatenate([np.geomspace(1e-30, 1e30, 1201), A.table.y[np.isfinite(A.table.y)],
                         [0.0, np.inf]])
     _assert_inverses_agree(A, s, "plateau table")
