@@ -10,6 +10,12 @@ piece of a Young function, with its log-correction exponent.  Integrals are
 evaluated cell by cell with the closed-form antiderivative of
 ``c * s**m * s**w``, so power integrands are integrated exactly and step
 functions are exact once their breakpoints are inserted into the abscissae.
+
+One routine, ``GridFn.inverse``, solves a table for its levels: each power
+cell in closed form, and past the values the tails.  ``grid_inverse``, the
+transforms' inverse, differs only in a cell that jumps to inf, where it
+keeps the left node: the transforms sample left-continuous functions, which
+are finite at their jump, so a jump on a node is found exactly there.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ BREAK_EPS = 1e-12
 
 _EXP_CLIP = 700.0  # exp() overflow guard; beyond this we saturate to inf
 _LOG_TOP = 709.0  # exp() of this is below the largest double, 1.8e308
+_TINY = float(np.finfo(float).tiny)  # the least normal double
+# tail exponents at or below this count as a plateau in GridFn.inverse
+_PLATEAU_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -331,27 +340,42 @@ class GridFn:
             out = np.where(ok & ~exact, val, out)
         return out
 
-    def interp_inverse(self, s: np.ndarray) -> np.ndarray:
-        """sup{x : interpolant(x) <= s} for samples that do not decrease and
-        y[0] <= s < y[-1]; NaN for other s.
+    def inverse(self, s) -> np.ndarray:
+        """sup{x : self(x) <= s} per level s, for samples that do not decrease.
 
         ``searchsorted`` finds the cell with yl <= s < yr.  Its power law
-        yl (x/tl)**m of ``_interp``, solved for x, gives
-        exp(log tl + (log s - log yl)/m), capped at tr; a cell that is 0 on
-        its left or jumps to inf on its right gives tr.
+        yl (x/tl)**m of ``_interp``, solved for x, is tl (s/yl)**(1/m) with
+        m = log(yr/yl) / log(tr/tl), capped at tr; in logs where yl or yr is
+        not a normal double or yr/yl overflows.  A cell that is 0 on its
+        left or jumps to inf on its right gives tr, where ``_interp`` leaves
+        the value yl.  Past the values, a power tail with an exponent above
+        _PLATEAU_TOL is solved (``TailFit.inverse``); any other tail gives 0
+        below the values and inf above them.
         """
         s = np.asarray(s, dtype=float)
-        out = np.full_like(s, np.nan)
-        idx = np.searchsorted(self.y, s, side="right")
-        inner = (idx >= 1) & (idx < len(self.y))
+        out = np.empty_like(s)
+        t, y = self.t, self.y
+        idx = np.searchsorted(y, s, side="right")
+        below, above = idx == 0, idx == len(y)
+        for past, end, flat in ((below, "zero", 0.0), (above, "infinity", np.inf)):
+            if past.any():
+                tail = getattr(self, f"tail_{end}")
+                out[past] = (tail.inverse(s[past]) if tail.kind == "power"
+                             and tail.exponent > _PLATEAU_TOL else flat)
+        inner = ~(below | above)
         if inner.any():
-            r = idx[inner]
-            logt, logy = self._logt, self._logy
-            power = (self.y[r - 1] > 0.0) & np.isfinite(self.y[r])
+            r, si = idx[inner], s[inner]
+            tl, tr, yl, yr = t[r - 1], t[r], y[r - 1], y[r]
+            power = (yl > 0.0) & np.isfinite(yr)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                m = (logy[r] - logy[r - 1]) / (logt[r] - logt[r - 1])
-                x = np.exp(logt[r - 1] + (np.log(s[inner]) - logy[r - 1]) / m)
-            out[inner] = np.where(power, np.minimum(x, self.t[r]), self.t[r])
+                m = np.log(yr / yl) / np.log(tr / tl)
+                x = tl * np.exp(np.log(si / yl) / m)
+                logs = power & ~((yl >= _TINY) & np.isfinite(m))
+                if logs.any():
+                    ly, lt = np.log(yl[logs]), np.log(tl[logs])
+                    m = (np.log(yr[logs]) - ly) / (np.log(tr[logs]) - lt)
+                    x[logs] = np.exp(lt + (np.log(si[logs]) - ly) / m)
+            out[inner] = np.where(power, np.fmin(x, tr), tr)
         return out
 
     def log_slope(self, x: np.ndarray) -> np.ndarray:
@@ -508,70 +532,23 @@ def _cell_integrals(geom: CellGeometry, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# tail exponents at or below this count as a plateau in grid_inverse
-_PLATEAU_TOL = 1e-9
-
-
 def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
-    """Generalized right-continuous inverse sup{t : g(t) <= s} of nondecreasing g.
+    """The transforms' generalized inverse sup{t : g(t) <= s} of nondecreasing
+    samples g, sampled at the levels ``out_t`` (as s-abscissae).
 
-    Sampled at the values ``out_t`` (interpreted as s-abscissae).  Values can
-    be +inf where g saturates below s, and 0 where g starts above s.
+    ``GridFn.inverse``, except in the cell where g jumps to inf: its levels
+    take the left node.  g samples a left-continuous function, finite at
+    its jump; where the jump sits on a node (Linf's at 1, a breakpoint
+    merged into the abscissae) the left node is exact and the right one a
+    cell off: F^{-1} of Linf is 1, and b_gamma(Linf) at (3, 1) is t^3/3.
+    A running maximum cleans up the seams with the tails.
     """
-    t = g.t
-    y = np.maximum.accumulate(g.y)  # guard against float-level dips
     s = np.asarray(out_t, dtype=float)
-    out = np.empty_like(s)
-    idx = np.searchsorted(y, s, side="right")
-
-    below = idx == 0
-    above = idx == len(y)
-    inner = ~(below | above)
-
-    if below.any():
-        lo_tail = g.tail_zero
-        if lo_tail.kind == "power" and lo_tail.exponent > _PLATEAU_TOL:
-            out[below] = lo_tail.inverse(s[below])
-        else:
-            # g starts at a positive level: nothing satisfies g <= s below it
-            out[below] = 0.0
-
-    if above.any():
-        hi_tail = g.tail_infinity
-        if hi_tail.kind == "power" and hi_tail.exponent > _PLATEAU_TOL:
-            out[above] = hi_tail.inverse(s[above])
-        else:
-            # saturated (constant or infinite beyond the grid): sup is +inf
-            out[above] = np.inf
-
-    if inner.any():
-        ii = idx[inner]
-        si = s[inner]
-        tl, tr = t[ii - 1], t[ii]
-        yl, yr = y[ii - 1], y[ii]
-        res = np.empty_like(si)
-        jump = ~np.isfinite(yr)
-        res[jump] = tl[jump]
-        ok = ~jump
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            posl = yl > 0
-            m = np.where(ok & posl & (yr > yl),
-                         np.log(np.maximum(yr, 1e-300) / np.maximum(yl, 1e-300))
-                         / np.log(tr / tl), np.nan)
-            frac = np.where(ok & posl & (yr > yl),
-                            np.log(np.maximum(si, 1e-300) / np.maximum(yl, 1e-300)) / m,
-                            np.nan)
-            val = tl * np.exp(np.where(np.isnan(frac), 0.0, frac))
-        # left endpoint value zero: interpolate linearly in the value
-        zer = ok & ~posl
-        if zer.any():
-            span = np.where(yr[zer] > 0, (si[zer] - yl[zer]) / (yr[zer] - yl[zer]), 0.0)
-            val[zer] = tl[zer] + span * (tr[zer] - tl[zer])
-        res[ok] = np.minimum(val[ok], tr[ok])
-        out[inner] = res
-
-    out = np.maximum.accumulate(out)  # monotone cleanup at tail seams
-    return GridFn(s, out)
+    out = g.inverse(s)
+    k = int(np.searchsorted(g.y, np.inf))  # the first infinite sample
+    if 0 < k < len(g.y):
+        out[(s >= g.y[k - 1]) & (s < np.inf)] = g.t[k - 1]
+    return GridFn(s, np.maximum.accumulate(out))
 
 
 @dataclass(frozen=True)

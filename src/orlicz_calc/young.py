@@ -279,20 +279,15 @@ def search_levels(view, s: np.ndarray, guess: np.ndarray, root: tuple[float, flo
 def guess_levels(view, table: GridFn, s: np.ndarray, steps: int,
                  root: tuple[float, float]) -> np.ndarray:
     """A guess of log sup{x : view(x) <= s} per level, for ``seed_brackets``:
-    ``table``, samples of the view, inverted cell by cell and past its values
-    by a fitted power tail, clipped to ``root``; then ``steps`` Newton steps
-    on the view (``newton_log``) from that cell's or tail's exponent.  One
-    step leaves levels of order-1 and log-factor profiles too far from their
-    answer for the deepest node."""
-    t = table.interp_inverse(s)
-    slope = table.log_slope(t)
-    for end, past in (("zero", s < table.y[0]), ("infinity", s >= table.y[-1])):
-        tail = getattr(table, f"tail_{end}") if past.any() else None
-        if tail is not None and tail.kind == "power" and tail.exponent > 0.0:
-            t[past], slope[past] = tail.inverse(s[past]), tail.exponent
+    ``table``, samples of the view, inverted by ``GridFn.inverse`` and
+    clipped to ``root``; then ``steps`` Newton steps on the view
+    (``newton_log``) from the exponent of the cell that holds the guess.
+    One step leaves levels of order-1 and log-factor profiles too far from
+    their answer for the deepest node."""
+    t = table.inverse(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.clip(np.nan_to_num(np.log(t), nan=0.0), *root)
-        return newton_log(view, u, np.log(s), slope, steps)
+        return newton_log(view, u, np.log(s), table.log_slope(t), steps)
 
 
 # the plateau search splits its bracket into this many + 1 parts per round;
@@ -570,14 +565,13 @@ class YoungFn:
         return out
 
     def _table_inverse(self, s: np.ndarray) -> np.ndarray:
-        """sup{t : view(t) <= s} in closed form where the monotone view is the
-        table's power interpolant or its fitted power tails; NaN elsewhere.
+        """sup{t : view(t) <= s} by ``GridFn.inverse`` where the monotone
+        view is the table's power interpolant and its fitted tails; NaN
+        elsewhere.
 
         Needs a table-backed view (``not _mono_source``) whose samples do not
-        decrease, and a normal double s.  Inside the table's values the cell
-        formula ``GridFn.interp_inverse`` answers; past them, when no closed
-        form extrapolates, a fitted power tail with a positive exponent and
-        no log factor is solved for t.
+        decrease, and a normal double s; past the table's values the view is
+        its fitted tails only when no closed form extrapolates.
         """
         out = np.full_like(s, np.nan)
         tab = self.table
@@ -585,14 +579,9 @@ class YoungFn:
             return out
         # below the least normal double the samples lose their precision
         normal = s >= _NORMAL
-        out[normal] = tab.interp_inverse(s[normal])
-        if self.closed_form is None:
-            for tail, past, clamp, edge in (
-                    (tab.tail_zero, normal & (s < tab.y[0]), np.minimum, tab.t[0]),
-                    (tab.tail_infinity, normal & (s >= tab.y[-1]), np.maximum, tab.t[-1])):
-                if past.any() and tail.kind == "power" and tail.exponent > 0.0 \
-                        and not tail.log_exponent:
-                    out[past] = clamp(tail.inverse(s[past]), edge)
+        out[normal] = tab.inverse(s[normal])
+        if self.closed_form is not None:
+            out[(s < tab.y[0]) | (s >= tab.y[-1])] = np.nan
         return out
 
     # -- structural profiles ---------------------------------------------------

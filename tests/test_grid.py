@@ -218,6 +218,45 @@ class TestGridInverse:
         assert inv.y[0] == 0.0
         assert inv.y[1] == math.inf
 
+    @pytest.mark.parametrize("y,s,want", [
+        # yr/yl overflows: the power law through (1, 1e-300) and (2, 1e300)
+        # reaches 1 at 2**0.5, not at tl
+        ((1e-300, 1e300), 1.0, math.sqrt(2.0)),
+        # a subnormal left value: the power law reaches 1e-10 at
+        # 2**(log(1e-10/yl) / log(1/yl)), which a 1e-300 clamp put at 1.95432
+        ((5e-320, 1.0), 1e-10, 2.0 ** (1.0 - math.log(1e-10) / math.log(5e-320))),
+    ], ids=["steep", "subnormal"])
+    def test_cells_past_the_ratio_range_are_solved_in_logs(self, y, s, want):
+        g = GridFn(np.array([1.0, 2.0]), np.array(y))
+        for got in (g.inverse(np.array([s])), grid_inverse(g, np.array([s])).y):
+            assert got[0] == pytest.approx(want, rel=1e-12)
+
+    def test_jump_and_zero_cells(self):
+        # the view holds 2 across the jump cell, so its own inverse is the
+        # right node; the transforms' inverse keeps the left one there.  A
+        # cell that is 0 on its left is a step for both
+        g = GridFn(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, math.inf]))
+        s = np.array([2.0, 2.5])
+        assert g(2.9) == 2.0
+        assert g.inverse(s).tolist() == [3.0, 3.0]
+        assert grid_inverse(g, s).y.tolist() == [2.0, 2.0]
+        z = GridFn(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+        assert z.inverse(np.array([0.5])).tolist() == [2.0]
+        assert grid_inverse(z, np.array([0.5])).y.tolist() == [2.0]
+
+    def test_flat_tails_give_zero_below_and_inf_above(self):
+        t = np.array([1.0, 2.0, 4.0])
+        flat = TailFit("power", 1e-10, 0.0)
+        for g in (GridFn(t, np.ones(3)), GridFn(t, np.array([1.0, 2.0, 3.0]), flat, flat)):
+            s = np.array([0.5, 5.0])
+            assert g.inverse(s).tolist() == [0.0, math.inf]
+            assert grid_inverse(g, s).y.tolist() == [0.0, math.inf]
+
+    def test_power_tails_are_solved(self):
+        g = GridFn(np.array([1.0, 2.0, 4.0]), np.array([1.0, 4.0, 16.0]))
+        got = g.inverse(np.array([0.25, 64.0]))
+        assert got == pytest.approx([0.5, 8.0], rel=1e-12)
+
 
 class TestStepFn:
     def test_eval_right_continuous(self):

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -173,6 +174,18 @@ class TestCli:
         payload = json.loads(out)
         assert payload["holds"] is False and payload["criterion"] == "iv"
         assert payload["flags"] == ["iii-out-of-range", "tail-exponent-reject-infinity"]
+
+    def test_wide_span_domain_at_q_star_4(self, capsys):
+        # q* = 4 at (2, 1.5): the domain of Lp(6) is (11/12) 2^(-2/11) t^(12/11)
+        # exactly, and it is built on a 1e+-80 span too
+        code, out, err = run_cli(capsys, "domain", "Lp(6)", "--n", "2", "--gamma", "1.5",
+                                 "--tmin", "1e-80", "--tmax", "1e80")
+        assert code == 0 and not err
+        grid = json.loads(out)["domain_record"]["grid"]
+        t, value = (np.array(grid[k], dtype=float) for k in ("t", "value"))
+        exact = 11.0 / 12.0 * 2.0 ** (-2.0 / 11.0) * t ** (12.0 / 11.0)
+        assert t[0] < 1e-80 and t[-1] > 1e80
+        assert np.all(np.abs(value - exact) <= 1e-9 * exact)
 
     @pytest.mark.parametrize("argv", [
         ("bounded", "Lp(2)", "Lp(6)"), ("boyd", "Lp(2)"), ("probe", "Lp(2)", "Lp(6)")])

@@ -164,6 +164,14 @@ class TestDomainSide:
         ratio = np.asarray(BG.eval(t)) / (t ** 3 / 3.0)
         assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
+    def test_b_gamma_linf_keeps_the_left_node_at_the_jump(self, ctx31):
+        # F of Linf is 0 up to the node t = 1 and inf past it, so F^{-1} = 1
+        # and E^{-1}(s) = s^3 exactly; the right node of F's jump cell would
+        # give 0.24996 t^3
+        BG = tr.b_gamma(make(fam.linf()), ctx31)
+        t, y = BG.table.t, BG.table.y
+        assert np.all(np.abs(y - t ** 3 / 3.0) <= 1e-12 * t ** 3 / 3.0)
+
     def test_b_gamma_power(self, ctx31):
         BG = tr.b_gamma(make(fam.lp(3)), ctx31)
         t = np.geomspace(1e-8, 1e8, 33)
