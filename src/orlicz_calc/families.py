@@ -8,9 +8,9 @@ exponential-type spaces).  Every factor evaluates to 1 at t = 1, so pieces
 join continuously except for explicit constant pieces.
 
 All evaluation happens in log space, which keeps t**15 at t = 1e10 or
-exp(t**1.5) finite or cleanly saturated at +inf.  The exact end tests
-(`limit_sign`, `integrable`) read the factor exponents instead, order by
-order through one tie-band rule, `lex_sign`.
+exp(t**1.5) finite or cleanly saturated at +inf.  The exact end tests read
+the factor exponents instead (``young.end_profile``), and compare them order
+by order through one tie-band rule, `lex_sign`.
 """
 
 from __future__ import annotations
@@ -415,30 +415,3 @@ def lex_sign(gaps, tols) -> int:
         if gap < -tol:
             return -1
     return 0
-
-
-def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
-    """Sign of lim f(t) * t**power_shift toward the end: -1 -> 0, 0 -> positive
-    finite, +1 -> +infinity.
-
-    Decided structurally from the factor exponents (exact for every profile
-    this module can build): the power, then the l(t) and l(l(t)) exponents.
-    """
-    # near zero t**e -> 0 when e > 0; near infinity -> infinity when e > 0;
-    # l(t) -> inf at both ends
-    flip = 1.0 if end == "infinity" else -1.0
-    return lex_sign((flip * (pc.effective_power(end) + power_shift),
-                     pc.log_exponent(end), pc.loglog_exponent()), (1e-12,) * 3)
-
-
-def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
-    """Does the integral of pc(s) * s**weight ds converge toward the end?
-
-    Decided from the factor exponents: the power against the critical
-    -1 - weight, then at the critical power the l(t) exponent against -1,
-    then the l(l(t)) exponent against -1; a tie diverges.
-    """
-    flip = 1.0 if end == "zero" else -1.0
-    return lex_sign((flip * (pc.effective_power(end) + weight + 1.0),
-                     -1.0 - pc.log_exponent(end), -1.0 - pc.loglog_exponent()),
-                    (1e-9,) * 3) > 0

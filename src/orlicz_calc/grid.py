@@ -333,10 +333,14 @@ class GridFn:
         out = np.where(exact | ~ok, yl, 0.0)
         if ok.any():
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                m = (self._logy[idx] - self._logy[idx - 1]) / (
-                    self._logt[idx] - self._logt[idx - 1]
-                )
-                val = yl * np.exp(m * (np.log(x) - self._logt[idx - 1]))
+                ly, lt = self._logy[idx - 1], self._logt[idx - 1]
+                m = (self._logy[idx] - ly) / (self._logt[idx] - lt)
+                val = yl * np.exp(m * (np.log(x) - lt))
+                # a steep or subnormal cell: the exp overflows before the
+                # multiply by a tiny yl, so such a cell is solved in logs
+                steep = ok & np.isinf(val)
+                if steep.any():
+                    val[steep] = np.exp(ly[steep] + m[steep] * (np.log(x[steep]) - lt[steep]))
             out = np.where(ok & ~exact, val, out)
         return out
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import families as fam
 from .grid import GridFn, GridSpec, grid_inverse
-from .young import (DoubleRangeError, GammaContext, YoungFn, end_integrable, end_sign,
+from .young import (DoubleRangeError, GammaContext, YoungFn, end_sign, integral_sign,
                     inverse_on_grid, per_young)
 
 
@@ -187,14 +187,14 @@ def improved_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFami
 def check_acond(A: YoungFn, ctx: GammaContext) -> bool:
     """Is inf over (0,1) of A(t) t^(-n/gamma) positive?
 
-    Decided exactly for closed-form profiles, else from the zero-end profile.
+    Read from the zero-end profile, exactly for a closed form.
     """
-    return end_sign(A, -ctx.r_star, "zero") >= 0
+    return end_sign(A.end_profile("zero"), -ctx.r_star, "zero") >= 0
 
 
 def check_bconv(B: YoungFn, ctx: GammaContext) -> bool:
     """Does int_0 B(s) / s^(q*+1) ds converge at zero?"""
-    return end_integrable(B, -ctx.q_star - 1.0, "zero")
+    return integral_sign(B.end_profile("zero"), -ctx.q_star - 1.0, "zero") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -603,12 +603,14 @@ class YoungFn:
 class EndProfile:
     """Leading behaviour of a Young function toward one end of (0, inf).
 
-    kind: "power" (t**q with a slowly varying correction), "plateau-zero"
+    kind: "power" (t**q l(t)**alpha l(l(t))**loglog_exponent), "plateau-zero"
     (identically 0 up to a threshold) or "plateau-infinity" (jumps to +inf at
-    a threshold).  ``alpha`` is the correction rendered as a *local* l(t)
-    exponent at the grid-edge anchor, which makes exact and fitted profiles
-    directly comparable.  ``exp_beta`` records an exp(t**beta) factor when the
-    closed form has one (q is +-inf in that case).
+    a threshold).  An ``exact`` power profile is read from the closed form's
+    piece: q is its effective power, alpha its l(t) exponent (+-inf when an
+    exp(|log t|**k) factor outgrows every l(t) power), loglog_exponent its
+    l(l(t)) exponent, and ``exp_beta`` the power of an exp(t**beta) factor
+    (q is +-inf then).  A fitted one comes from the table's edge decades:
+    alpha is a local l(t) exponent there and no l(l(t)) level is read.
     """
 
     kind: str
@@ -617,6 +619,7 @@ class EndProfile:
     exp_beta: float = 0.0
     threshold: float = 0.0
     exact: bool = False
+    loglog_exponent: float = 0.0
 
     def render(self) -> str:
         if self.kind == "plateau-zero":
@@ -627,13 +630,6 @@ class EndProfile:
         if self.alpha and np.isfinite(self.alpha) and abs(self.alpha) > 1e-9:
             body += f" l(t)^{self.alpha:.6g}"
         return body
-
-
-def _window_estimate(u: np.ndarray, logy: np.ndarray) -> tuple[float, float]:
-    """Least-squares (q, alpha) in the model log y = c + q u + alpha log l."""
-    basis = np.column_stack([np.ones_like(u), u, np.log1p(np.abs(u))])
-    sol, *_ = np.linalg.lstsq(basis, logy, rcond=None)
-    return float(sol[1]), float(sol[2])
 
 
 def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf) -> EndProfile:
@@ -653,29 +649,14 @@ def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf) -> EndP
     good = np.isfinite(logy)
     if good.sum() < 8:
         return EndProfile("power", tail.exponent, 0.0)
-    q, alpha = _window_estimate(u[good], logy[good])
+    u, logy = u[good], logy[good]
+    # least squares in the model log y = c + q u + alpha log l
+    basis = np.column_stack([np.ones_like(u), u, np.log1p(np.abs(u))])
+    sol, *_ = np.linalg.lstsq(basis, logy, rcond=None)
+    q, alpha = float(sol[1]), float(sol[2])
     if q >= _Q_SUPER:
         return EndProfile("power", q, 0.0, 0.0)
     return EndProfile("power", q, alpha)
-
-
-def _piece_window_profile(grid: GridSpec, pc: fam.AsymPiece, end: str) -> EndProfile:
-    """Fit (q, alpha) of a closed-form piece over the canonical edge window.
-
-    The window is tied to the grid specification (not to any particular
-    table), so two profiles fitted this way are directly comparable even when
-    their tables span different ranges; table plateaus are ignored here (they
-    are float saturation whenever the closed form has finite order).
-    """
-    edge = grid.t_min if end == "zero" else grid.t_max
-    sgn = 1.0 if end == "zero" else -1.0
-    u = math.log(edge) + sgn * np.linspace(0.0, 2.0 * math.log(10.0), 49)
-    logy = np.asarray(pc.log_value(u), dtype=float)
-    good = np.isfinite(logy)
-    if good.sum() < 8:
-        return EndProfile("power", pc.effective_power(end), 0.0, exact=True)
-    q, alpha = _window_estimate(u[good], logy[good])
-    return EndProfile("power", q, alpha, exact=True)
 
 
 @per_young
@@ -706,7 +687,10 @@ def end_profile(A: YoungFn, end: str) -> EndProfile:
                 return EndProfile("plateau-infinity", threshold=A.finite_sup,
                                   exact=True)
             return EndProfile("power", q_struct, 0.0, beta, exact=True)
-        return _piece_window_profile(A.grid, pc, end)
+        alpha = pc.log_exponent(end)
+        # past an exp(|log t|**k) factor the l(l(t)) level is never read
+        loglog = pc.loglog_exponent() if math.isfinite(alpha) else 0.0
+        return EndProfile("power", q_struct, alpha, exact=True, loglog_exponent=loglog)
     if end == "zero" and A.zero_plateau_end > 0.0:
         return EndProfile("plateau-zero", threshold=A.zero_plateau_end,
                           exact=True)
@@ -998,11 +982,19 @@ class EquivalenceVerdict:
     flags: tuple[str, ...] = ()
 
 
+# the tie bands of fitted profiles: power, then l(t) exponent
 _Q_TOL = 1e-3
 _A_TOL = 0.05
 _Q_TOL_FITTED = 0.02
 _A_TOL_FITTED = 0.35
 _Q_SUPER = 25.0  # fitted exponents this large are treated as superpolynomial
+
+
+def _bands(*profiles: EndProfile, fitted=(_Q_TOL, _A_TOL)) -> tuple[float, ...]:
+    """Tie bands of the power, l(t) and l(l(t)) levels of an end test:
+    rounding (1e-12) when every profile is read from a closed form, else
+    ``fitted``, which has no l(l(t)) level."""
+    return (1e-12,) * 3 if all(p.exact for p in profiles) else fitted
 
 
 def _q_category(p: EndProfile) -> str:
@@ -1015,11 +1007,11 @@ def _compare_power_profiles(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     """Can B(t) <= A(ct) hold beyond the grid?  True/False/None(grid decides).
 
     At the infinity end bigger exponents mean bigger functions; at the zero
-    end the ordering reverses.  The slowly varying corrections are compared as
-    local l(t) exponents; exp(t**beta) scales compare by beta only, since the
-    argument dilation by c rescales their coefficients arbitrarily.  Fitted
-    profiles carry numerical drift, so the margins widen and the band in
-    between is left to the grid comparison.
+    end the ordering reverses.  The slowly varying corrections compare level
+    by level, l(t) and then l(l(t)); exp(t**beta) scales compare by beta only,
+    since the argument dilation by c rescales their coefficients arbitrarily.
+    Two closed forms tie only at rounding; a fitted profile carries numerical
+    drift, so the bands widen and the gap between them is left to the grid.
     """
     flip = 1.0 if end == "infinity" else -1.0
     ca, cb = _q_category(pa), _q_category(pb)
@@ -1034,9 +1026,10 @@ def _compare_power_profiles(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
         gaps = (pb.exp_beta - pa.exp_beta,) if pa.exp_beta and pb.exp_beta else ()
         tols = (1e-12,)
     else:
-        # l(t) -> inf at both ends, so the alpha gap keeps its sign
-        gaps = (flip * (pb.q - pa.q), pb.alpha - pa.alpha)
-        tols = (_Q_TOL, _A_TOL) if pa.exact and pb.exact else (_Q_TOL_FITTED, _A_TOL_FITTED)
+        # l(t) and l(l(t)) -> inf at both ends, so their gaps keep their signs
+        gaps = (flip * (pb.q - pa.q), pb.alpha - pa.alpha,
+                pb.loglog_exponent - pa.loglog_exponent)
+        tols = _bands(pa, pb, fitted=(_Q_TOL_FITTED, _A_TOL_FITTED))
     sign = fam.lex_sign(gaps, tols)
     return None if sign == 0 else sign < 0
 
@@ -1057,47 +1050,34 @@ def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     return _compare_power_profiles(pa, pb, end)
 
 
-def exponent_signs(p: EndProfile, q_shift: float,
-                   a_shift: float = 0.0) -> tuple[int, int]:
-    """Signs of p.q + q_shift and p.alpha + a_shift for a power profile, gaps
-    within _Q_TOL on the power and _A_TOL on the l(t) exponent being ties (0).
+def end_sign(p: EndProfile, shift: float, end: str) -> int:
+    """Does f(t) t**shift tend to 0 (-1), to a positive finite value (0) or to
+    +inf (+1) toward the end, for f with the end profile p?
+
+    Level by level: the power, the l(t) exponent, the l(l(t)) exponent, ties
+    within ``_bands(p)``.
     """
-    return (fam.lex_sign((p.q + q_shift,), (_Q_TOL,)),
-            fam.lex_sign((p.alpha + a_shift,), (_A_TOL,)))
-
-
-def end_sign(A: YoungFn, shift: float, end: str) -> int:
-    """Does A(t) t**shift tend to 0 (-1), to a positive finite value (0) or to
-    +inf (+1) toward the end?
-
-    Exact for a closed form (``families.limit_sign``); otherwise read from the
-    end profile, the power within _Q_TOL and then the l(t) exponent within
-    _A_TOL being ties.
-    """
-    if A.closed_form is not None:
-        return fam.limit_sign(A.closed_form.piece(end), shift, end)
-    p = A.end_profile(end)
     if p.kind != "power":
         return -1 if p.kind == "plateau-zero" else 1
     flip = 1.0 if end == "infinity" else -1.0
-    return fam.lex_sign((flip * (p.q + shift), p.alpha), (_Q_TOL, _A_TOL))
+    return fam.lex_sign((flip * (p.q + shift), p.alpha, p.loglog_exponent),
+                        _bands(p))
 
 
-def end_integrable(A: YoungFn, weight: float, end: str) -> bool:
-    """Does the integral of A(s) s**weight ds converge toward the end?
+def integral_sign(p: EndProfile, weight: float, end: str) -> int:
+    """Does the integral of f(s) s**weight ds converge (+1) or diverge (-1)
+    toward the end, for f with the end profile p?  0 is a tie at every level.
 
-    Exact for a closed form (``families.integrable``); otherwise the end
-    profile against the critical power -1 - weight and then the critical l(t)
-    exponent -1, ties within _Q_TOL and _A_TOL counted as divergent.
+    The power against the critical -1 - weight, then at the critical power
+    the l(t) exponent against -1, then the l(l(t)) exponent against -1, ties
+    within ``_bands(p)``.  The callers count a tie as
+    divergent.
     """
-    if A.closed_form is not None:
-        return fam.integrable(A.closed_form.piece(end), weight, end)
-    p = A.end_profile(end)
     if p.kind != "power":
-        return p.kind == "plateau-zero"
+        return 1 if p.kind == "plateau-zero" else -1
     flip = 1.0 if end == "zero" else -1.0
-    return fam.lex_sign((flip * (p.q + weight + 1.0), -1.0 - p.alpha),
-                        (_Q_TOL, _A_TOL)) > 0
+    return fam.lex_sign((flip * (p.q + weight + 1.0), -1.0 - p.alpha,
+                         -1.0 - p.loglog_exponent), _bands(p))
 
 
 @lru_cache(maxsize=64)

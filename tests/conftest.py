@@ -23,6 +23,11 @@ def make(family, label=""):
     return young.from_family(family, label=label)
 
 
+def closed_profile(pc: fam.AsymPiece, end: str) -> young.EndProfile:
+    """The end profile the library reads from a closed form with piece pc."""
+    return make(fam.AsymptoticFamily(pc, pc)).end_profile(end)
+
+
 def battery() -> dict:
     """Representative profiles across the supported families."""
     return {

@@ -10,6 +10,9 @@ of a result that the library reaches another way, valid under a gate:
   compared with ``bounded(A, Linf)`` and ``bounded(L1, B)``;
 * ``compare_growth``: the exact growth order of two closed-form pieces,
   which decides essential domination; compared with ``dominates``;
+* ``limit_sign`` / ``integrable``: the end limit and the end integral of a
+  closed-form piece, read from its factors; compared with ``end_sign`` and
+  ``integral_sign`` on the piece's end profile;
 * ``validate``: the representation invariants of a ``YoungFn``.
 """
 
@@ -23,7 +26,7 @@ from orlicz_calc.families import AsymPiece, lex_sign
 from orlicz_calc.grid import GridFn
 from orlicz_calc.transforms import TransformGateError
 from orlicz_calc.young import (CONSTANT_CAP, GammaContext, YoungFn, constant_ladder,
-                               end_integrable, end_sign, grid_leq, least_constant)
+                               end_sign, grid_leq, integral_sign, least_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +70,8 @@ def endpoint_linf_target(A: YoungFn, ctx: GammaContext) -> bool:
     if A.zero_plateau_end > 0.0:
         return False
     vals = np.atleast_1d(np.asarray(A._monotone_eval(A.table.t), dtype=float))
-    return bool(end_sign(A, -r, "zero") >= 0 and end_sign(A, -r, "infinity") >= 0
-                and not np.any(vals == 0.0))
+    return bool(all(end_sign(A.end_profile(end), -r, end) >= 0
+                    for end in ("zero", "infinity")) and not np.any(vals == 0.0))
 
 
 def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> bool:
@@ -76,11 +79,11 @@ def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> bool:
     B(s)/s^(q*+1) converge?"""
     if not tr.check_bconv(B, ctx) or math.isfinite(B.finite_sup):
         return False
-    return end_integrable(B, -ctx.q_star - 1.0, "infinity")
+    return integral_sign(B.end_profile("infinity"), -ctx.q_star - 1.0, "infinity") > 0
 
 
 # ---------------------------------------------------------------------------
-# exact growth comparison of closed-form pieces
+# exact end tests of closed-form pieces
 
 
 def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
@@ -115,6 +118,33 @@ def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     return lex_sign((flip * (ea - eb), dx, a.l_exponent() - b.l_exponent(),
                      a.loglog_exponent() - b.loglog_exponent()),
                     (1e-12, 0.0, 1e-12, 1e-12))
+
+
+def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
+    """Sign of lim f(t) * t**power_shift toward the end: -1 -> 0, 0 -> positive
+    finite, +1 -> +infinity.
+
+    Decided structurally from the factor exponents (exact for every profile
+    ``families`` can build): the power, then the l(t) and l(l(t)) exponents.
+    """
+    # near zero t**e -> 0 when e > 0; near infinity -> infinity when e > 0;
+    # l(t) -> inf at both ends
+    flip = 1.0 if end == "infinity" else -1.0
+    return lex_sign((flip * (pc.effective_power(end) + power_shift),
+                     pc.log_exponent(end), pc.loglog_exponent()), (1e-12,) * 3)
+
+
+def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
+    """Does the integral of pc(s) * s**weight ds converge toward the end?
+
+    Decided from the factor exponents: the power against the critical
+    -1 - weight, then at the critical power the l(t) exponent against -1,
+    then the l(l(t)) exponent against -1; a tie diverges.
+    """
+    flip = 1.0 if end == "zero" else -1.0
+    return lex_sign((flip * (pc.effective_power(end) + weight + 1.0),
+                     -1.0 - pc.log_exponent(end), -1.0 - pc.loglog_exponent()),
+                    (1e-9,) * 3) > 0
 
 
 # ---------------------------------------------------------------------------

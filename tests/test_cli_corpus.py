@@ -1,13 +1,15 @@
 """Golden CLI corpus: exit codes and stdout, byte for byte.
 
 The corpus replays the README commands, the ``conftest.py`` family
-battery (written in the DSL) and acceptance test_10's probe pairs through ``cli.main`` in-process and compares
+battery (written in the DSL), acceptance test_10's probe pairs and the
+critical l(t)-gap pairs through ``cli.main`` in-process and compares
 each exit code and stdout text with ``data/cli_corpus.jsonl``.  A change
 that is meant to alter CLI output regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and says so; any other difference is a regression.
+which prints each command that moved (and where) or is new, and says so;
+any other difference is a regression.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ BATTERY = (
 
 CONTEXTS = (("3", "1"), ("1", "0.5"))
 
+# l(t) gaps of 0.04 and 0.01 above the optimal target, at one end: false
+LOG_GAP_PAIRS = (
+    ("Lp(2)", "Zygmund(6,0,6,0.04)"),
+    ("Lp(2)", "Zygmund(6,0.04,6,0)"),
+    ("Lp(2)", "Zygmund(6,0,6,0.01)"),
+    ("Lp(1.5)", "Zygmund(3,0,3,0.04)"),
+)
+
 # acceptance test_10's twelve (A, B, n, gamma), probed with the default family
 PROBE_PAIRS = (
     ("Lp(1.3333333333333333)", "Lp(4)", "2", "1"),
@@ -78,6 +88,7 @@ def commands() -> list[tuple[str, ...]]:
     out.extend(("bounded", a, b, "--n", n, "--gamma", gamma)
                for a, b in itertools.product(BATTERY, BATTERY))
     out.extend(("probe", a, b, "--n", n, "--gamma", gamma) for a, b, n, gamma in PROBE_PAIRS)
+    out.extend(("bounded", a, b, "--n", "3", "--gamma", "1") for a, b in LOG_GAP_PAIRS)
     return out
 
 
@@ -139,9 +150,25 @@ def test_cli_output_matches_corpus():
     assert not mismatches, f"{len(mismatches)} commands differ: {mismatches[:10]}"
 
 
-if __name__ == "__main__":
+def main() -> int:
+    """Print each command whose entry moves or is new, then rewrite the corpus."""
+    old = {}
+    if CORPUS.exists():
+        old = {json.dumps(e["argv"]): e
+               for e in map(json.loads, CORPUS.read_text().splitlines())}
+    entries = [run(argv) for argv in commands()]
+    for entry in entries:
+        was = old.get(json.dumps(entry["argv"]))
+        if was != entry:
+            where = "new" if was is None else where_differs(entry, was)
+            print(f"{' '.join(entry['argv'])}: {where}")
     CORPUS.parent.mkdir(exist_ok=True)
     with CORPUS.open("w") as fh:
-        for argv in commands():
-            fh.write(json.dumps(run(argv)) + "\n")
-    print(f"wrote {len(commands())} entries to {CORPUS}", file=sys.stderr)
+        for entry in entries:
+            fh.write(json.dumps(entry) + "\n")
+    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ verdicts regenerates the file with
 
     PYTHONPATH=src python tests/test_decide_golden.py
 
-and says so; any other difference is a regression.
+which prints each moved key with its old and new ``holds`` and flags, and
+says so; any other difference is a regression.
 """
 
 from __future__ import annotations
@@ -69,11 +70,21 @@ def test_decide_golden(form, n, gamma):
 
 
 def main() -> int:
+    """Print each key whose verdict moves, with its old and new ``holds`` and
+    flags, then rewrite the golden file."""
+    old = _golden() if GOLDEN.exists() else {}
+    rows = [(key, rec) for form in FORMS for n, gamma in CONTEXTS
+            for key, rec in verdicts(form, n, gamma)]
+    for key, rec in rows:
+        was = old.get(key)
+        if was is None:
+            print(f"{key}: new, holds {rec['holds']} {rec['flags']}")
+        elif was != rec:
+            print(f"{key}: holds {was['holds']} -> {rec['holds']}, "
+                  f"flags {was['flags']} -> {rec['flags']}")
     with GOLDEN.open("w") as fh:
-        for form in FORMS:
-            for n, gamma in CONTEXTS:
-                for key, rec in verdicts(form, n, gamma):
-                    fh.write(json.dumps(dict(key=key, **rec)) + "\n")
+        for key, rec in rows:
+            fh.write(json.dumps(dict(key=key, **rec)) + "\n")
     return 0
 
 

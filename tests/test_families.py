@@ -1,5 +1,6 @@
-"""Exact end comparisons of closed-form pieces: limit_sign, integrable and
-the growth-order oracle compare_growth, one case per comparison level."""
+"""Exact end comparisons of closed-form pieces: the oracles limit_sign,
+integrable and compare_growth, and the library's end_sign and integral_sign
+on the same pieces' end profiles, one case per comparison level."""
 
 import math
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
+from orlicz_calc import young
 from orlicz_calc.families import (ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
                                   LogLogFactor, PowerFactor, piece)
 
-from paper_oracles import compare_growth
+from conftest import closed_profile
+from paper_oracles import compare_growth, integrable, limit_sign
 
 
 class TestLimitSign:
@@ -18,7 +21,8 @@ class TestLimitSign:
     @pytest.mark.parametrize("ll,sign", [(1.0, 1), (-1.0, -1), (0.0, 0)])
     def test_loglog_decides_at_a_tied_power_and_log(self, end, ll, sign):
         pc = piece(PowerFactor(2), LogLogFactor(ll))
-        assert fam.limit_sign(pc, -2.0, end) == sign
+        assert limit_sign(pc, -2.0, end) == sign
+        assert young.end_sign(closed_profile(pc, end), -2.0, end) == sign
 
     @pytest.mark.parametrize("end", ["zero", "infinity"])
     @pytest.mark.parametrize("lead,sign", [(1.0, 1), (-1.0, -1)])
@@ -26,8 +30,11 @@ class TestLimitSign:
         # log(f(t) t^-2) = lead |log t|^0.5 - 2 lead |log t|^0.3: the first
         # term dominates although the coefficients sum to -lead
         pc = piece(PowerFactor(2), ExpLogFactor(lead, 0.5), ExpLogFactor(-2 * lead, 0.3))
-        assert fam.limit_sign(pc, -2.0, end) == sign
-        assert fam.integrable(pc, -3.0, end) == (sign < 0)
+        assert limit_sign(pc, -2.0, end) == sign
+        assert integrable(pc, -3.0, end) == (sign < 0)
+        p = closed_profile(pc, end)
+        assert young.end_sign(p, -2.0, end) == sign
+        assert young.integral_sign(p, -3.0, end) == -sign
 
 
 class TestCompareGrowth:

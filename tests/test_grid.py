@@ -115,6 +115,18 @@ class TestGridFn:
         expect = (y[1] * t[1] - y[0] * t[0]) / (slope + 1.0)
         assert g.total_integral() == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("y,x,want", [
+        # the power law through (1, 1e-300) and (2, 1e300) at 1.9
+        ((1e-300, 1e300), 1.9, 10.0 ** (-300.0 + 600.0 * math.log2(1.9))),
+        # a subnormal left value: yl (x/tl)**m with m = log(1/yl) / log 2
+        ((5e-320, 1.0), 1.957, 5e-320 ** (1.0 - math.log2(1.957))),
+    ], ids=["steep", "subnormal"])
+    def test_cells_past_the_exp_range_are_evaluated_in_logs(self, y, x, want):
+        # exp(m log(x/tl)) overflows there before the multiply by yl
+        g = GridFn(np.array([1.0, 2.0]), np.array(y))
+        assert 0.0 < g(x) <= max(y)
+        assert g(x) == pytest.approx(want, rel=1e-12)
+
     def test_step_function_integral_exact(self):
         s = StepFn(np.array([0.7, 4.0]), np.array([3.0, 1.0]))
         g = s.to_gridfn()

@@ -11,7 +11,7 @@ from orlicz_calc.families import ExpLogFactor, LogFactor, LogLogFactor, PowerFac
 from orlicz_calc.grid import StepFn
 
 import paper_oracles as oracles
-from conftest import bisect_inverse
+from conftest import bisect_inverse, closed_profile
 
 
 def _zygmund_params(draw_p, draw_a):
@@ -159,7 +159,9 @@ def test_limit_sign_follows_the_log_trend(orders):
     shift = dq - q
     # the shift sits next to the power, so that a tie cancels exactly
     oracle = _trend(piece(PowerFactor(q), PowerFactor(shift), *rest), end)
-    assert fam.limit_sign(piece(PowerFactor(q), *rest), shift, end) == oracle
+    pc = piece(PowerFactor(q), *rest)
+    assert oracles.limit_sign(pc, shift, end) == oracle
+    assert young.end_sign(closed_profile(pc, end), shift, end) == oracle
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,5 +177,6 @@ def test_integrable_follows_the_log_trend(orders):
     # each critical shift sits next to its exponent, so that a tie cancels exactly
     oracle = _trend(piece(PowerFactor(q), PowerFactor(w + 1.0), log_f, LogFactor(1.0),
                           loglog_f, LogLogFactor(1.0), *explogs), end)
-    assert fam.integrable(piece(PowerFactor(q), log_f, loglog_f, *explogs), w, end) \
-        == (oracle < 0)
+    pc = piece(PowerFactor(q), log_f, loglog_f, *explogs)
+    assert oracles.integrable(pc, w, end) == (oracle < 0)
+    assert young.integral_sign(closed_profile(pc, end), w, end) == -oracle

@@ -1,10 +1,13 @@
 """Boundedness criteria, their agreement, and the endpoint theorems."""
 
+import itertools
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from orlicz_calc import families as fam, reduction as red, transforms as tr, young
+from orlicz_calc import cli, families as fam, optimality, reduction as red, transforms as tr, young
 
 import paper_oracles as oracles
 from conftest import make
@@ -239,3 +242,83 @@ class TestEndRule:
                               (fam.zygmund(2, 0, 1.5, a), self.CHECKS["l1"])):
             answers = [check(A, ctx31) for A in self.forms(family)]
             assert answers == [a < -1.0] * 3, (family.render(), answers)
+
+
+class TestCriticalLogGaps:
+    """At the critical power the l(t) exponents decide, at any gap: closed
+    forms compare their exact exponents, so no tie band absorbs a small
+    l(t) gap into the grid's constant."""
+
+    @pytest.mark.parametrize("a,b,end", [
+        ("Lp(2)", "Zygmund(6,0,6,0.04)", "infinity"),
+        ("Lp(2)", "Zygmund(6,0.04,6,0)", "zero"),
+        ("Lp(2)", "Zygmund(6,0,6,0.01)", "infinity"),
+        ("Lp(1.5)", "Zygmund(3,0,3,0.04)", "infinity"),
+    ])
+    def test_small_log_gap_above_the_optimal_target_is_rejected(self, capsys, a, b, end):
+        # L^6 (L^3) is the optimal target of L^2 (L^1.5) at (3, 1), and
+        # B(t)/t^6 = l(t)^0.04 -> inf toward the end
+        code = cli.main(["bounded", a, b, "--n", "3", "--gamma", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["holds"] is False
+        assert payload["flags"] == [f"tail-exponent-reject-{end}"]
+
+    def test_critical_pairs_follow_the_exponents(self, ctx31):
+        # A = Zygmund(p,a,p,a) has the target t^p* l(t)^(a p*/p) at both
+        # ends, p* = 3p/(3-p); B moves that l(t) exponent by delta at one
+        # end, so M_1 maps L^A into L^B exactly when delta <= 0
+        wrong = []
+        for p, a, delta, end in itertools.product(
+                (1.5, 2.0, 2.5), (-1.0, 0.0, 0.5),
+                (-0.04, 0.04, -0.01, 0.005, 0.01, 0.1), ("zero", "infinity")):
+            p_star = 3.0 * p / (3.0 - p)
+            b = a * p_star / p
+            b0, b_inf = (b + delta, b) if end == "zero" else (b, b + delta)
+            v = red.bounded(make(fam.zygmund(p, a, p, a)),
+                            make(fam.zygmund(p_star, b0, p_star, b_inf)), ctx31)
+            if v.holds != (delta <= 0):
+                wrong.append((p, a, delta, end, v.holds, v.flags))
+        assert not wrong, f"{len(wrong)} of 108 wrong: {wrong[:5]}"
+
+
+# powers below r* = 3, and l(t) exponents, of the inputs at (3, 1)
+_POWERS = st.sampled_from((1.2, 1.5, 2.0, 2.5))
+_LOGS = st.sampled_from((-1.0, 0.0, 0.5, 1.0))
+# gaps of B from the optimal target's exponents: mostly critical
+_POWER_GAPS = st.sampled_from((0.0, 0.0, 0.0, 0.5, -0.5))
+_LOG_GAPS = st.sampled_from((0.0, 0.005, -0.005, 0.04, -0.04, 0.5, -0.5))
+
+
+@st.composite
+def _critical_pair(draw):
+    """A closed Zygmund or Pow input A, and a closed B at or near the
+    optimal target of A at each end, at (3, 1)."""
+    pow_only = draw(st.booleans())
+    ends = []
+    for _ in ("zero", "infinity"):
+        p = draw(_POWERS)
+        a = 0.0 if pow_only else draw(_LOGS)
+        p_star = 3.0 * p / (3.0 - p)
+        ends.append((p, a, p_star + draw(_POWER_GAPS),
+                     a * p_star / p + draw(_LOG_GAPS)))
+    (p0, a0, q0, b0), (p1, a1, q1, b1) = ends
+    return fam.zygmund(p0, a0, p1, a1), fam.zygmund(q0, b0, q1, b1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_critical_pair())
+@example((fam.zygmund(2, 0, 2, 0), fam.zygmund(6, 0, 6, 0.04)))
+@example((fam.zygmund(1.5, -1, 2, 0.5), fam.zygmund(3, -2.005, 6, 1.5)))
+def test_bounded_agrees_with_the_optimal_spaces(pair):
+    """M_gamma maps L^A into L^B exactly when the optimal target of A embeds
+    into L^B, and exactly when L^A embeds into the optimal domain of B."""
+    ctx = young.GammaContext(3, 1.0)
+    A, B = (make(f) for f in pair)
+    holds = red.bounded(A, B, ctx).holds
+    target = optimality.optimal_target(A, ctx)
+    if target.kind == "optimal":
+        assert holds == young.dominates(target.target, B).holds
+    domain = optimality.optimal_domain(B, ctx)
+    if domain.kind == "optimal":
+        assert holds == young.dominates(A, domain.domain).holds
