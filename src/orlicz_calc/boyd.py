@@ -104,14 +104,13 @@ def _symbolic_indices(A: YoungFn) -> tuple[float, float] | None:
         return None
     orders = []
     for end in ("zero", "infinity"):
-        pc = closed.piece(end)
-        if pc.is_const() is not None:
+        p = closed.piece(end).profile(end)
+        if p.kind != "power":
             orders.append(math.inf)
             continue
-        p = pc.effective_power(end)
-        if p < 1.0 - 1e-9 and not math.isinf(p):
+        if p.q < 1.0 - 1e-9 and not math.isinf(p.q):
             return None  # not a Young-admissible order; fall back to numerics
-        orders.append(p)
+        orders.append(p.q)
     lo, hi = min(orders), max(orders)
     return (max(lo, 1.0), max(hi, 1.0))
 

@@ -1,16 +1,16 @@
 """Closed-form asymptotic profiles for Young functions.
 
 A profile has one product-form piece valid on (0, 1] and another on (1, inf).
-Admissible factors: powers t**p (p may be +inf, encoding a jump to infinity),
-powers of l(t) = 1 + |log t| and of l(l(t)), exponentials of |log t|**kappa
-(e.g. the exp(+-c sqrt(log)) modifiers) and exponentials of t**beta (the
-exponential-type spaces).  Every factor evaluates to 1 at t = 1, so pieces
-join continuously except for explicit constant pieces.
+Admissible factors: finite powers t**p, powers of l(t) = 1 + |log t| and of
+l(l(t)), exponentials of |log t|**kappa (e.g. the exp(+-c sqrt(log))
+modifiers) and exponentials of t**beta (the exponential-type spaces).  Every
+factor evaluates to 1 at t = 1, so pieces join continuously; the jumps of
+L-infinity-type profiles are two constant pieces (``linf``).
 
 All evaluation happens in log space, which keeps t**15 at t = 1e10 or
 exp(t**1.5) finite or cleanly saturated at +inf.  The exact end tests read
-the factor exponents instead (``young.end_profile``), and compare them order
-by order through one tie-band rule, `lex_sign`.
+the factor exponents instead, through one reader, ``AsymPiece.profile``, and
+compare them order by order through one tie-band rule, `lex_sign`.
 """
 
 from __future__ import annotations
@@ -34,14 +34,50 @@ def _finite_exp(logv: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class EndProfile:
+    """Leading behaviour of a Young function toward one end of (0, inf).
+
+    kind: "power" (t**q l(t)**alpha l(l(t))**loglog_exponent), "plateau-zero"
+    (identically 0 up to a threshold) or "plateau-infinity" (jumps to +inf at
+    a threshold).  An ``exact`` profile is built by ``AsymPiece.profile``
+    from a closed form's piece: q is its effective power, alpha its l(t)
+    exponent (+-inf when an exp(|log t|**k) factor outgrows every l(t)
+    power), loglog_exponent its l(l(t)) exponent, and ``exp_beta`` the power
+    of an exp(t**beta) factor (q is +-inf then).  A fitted one comes from the
+    table's edge decades (``young.gridfn_profile``): alpha is a local l(t)
+    exponent there and no l(l(t)) level is read.
+    """
+
+    kind: str
+    q: float = 0.0
+    alpha: float = 0.0
+    exp_beta: float = 0.0
+    threshold: float = 0.0
+    exact: bool = False
+    loglog_exponent: float = 0.0
+
+    def render(self) -> str:
+        if self.kind == "plateau-zero":
+            return f"0 on (0,{self.threshold:.6g}]"
+        if self.kind == "plateau-infinity":
+            return f"inf beyond {self.threshold:.6g}"
+        body = f"t^{self.q:.6g}"
+        if self.alpha and np.isfinite(self.alpha) and abs(self.alpha) > 1e-9:
+            body += f" l(t)^{self.alpha:.6g}"
+        return body
+
+
+@dataclass(frozen=True)
 class PowerFactor:
-    """t**p; p = +inf encodes the L-infinity-type jump at t = 1."""
+    """t**p for a finite p."""
 
     p: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.p):
+            raise ValueError(f"a power factor needs a finite exponent, got {self.p}")
+
     def log_value(self, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        if math.isinf(self.p):
-            return np.where(u < 0, -np.inf, np.where(u > 0, np.inf, 0.0))
         return self.p / scale * u
 
     def render(self) -> str:
@@ -125,7 +161,7 @@ Factor = PowerFactor | LogFactor | LogLogFactor | ExpLogFactor | ExpPowerFactor 
 
 def _coefficient(f: Factor) -> float:
     """The multiplier of a factor's t-part in its log value; 0 for the
-    constants and the power jump, whose log values are 0 or +-inf."""
+    constants, whose log values are +-inf."""
     c = getattr(f, "p", getattr(f, "alpha", getattr(f, "coef", 0.0)))
     return c if math.isfinite(c) else 0.0
 
@@ -168,68 +204,48 @@ class AsymPiece:
             u = np.log(np.asarray(t, dtype=float))
         return _finite_exp(self.log_value(u))
 
-    # -- structural descriptors, used for exact limit decisions -------------
+    def profile(self, end: str) -> EndProfile:
+        """The exact end profile toward ``end`` ("zero" or "infinity"), read
+        from the factors.
 
-    def effective_power(self, end: str) -> float:
-        """lim log f(t) / log t toward the given end ("zero" or "infinity").
-
-        +inf means flatter than any power near zero / steeper than any power
-        near infinity.
+        A constant piece is a plateau.  Otherwise the first exp(t**beta)
+        factor active at this end (beta > 0 toward infinity, < 0 toward
+        zero) makes q +inf (steeper than any power near infinity, flatter
+        near zero) or -inf, with exp_beta = beta; else q, alpha and
+        loglog_exponent are the summed t, l(t) and l(l(t)) exponents, and
+        alpha is +-inf, signed by its coefficient, when the exp(|log t|**k)
+        factors of the largest live k > 0 do not cancel (the l(l(t)) level
+        is not read then).
         """
-        total = 0.0
-        for f in self.factors:
-            if isinstance(f, PowerFactor):
-                total += f.p
-            elif isinstance(f, ExpPowerFactor):
-                if end == "infinity" and f.power > 0:
-                    return math.inf if f.coef > 0 else -math.inf
-                if end == "zero" and f.power < 0:
-                    return math.inf if f.coef < 0 else -math.inf
-            elif isinstance(f, ConstFactor):
-                if f.value == 0.0:
-                    return math.inf if end == "zero" else -math.inf
-                return -math.inf if end == "zero" else math.inf
-        return total
-
-    def log_exponent(self, end: str) -> float:
-        """Effective exponent on l(t); +-inf when an exp-log factor dominates,
-        signed by the net coefficient at the largest live |log t| power."""
-        coef, power = self.explog()
-        if coef and power > 0:
-            return math.copysign(math.inf, coef)
-        return self.l_exponent()
-
-    def l_exponent(self) -> float:
-        """Summed exponent of the l(t) factors."""
-        return sum(f.alpha for f in self.factors if isinstance(f, LogFactor))
-
-    def loglog_exponent(self) -> float:
-        return sum(f.alpha for f in self.factors if isinstance(f, LogLogFactor))
-
-    def explog(self) -> tuple[float, float]:
-        """Net (coef, power) of exp(|log t|**power) factors; (0, 0) if none."""
-        coefs: dict[float, float] = {}
-        for f in self.factors:
-            if isinstance(f, ExpLogFactor):
-                coefs[f.power] = coefs.get(f.power, 0.0) + f.coef
-        live = [(p, c) for p, c in coefs.items() if c]
-        if not live:
-            return (0.0, 0.0)
-        p, c = max(live)
-        return (c, p)
-
-    def exppower(self, end: str) -> tuple[float, float]:
-        """Net (coef, power) of the exp(t**power) factor active at this end."""
+        const = next((f for f in self.factors if isinstance(f, ConstFactor)), None)
+        if const is not None:
+            kind = "plateau-zero" if const.value == 0.0 else "plateau-infinity"
+            return EndProfile(kind, exact=True)
+        q = alpha = loglog = 0.0
+        explogs: dict[float, float] = {}
         for f in self.factors:
             if isinstance(f, ExpPowerFactor):
-                if (end == "infinity" and f.power > 0) or (end == "zero" and f.power < 0):
-                    return (f.coef, f.power)
-        return (0.0, 0.0)
+                if (f.power > 0) if end == "infinity" else (f.power < 0):
+                    up = f.coef > 0 if end == "infinity" else f.coef < 0
+                    return EndProfile("power", math.inf if up else -math.inf,
+                                      exp_beta=f.power, exact=True)
+            elif isinstance(f, PowerFactor):
+                q += f.p
+            elif isinstance(f, LogFactor):
+                alpha += f.alpha
+            elif isinstance(f, LogLogFactor):
+                loglog += f.alpha
+            elif isinstance(f, ExpLogFactor):
+                explogs[f.power] = explogs.get(f.power, 0.0) + f.coef
+        live = [(k, c) for k, c in explogs.items() if c]
+        if live and max(live)[0] > 0:
+            return EndProfile("power", q, math.copysign(math.inf, max(live)[1]),
+                              exact=True)
+        return EndProfile("power", q, alpha, exact=True, loglog_exponent=loglog)
 
     def power_log_parts(self) -> tuple[float, float, float, list[ExpLogFactor]] | None:
         """(q, alpha, llog, explogs): the summed t, l(t) and l(l(t)) exponents
-        and the exp-log factors; None when another kind of factor is present.
-        q is +inf for a power jump."""
+        and the exp-log factors; None when another kind of factor is present."""
         q, alpha, llog = 0.0, 0.0, 0.0
         explogs: list[ExpLogFactor] = []
         for f in self.factors:
@@ -244,12 +260,6 @@ class AsymPiece:
             else:
                 return None
         return q, alpha, llog, explogs
-
-    def is_const(self) -> float | None:
-        for f in self.factors:
-            if isinstance(f, ConstFactor):
-                return f.value
-        return None
 
     def render(self) -> str:
         return " ".join(f.render() for f in self.factors)
@@ -358,21 +368,20 @@ def conjugate_piece(pc: AsymPiece, end: str) -> AsymPiece | None:
     t**q' l**(-a/(q-1)) ll**(-b/(q-1)) exp(-c/(q-1)**(1+k) |log|**k) with
     q' = q/(q-1); degenerate orders map to the exponential / constant pieces.
     """
-    const = pc.is_const()
-    if const is not None:
+    p = pc.profile(end)
+    if p.kind != "power":
         return piece(PowerFactor(1.0))
-    c_ep, beta = pc.exppower(end)
-    if c_ep:
+    if math.isinf(p.q):
         if any(not isinstance(f, ExpPowerFactor) for f in pc.factors):
             return None
-        return piece(PowerFactor(1.0), LogFactor(1.0 / beta))
+        return piece(PowerFactor(1.0), LogFactor(1.0 / p.exp_beta))
     parts = pc.power_log_parts()
     if parts is None:
         return None
     q, alpha, llog, explogs = parts
-    if math.isinf(q):
-        return piece(PowerFactor(1.0))
-    if q > 1.0:
+    tie = (1e-12,)
+    order = lex_sign((q - 1.0,), tie)
+    if order > 0:
         qq = q - 1.0
         factors: list[Factor] = [PowerFactor(q / qq)]
         if alpha:
@@ -386,11 +395,14 @@ def conjugate_piece(pc: AsymPiece, end: str) -> AsymPiece | None:
                 scale = math.inf
             factors.append(ExpLogFactor(-f.coef / scale, f.power))
         return AsymPiece(tuple(factors))
-    if abs(q - 1.0) < 1e-12 and not llog and not explogs:
-        if alpha == 0.0:
+    if order == 0 and not llog and not explogs:
+        # t l(t)**alpha: the conjugate jumps where alpha = 0, and is of
+        # exponential type where l(t)**alpha grows toward the end
+        sign = -1.0 if end == "zero" else 1.0
+        grows = lex_sign((sign * alpha,), tie)
+        if grows == 0:
             return piece(ConstFactor(0.0 if end == "zero" else math.inf))
-        if (end == "zero" and alpha < 0) or (end == "infinity" and alpha > 0):
-            sign = -1.0 if end == "zero" else 1.0
+        if grows > 0:
             return piece(ExpPowerFactor(sign, 1.0 / alpha))
     return None
 

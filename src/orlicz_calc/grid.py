@@ -591,12 +591,6 @@ class StepFn:
         widths = np.diff(np.concatenate(([0.0], self.breaks)))
         return float(np.dot(widths, self.values))
 
-    def dilate(self, r: float) -> "StepFn":
-        """g(t/r): stretch the time axis by r > 0."""
-        if r <= 0:
-            raise ValueError("scale must be positive")
-        return StepFn(self.breaks * r, self.values.copy())
-
     def to_gridfn(self, grid: GridSpec = DEFAULT_GRID) -> GridFn:
         base = grid.abscissae()
         pts = [base]

@@ -50,8 +50,7 @@ class TestFunction:
     """Nonincreasing test profiles on (0, inf).
 
     kind "indicator": the characteristic function of (0, r);
-    kind "power-log": t**(-p) l(t)**beta restricted to (a, b);
-    kind "steps": an explicit step function.
+    kind "power-log": t**(-p) l(t)**beta restricted to (a, b).
     """
 
     kind: str
@@ -60,14 +59,11 @@ class TestFunction:
     beta: float = 0.0
     a: float = 1e-4
     b: float = 1e4
-    steps: StepFn | None = None
 
     def realize(self, scale: float, grid: GridSpec = DEFAULT_GRID) -> StepFn | GridFn:
         """The profile dilated by ``scale``: g(t / scale)."""
         if self.kind == "indicator":
             return StepFn(np.array([self.r * scale]), np.array([1.0]))
-        if self.kind == "steps":
-            return self.steps.dilate(scale)
         if self.kind == "power-log":
             lo, hi = self.a * scale, self.b * scale
             t = merge_breakpoints(grid, [lo, hi])

@@ -20,7 +20,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import families as fam
 from . import transforms as tr
 # the ladder constants live with the ladder in ``young``; they are named
 # here too because the criteria below search that ladder
@@ -32,40 +31,10 @@ from .young import (  # noqa: F401
     GammaContext,
     Verdict,
     YoungFn,
-    _bands,
     _q_category,
     constant_ladder,
-    integral_sign,
     ladder_verdict,
 )
-
-
-def _lhs_profile(pb: EndProfile, ctx: GammaContext, end: str) -> EndProfile:
-    """End profile of the prefix integral t -> int_0^t B(s)/s^(q*+1) ds,
-    mapped from B's own profile.
-
-    Above the critical power q* the integral follows B(t)/t^q*.  At infinity
-    a convergent integral levels off.  At the critical power the integrand is
-    s^-1 l^alpha l(l)^beta, and the integral gains one level: l^(alpha+1)
-    l(l)^beta, or l(l)^(beta+1) when a closed form has alpha = -1.
-    """
-    if pb.kind != "power" or _q_category(pb) == "super":
-        # plateaus pass through (0 stays 0, +inf stays +inf), and so does a
-        # superpolynomial scale
-        return pb
-    bands = _bands(pb)
-    if fam.lex_sign((pb.q - ctx.q_star,), bands) > 0:
-        return replace(pb, q=pb.q - ctx.q_star)
-    if end == "infinity":
-        sign = integral_sign(pb, -ctx.q_star - 1.0, end)
-        if sign >= 0:
-            # convergent: the integral levels off; a tie at every level grows
-            # past every level, slower than the last, so it is not exact
-            return EndProfile("power", exact=pb.exact and sign > 0)
-    if pb.exact and fam.lex_sign((pb.alpha + 1.0,), bands[1:]) == 0:
-        return EndProfile("power", exact=True, loglog_exponent=pb.loglog_exponent + 1.0)
-    return EndProfile("power", 0.0, pb.alpha + 1.0, exact=pb.exact,
-                      loglog_exponent=pb.loglog_exponent)
 
 
 def _rhs_profile(pa: EndProfile, ctx: GammaContext) -> EndProfile:
@@ -100,7 +69,7 @@ def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
             return AG._monotone_eval(c * t) / tq
 
     return ladder_verdict("iii", lambda end: _rhs_profile(AG.end_profile(end), ctx),
-                          lambda end: _lhs_profile(B.end_profile(end), ctx, end),
+                          lambda end: tr.lower_integral_profile(B.end_profile(end), ctx, end),
                           t, L.y, rhs_at, ladder)
 
 

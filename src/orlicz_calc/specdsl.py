@@ -219,16 +219,19 @@ def parse_spec(text: str) -> SpaceSpec:
 
 
 def _check_piece(pc: fam.AsymPiece, end: str, pos: int) -> None:
-    q = pc.effective_power(end)
-    if not math.isinf(q) and q < 1.0 - 1e-12:
-        raise SpecParseError(f"piece near {end} has order {q} < 1", pos)
-    if abs(q - 1.0) <= 1e-12:
-        alpha = pc.log_exponent(end)
-        bad = alpha > 0 if end == "zero" else alpha < 0
-        if bad:
-            raise SpecParseError(
-                f"order-1 piece near {end} needs log exponent "
-                f"{'<= 0' if end == 'zero' else '>= 0'}", pos)
+    p = pc.profile(end)
+    if p.kind != "power" or math.isinf(p.q):
+        return
+    tie = (1e-12,)
+    order = fam.lex_sign((p.q - 1.0,), tie)
+    if order < 0:
+        raise SpecParseError(f"piece near {end} has order {p.q} < 1", pos)
+    # an order-1 piece keeps A(t)/t = l(t)**alpha nondecreasing in t
+    flip = -1.0 if end == "zero" else 1.0
+    if order == 0 and fam.lex_sign((flip * p.alpha,), tie) < 0:
+        raise SpecParseError(
+            f"order-1 piece near {end} needs log exponent "
+            f"{'<= 0' if end == 'zero' else '>= 0'}", pos)
 
 
 def render(spec: SpaceSpec) -> str:

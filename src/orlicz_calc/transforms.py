@@ -20,14 +20,16 @@ fitted (or closed-form) power of the lowest decade plus its analytic integral.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import families as fam
+from .families import EndProfile
 from .grid import GridFn, GridSpec, grid_inverse
-from .young import (DoubleRangeError, GammaContext, YoungFn, end_sign, integral_sign,
-                    inverse_on_grid, per_young)
+from .young import (DoubleRangeError, GammaContext, YoungFn, _bands, _q_category, end_sign,
+                    integral_sign, inverse_on_grid, per_young)
 
 
 class TransformGateError(ValueError):
@@ -40,12 +42,6 @@ class TransformGateError(ValueError):
 
 # ---------------------------------------------------------------------------
 # closed-form asymptotics of the transform outputs
-
-def _simple_parts(pc: fam.AsymPiece):
-    """(q, alpha, llog, explogs) of a plain power-log piece, else None."""
-    parts = pc.power_log_parts()
-    return parts if parts is not None and math.isfinite(parts[0]) else None
-
 
 def _scaled_piece(power: float, mult: float, alpha: float, llog: float,
                   explogs) -> fam.AsymPiece:
@@ -62,35 +58,32 @@ def _scaled_piece(power: float, mult: float, alpha: float, llog: float,
 def _target_piece(A: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
     """Closed-form piece of the target profile at one end, when derivable."""
     closed = A.closed_form
-    if closed is not None and end == "infinity":
-        pc = closed.piece(end)
-        if pc.exppower(end)[0] > 0 or pc.is_const() == math.inf:
-            # superpolynomial growth: the supremum saturates
-            return fam.piece(fam.ConstFactor(math.inf))
-    if end == "infinity" and math.isfinite(A.finite_sup):
-        return fam.piece(fam.ConstFactor(math.inf))
     if closed is None:
         return None
     pc = closed.piece(end)
-    parts = _simple_parts(pc)
+    p = pc.profile(end)
+    if end == "infinity" and (p.kind == "plateau-infinity" or p.q == math.inf):
+        # superpolynomial growth: the supremum saturates
+        return fam.piece(fam.ConstFactor(math.inf))
+    parts = pc.power_log_parts()
     if parts is None:
         return None
     q, alpha, llog, explogs = parts
-    r = ctx.r_star
-    if q < r - 1e-12:
+    tie = _bands(p)
+    order = fam.lex_sign((q - ctx.r_star,), tie)
+    if order < 0:
         mult = ctx.n / (ctx.n - ctx.gamma * q)
         return _scaled_piece(q * mult, mult, alpha, llog, explogs)
+    log_sign = fam.lex_sign((alpha,), tie)
     if end == "infinity":
-        if q > r + 1e-12 or (abs(q - r) <= 1e-12 and (alpha >= 0 or llog or explogs)):
+        if order > 0 or log_sign >= 0 or llog or explogs:
             return fam.piece(fam.ConstFactor(math.inf))
-        if abs(q - r) <= 1e-12 and alpha < 0 and not llog and not explogs:
-            return fam.piece(fam.ExpPowerFactor(1.0, -ctx.r_star / alpha))
-        return None
+        return fam.piece(fam.ExpPowerFactor(1.0, -ctx.r_star / alpha))
     # zero end under the admissibility condition: q = r with alpha >= 0
-    if abs(q - r) <= 1e-12 and not llog and not explogs:
-        if alpha > 0:
+    if order == 0 and not llog and not explogs:
+        if log_sign > 0:
             return fam.piece(fam.ExpPowerFactor(-1.0, -ctx.r_star / alpha))
-        if alpha == 0:
+        if log_sign == 0:
             return fam.piece(fam.ConstFactor(0.0))
     return None
 
@@ -106,47 +99,39 @@ def target_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily
 def _domain_piece(B: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
     """Closed-form piece of the domain profile at one end, when derivable."""
     closed = B.closed_form
-    if closed is not None:
-        pc = closed.piece(end)
-        c_ep, beta = pc.exppower(end)
-        if c_ep and all(isinstance(f, fam.ExpPowerFactor) for f in pc.factors):
-            # exponential scale: the simplified inverse gives t^(n/gamma) times
-            # a log correction of exponent -(n/gamma)/beta
-            return fam.piece(fam.PowerFactor(ctx.r_star),
-                             fam.LogFactor(-ctx.r_star / beta))
-        if pc.is_const() is not None:
-            return fam.piece(fam.PowerFactor(ctx.r_star))
-    if end == "infinity" and math.isfinite(B.finite_sup):
-        return fam.piece(fam.PowerFactor(ctx.r_star))
-    if end == "zero" and B.zero_plateau_end > 0.0:
-        return fam.piece(fam.PowerFactor(ctx.r_star))
     if closed is None:
-        return None
+        plateau = (B.zero_plateau_end > 0.0 if end == "zero"
+                   else math.isfinite(B.finite_sup))
+        return fam.piece(fam.PowerFactor(ctx.r_star)) if plateau else None
     pc = closed.piece(end)
-    parts = _simple_parts(pc)
+    p = pc.profile(end)
+    if p.kind != "power":
+        return fam.piece(fam.PowerFactor(ctx.r_star))
+    if math.isinf(p.q):
+        if any(not isinstance(f, fam.ExpPowerFactor) for f in pc.factors):
+            return None
+        # exponential scale: the simplified inverse gives t^(n/gamma) times
+        # a log correction of exponent -(n/gamma)/beta
+        return fam.piece(fam.PowerFactor(ctx.r_star),
+                         fam.LogFactor(-ctx.r_star / p.exp_beta))
+    parts = pc.power_log_parts()
     if parts is None:
         return None
     q, alpha, llog, explogs = parts
-    q_star = ctx.q_star
-    if q > q_star + 1e-12:
+    order = fam.lex_sign((q - ctx.q_star,), _bands(p))
+    if order > 0:
         mult = ctx.n / (ctx.n + ctx.gamma * q)
         return _scaled_piece(q * mult, mult, alpha, llog, explogs)
     if llog or explogs:
         return None
-    scale = 1.0 - ctx.s_star
-    if abs(q - q_star) <= 1e-12:
-        if end == "zero":
-            if alpha < -1.0:
-                return fam.piece(fam.PowerFactor(1.0), fam.LogFactor(scale * (alpha + 1.0)))
-            return None
-        if alpha > -1.0:
-            return fam.piece(fam.PowerFactor(1.0), fam.LogFactor(scale * (alpha + 1.0)))
-        if alpha == -1.0:
-            return fam.piece(fam.PowerFactor(1.0), fam.LogLogFactor(scale))
-        return fam.piece(fam.PowerFactor(1.0))
-    if end == "infinity":
-        return fam.piece(fam.PowerFactor(1.0))
-    return None
+    # at or below q*, F(t) = t^q* L(t) and the domain is t L(t)^(1 - gamma/n),
+    # for L the prefix integral of B(s)/s^(q*+1)
+    L = lower_integral_profile(p, ctx, end)
+    if L.q:
+        # an order of 25 or more passes unmapped (``young._q_category``);
+        # below q* its integral still levels off toward infinity
+        return fam.piece(fam.PowerFactor(1.0)) if end == "infinity" and order < 0 else None
+    return _scaled_piece(1.0, 1.0 - ctx.s_star, L.alpha, L.loglog_exponent, ())
 
 
 def domain_profile_family(B: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily | None:
@@ -165,18 +150,15 @@ def improved_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFami
         return None
     pieces = []
     for end in ("zero", "infinity"):
-        if end == "infinity" and math.isfinite(A.finite_sup):
-            pieces.append(fam.piece(fam.PowerFactor(ctx.r_star)))
-            continue
         pc = closed.piece(end)
-        q = pc.effective_power(end)
-        parts = _simple_parts(pc)
-        if parts is None and not math.isinf(q):
-            return None
-        if q < ctx.r_star - 1e-12:
-            pieces.append(pc)
-        else:
-            pieces.append(fam.piece(fam.PowerFactor(ctx.r_star)))
+        p = pc.profile(end)
+        if p.kind == "power" and math.isfinite(p.q):
+            if pc.power_log_parts() is None:
+                return None
+            if fam.lex_sign((p.q - ctx.r_star,), _bands(p)) < 0:
+                pieces.append(pc)
+                continue
+        pieces.append(fam.piece(fam.PowerFactor(ctx.r_star)))
     return fam.AsymptoticFamily(*pieces)
 
 
@@ -280,6 +262,34 @@ def lower_fractional_integral(B: YoungFn, ctx: GammaContext) -> GridFn:
     y = np.maximum.accumulate(g.prefix_integral(-ctx.q_star - 1.0))
     y.setflags(write=False)
     return GridFn(g.t, y)
+
+
+def lower_integral_profile(pb: EndProfile, ctx: GammaContext, end: str) -> EndProfile:
+    """End profile of L(t) = int_0^t B(s)/s^(q*+1) ds, mapped from B's own
+    end profile pb.
+
+    Above the critical power q* the integral follows B(t)/t^q*.  At infinity
+    a convergent integral levels off.  At the critical power the integrand is
+    s^-1 l^alpha l(l)^beta, and the integral gains one level: l^(alpha+1)
+    l(l)^beta, or l(l)^(beta+1) when a closed form has alpha = -1.
+    """
+    if pb.kind != "power" or _q_category(pb) == "super":
+        # plateaus pass through (0 stays 0, +inf stays +inf), and so does a
+        # superpolynomial scale
+        return pb
+    bands = _bands(pb)
+    if fam.lex_sign((pb.q - ctx.q_star,), bands) > 0:
+        return replace(pb, q=pb.q - ctx.q_star)
+    if end == "infinity":
+        sign = integral_sign(pb, -ctx.q_star - 1.0, end)
+        if sign >= 0:
+            # convergent: the integral levels off; a tie at every level grows
+            # past every level, slower than the last, so it is not exact
+            return EndProfile("power", exact=pb.exact and sign > 0)
+    if pb.exact and fam.lex_sign((pb.alpha + 1.0,), bands[1:]) == 0:
+        return EndProfile("power", exact=True, loglog_exponent=pb.loglog_exponent + 1.0)
+    return EndProfile("power", 0.0, pb.alpha + 1.0, exact=pb.exact,
+                      loglog_exponent=pb.loglog_exponent)
 
 
 def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:

@@ -19,12 +19,13 @@ A^{-1}(s) = sup{t : A(t) <= s}, which handles zero plateaus and jumps to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
 
 import numpy as np
 
 from . import families as fam
+from .families import EndProfile
 from .grid import (DEFAULT_GRID, CellQuadrature, GridFn, GridSpec, StepFn, TailFit, ell,
                    merge_breakpoints)
 
@@ -481,29 +482,24 @@ class YoungFn:
         tail = None
         t0, v0 = float(t[0]), float(vals[0])
         if self.closed_form is not None and 0.0 < v0 < math.inf:
-            pc = self.closed_form.piece("zero")
-            q, alpha = pc.effective_power("zero"), pc.log_exponent("zero")
-            if (math.isfinite(q) and math.isfinite(alpha)
-                    and not pc.exppower("zero")[0] and not pc.loglog_exponent()):
-                log_coef = (math.log(v0) - q * math.log(t0)
-                            - alpha * math.log(float(ell(t0))))
-                tail = TailFit("power", q, log_coef, alpha, exact=True)
+            p = self.closed_form.piece("zero").profile("zero")
+            if (p.kind == "power" and math.isfinite(p.q) and math.isfinite(p.alpha)
+                    and not p.loglog_exponent):
+                log_coef = (math.log(v0) - p.q * math.log(t0)
+                            - p.alpha * math.log(float(ell(t0))))
+                tail = TailFit("power", p.q, log_coef, p.alpha, exact=True)
         return GridFn(t, vals, tail_zero=tail)
 
     def _structural_jump(self, end: str) -> bool | None:
         """Does the closed form put an actual 0/inf plateau at this end?
 
         None when no closed form is attached; otherwise the answer is exact:
-        only constant pieces and power jumps plateau, everything else is
-        positive finite there (float under/overflow notwithstanding).
+        only constant pieces plateau, everything else is positive finite
+        there (float under/overflow notwithstanding).
         """
         if self.closed_form is None:
             return None
-        pc = self.closed_form.piece(end)
-        if pc.is_const() is not None:
-            return True
-        return any(isinstance(f, fam.PowerFactor) and math.isinf(f.p)
-                   for f in pc.factors)
+        return self.closed_form.piece(end).profile(end).kind != "power"
 
     def _find_zero_plateau(self) -> float:
         if self._structural_jump("zero") is False:
@@ -599,39 +595,6 @@ class YoungFn:
         return f"~ {pz.render()} @0 | {pi.render()} @inf"
 
 
-@dataclass(frozen=True)
-class EndProfile:
-    """Leading behaviour of a Young function toward one end of (0, inf).
-
-    kind: "power" (t**q l(t)**alpha l(l(t))**loglog_exponent), "plateau-zero"
-    (identically 0 up to a threshold) or "plateau-infinity" (jumps to +inf at
-    a threshold).  An ``exact`` power profile is read from the closed form's
-    piece: q is its effective power, alpha its l(t) exponent (+-inf when an
-    exp(|log t|**k) factor outgrows every l(t) power), loglog_exponent its
-    l(l(t)) exponent, and ``exp_beta`` the power of an exp(t**beta) factor
-    (q is +-inf then).  A fitted one comes from the table's edge decades:
-    alpha is a local l(t) exponent there and no l(l(t)) level is read.
-    """
-
-    kind: str
-    q: float = 0.0
-    alpha: float = 0.0
-    exp_beta: float = 0.0
-    threshold: float = 0.0
-    exact: bool = False
-    loglog_exponent: float = 0.0
-
-    def render(self) -> str:
-        if self.kind == "plateau-zero":
-            return f"0 on (0,{self.threshold:.6g}]"
-        if self.kind == "plateau-infinity":
-            return f"inf beyond {self.threshold:.6g}"
-        body = f"t^{self.q:.6g}"
-        if self.alpha and np.isfinite(self.alpha) and abs(self.alpha) > 1e-9:
-            body += f" l(t)^{self.alpha:.6g}"
-        return body
-
-
 def gridfn_profile(g: GridFn, end: str, *, finite_sup: float = math.inf) -> EndProfile:
     """EndProfile of a sampled function, from the windowed (q, alpha) fit."""
     tail = g.tail_zero if end == "zero" else g.tail_infinity
@@ -671,26 +634,11 @@ def end_profile(A: YoungFn, end: str) -> EndProfile:
     if closed is not None:
         # structural profile first: a float-saturated table must not disguise
         # a finite-order or exponential profile as a genuine plateau
-        pc = closed.piece(end)
-        const = pc.is_const()
-        if const == 0.0 or (isinstance(pc.factors[0], fam.PowerFactor)
-                            and math.isinf(pc.factors[0].p) and end == "zero"):
-            return EndProfile("plateau-zero", threshold=A.zero_plateau_end,
-                              exact=True)
-        if const is not None and math.isinf(const):
-            return EndProfile("plateau-infinity", threshold=A.finite_sup, exact=True)
-        q_struct = pc.effective_power(end)
-        if math.isinf(q_struct):
-            beta = pc.exppower(end)[1]
-            if end == "infinity" and beta == 0.0:
-                # a power jump (t**inf): an actual plateau at the threshold
-                return EndProfile("plateau-infinity", threshold=A.finite_sup,
-                                  exact=True)
-            return EndProfile("power", q_struct, 0.0, beta, exact=True)
-        alpha = pc.log_exponent(end)
-        # past an exp(|log t|**k) factor the l(l(t)) level is never read
-        loglog = pc.loglog_exponent() if math.isfinite(alpha) else 0.0
-        return EndProfile("power", q_struct, alpha, exact=True, loglog_exponent=loglog)
+        p = closed.piece(end).profile(end)
+        if p.kind == "power":
+            return p
+        return replace(p, threshold=A.zero_plateau_end if p.kind == "plateau-zero"
+                       else A.finite_sup)
     if end == "zero" and A.zero_plateau_end > 0.0:
         return EndProfile("plateau-zero", threshold=A.zero_plateau_end,
                           exact=True)

@@ -8,6 +8,8 @@ of a result that the library reaches another way, valid under a gate:
   index gates; compared with ``a_gamma`` and ``b_gamma``;
 * ``endpoint_linf_target`` / ``endpoint_l1_domain``: the endpoint theorems,
   compared with ``bounded(A, Linf)`` and ``bounded(L1, B)``;
+* ``read_factors``: a closed-form piece's exponents toward one end, read
+  from its factors; its ``profile`` is compared with ``AsymPiece.profile``;
 * ``compare_growth``: the exact growth order of two closed-form pieces,
   which decides essential domination; compared with ``dominates``;
 * ``limit_sign`` / ``integrable``: the end limit and the end integral of a
@@ -17,12 +19,15 @@ of a result that the library reaches another way, valid under a gate:
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from orlicz_calc import transforms as tr
 from orlicz_calc.boyd import boyd_indices
-from orlicz_calc.families import AsymPiece, lex_sign
+from orlicz_calc.families import (AsymPiece, ConstFactor, EndProfile, ExpLogFactor,
+                                  ExpPowerFactor, LogFactor, LogLogFactor, PowerFactor,
+                                  lex_sign)
 from orlicz_calc.grid import GridFn
 from orlicz_calc.transforms import TransformGateError
 from orlicz_calc.young import (CONSTANT_CAP, GammaContext, YoungFn, constant_ladder,
@@ -86,6 +91,65 @@ def endpoint_l1_domain(B: YoungFn, ctx: GammaContext) -> bool:
 # exact end tests of closed-form pieces
 
 
+@dataclass(frozen=True)
+class FactorReading:
+    """A piece's factors toward one end.
+
+    ``const`` is the value (0 or inf) of a constant piece, else None.  ``q``
+    is the summed power, or +inf (-inf) when the first exp(t**beta) factor
+    active at the end outgrows (undercuts) every power there; ``beta`` is
+    then its power.  ``explog`` is the net (coef, k) of the exp(|log t|**k)
+    factors with the largest k whose coefficients do not cancel, else
+    (0, 0); ``l`` and ``ll`` are the summed l(t) and l(l(t)) exponents.
+    """
+
+    const: float | None
+    q: float
+    beta: float
+    explog: tuple[float, float]
+    l: float
+    ll: float
+
+    def profile(self) -> EndProfile:
+        """The exact end profile these exponents give: a plateau, an
+        exp(t**beta) scale, or the power with the l(t) exponent (+-inf past
+        a live exp(|log t|**k) factor, k > 0) and the l(l(t)) exponent."""
+        if self.const is not None:
+            return EndProfile("plateau-zero" if self.const == 0.0 else "plateau-infinity",
+                              exact=True)
+        if math.isinf(self.q):
+            return EndProfile("power", self.q, exp_beta=self.beta, exact=True)
+        coef, k = self.explog
+        if coef and k > 0:
+            return EndProfile("power", self.q, math.copysign(math.inf, coef), exact=True)
+        return EndProfile("power", self.q, self.l, exact=True, loglog_exponent=self.ll)
+
+
+def read_factors(pc: AsymPiece, end: str) -> FactorReading:
+    """Read the piece's factors toward ``end`` ("zero" or "infinity")."""
+    consts = [f.value for f in pc.factors if isinstance(f, ConstFactor)]
+    if consts:
+        return FactorReading(consts[0], math.nan, 0.0, (0.0, 0.0), 0.0, 0.0)
+    # exp(c t**beta) is active toward infinity for beta > 0, toward zero for
+    # beta < 0; it outgrows every power where c t**beta -> +inf
+    active = [f for f in pc.factors if isinstance(f, ExpPowerFactor)
+              and f.power != 0 and (f.power > 0) == (end == "infinity")]
+    if active:
+        f = active[0]
+        return FactorReading(None, math.inf if f.coef * f.power > 0 else -math.inf,
+                             f.power, (0.0, 0.0), 0.0, 0.0)
+    net: dict[float, float] = {}
+    for f in pc.factors:
+        if isinstance(f, ExpLogFactor):
+            net[f.power] = net.get(f.power, 0.0) + f.coef
+    live = sorted((k, c) for k, c in net.items() if c)
+    k, coef = live[-1] if live else (0.0, 0.0)
+    return FactorReading(
+        None, sum(f.p for f in pc.factors if isinstance(f, PowerFactor)), 0.0, (coef, k),
+        sum(f.alpha for f in pc.factors if isinstance(f, LogFactor)),
+        sum(f.alpha for f in pc.factors if isinstance(f, LogLogFactor)))
+
+
 def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     """Is a(t)/b(lambda t) unbounded toward the end, for every lambda >= 1?
 
@@ -95,28 +159,25 @@ def compare_growth(a: AsymPiece, b: AsymPiece, end: str) -> int:
     compared by beta (coefficients lose to the lambda-inflation), then powers,
     then exp(|log|**kappa) corrections, then l, then l(l).
     """
-    ca, cb = a.is_const(), b.is_const()
-    if ca is not None or cb is not None:
+    ra, rb = read_factors(a, end), read_factors(b, end)
+    if ra.const is not None or rb.const is not None:
         # rank 0 < positive finite < inf; two equal constants are comparable
-        ra, rb = (0 if c is None else 1 if math.isinf(c) else -1 for c in (ca, cb))
-        return (ra > rb) - (ra < rb)
-    ea, eb = a.effective_power(end), b.effective_power(end)
-    if math.isinf(ea) and math.isinf(eb):
+        ka, kb = (0 if r.const is None else 1 if math.isinf(r.const) else -1
+                  for r in (ra, rb))
+        return (ka > kb) - (ka < kb)
+    if math.isinf(ra.q) and math.isinf(rb.q):
         # both superpolynomial (or superflat): at both ends the larger beta
         # is the larger function (near zero the more negative, the flatter)
-        (ca, beta_a), (cb, beta_b) = a.exppower(end), b.exppower(end)
-        if beta_a != beta_b:
-            return 1 if beta_a > beta_b else -1
-        return -1 if (ca or cb) else 0
+        if ra.beta != rb.beta:
+            return 1 if ra.beta > rb.beta else -1
+        return -1
     # sub-polynomial corrections survive any lambda; of two exp-log factors
     # the one with the larger |log|-power dominates and its sign decides.
-    # Only once they tie do the l(t) exponents compare, as plain sums:
-    # log_exponent is infinite for both pieces when they share an exp-log factor
-    (xa, ka), (xb, kb) = a.explog(), b.explog()
+    # Only once they tie do the l(t) exponents compare, as plain sums
+    (xa, ka), (xb, kb) = ra.explog, rb.explog
     dx = xa - xb if ka == kb else (xa if ka > kb else -xb)
     flip = 1.0 if end == "infinity" else -1.0
-    return lex_sign((flip * (ea - eb), dx, a.l_exponent() - b.l_exponent(),
-                     a.loglog_exponent() - b.loglog_exponent()),
+    return lex_sign((flip * (ra.q - rb.q), dx, ra.l - rb.l, ra.ll - rb.ll),
                     (1e-12, 0.0, 1e-12, 1e-12))
 
 
@@ -129,9 +190,10 @@ def limit_sign(pc: AsymPiece, power_shift: float, end: str) -> int:
     """
     # near zero t**e -> 0 when e > 0; near infinity -> infinity when e > 0;
     # l(t) -> inf at both ends
+    p = read_factors(pc, end).profile()
     flip = 1.0 if end == "infinity" else -1.0
-    return lex_sign((flip * (pc.effective_power(end) + power_shift),
-                     pc.log_exponent(end), pc.loglog_exponent()), (1e-12,) * 3)
+    return lex_sign((flip * (p.q + power_shift), p.alpha, p.loglog_exponent),
+                    (1e-12,) * 3)
 
 
 def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
@@ -141,9 +203,9 @@ def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
     -1 - weight, then at the critical power the l(t) exponent against -1,
     then the l(l(t)) exponent against -1; a tie diverges.
     """
+    p = read_factors(pc, end).profile()
     flip = 1.0 if end == "zero" else -1.0
-    return lex_sign((flip * (pc.effective_power(end) + weight + 1.0),
-                     -1.0 - pc.log_exponent(end), -1.0 - pc.loglog_exponent()),
+    return lex_sign((flip * (p.q + weight + 1.0), -1.0 - p.alpha, -1.0 - p.loglog_exponent),
                     (1e-9,) * 3) > 0
 
 

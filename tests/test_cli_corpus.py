@@ -1,8 +1,9 @@
 """Golden CLI corpus: exit codes and stdout, byte for byte.
 
 The corpus replays the README commands, the ``conftest.py`` family
-battery (written in the DSL), acceptance test_10's probe pairs and the
-critical l(t)-gap pairs through ``cli.main`` in-process and compares
+battery (written in the DSL), acceptance test_10's probe pairs, the
+critical l(t)-gap pairs, the CSV outputs and the critical l(l(t)) pairs
+through ``cli.main`` in-process and compares
 each exit code and stdout text with ``data/cli_corpus.jsonl``.  A change
 that is meant to alter CLI output regenerates the file with
 
@@ -34,6 +35,12 @@ README_COMMANDS = (
     ("probe", "Lp(2)", "Lp(6)", "--n", "3", "--gamma", "1"),
 )
 
+# the two CSV grid outputs of the optimal spaces
+CSV_COMMANDS = (
+    ("target", "Lp(2)", "--format", "csv"),
+    ("domain", "Linf", "--format", "csv"),
+)
+
 # the conftest.py family battery, in the same order
 BATTERY = (
     "L1",
@@ -60,6 +67,17 @@ LOG_GAP_PAIRS = (
     ("Lp(2)", "Zygmund(6,0.04,6,0)"),
     ("Lp(2)", "Zygmund(6,0,6,0.01)"),
     ("Lp(1.5)", "Zygmund(3,0,3,0.04)"),
+)
+
+# the critical l(l(t)) level at (3, 1): B's l(t) exponent -1 at q* = 1.5,
+# exactly and within rounding; A's l(l(t)) power 0.6 lies below the
+# domain's 2/3 at infinity, 0.7 above it
+LOGLOG_B = ("Pow @0 t^1.5 l(t)^-2 @inf t^1.5 l(t)^-1",
+            "Pow @0 t^1.5 l(t)^-2 @inf t^1.5 l(t)^-0.9999999999995")
+LOGLOG_PAIRS = (
+    ("Pow @0 t^1 l(t)^-0.5 @inf t^1 ll(t)^0.6", LOGLOG_B[0]),
+    ("Pow @0 t^1 l(t)^-0.5 @inf t^1 ll(t)^0.7", LOGLOG_B[0]),
+    ("Pow @0 t^1 l(t)^-0.5 @inf t^1 ll(t)^0.6", LOGLOG_B[1]),
 )
 
 # acceptance test_10's twelve (A, B, n, gamma), probed with the default family
@@ -89,6 +107,9 @@ def commands() -> list[tuple[str, ...]]:
                for a, b in itertools.product(BATTERY, BATTERY))
     out.extend(("probe", a, b, "--n", n, "--gamma", gamma) for a, b, n, gamma in PROBE_PAIRS)
     out.extend(("bounded", a, b, "--n", "3", "--gamma", "1") for a, b in LOG_GAP_PAIRS)
+    out.extend(CSV_COMMANDS)
+    out.extend(("domain", b, "--n", "3", "--gamma", "1") for b in LOGLOG_B)
+    out.extend(("bounded", a, b, "--n", "3", "--gamma", "1") for a, b in LOGLOG_PAIRS)
     return out
 
 

@@ -278,11 +278,6 @@ class TestStepFn:
         assert s(2.9) == 2.0
         assert s(3.0) == 0.0
 
-    def test_dilate(self):
-        s = StepFn(np.array([1.0]), np.array([1.0]))
-        d = s.dilate(5.0)
-        assert d(4.9) == 1.0 and d(5.1) == 0.0
-
     def test_merge_breakpoints_clips(self):
         pts = merge_breakpoints(DEFAULT_GRID, [1e-30, 2.0, 1e30])
         assert pts[0] == pytest.approx(1e-12)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orlicz_calc import boyd, families as fam, young
-from orlicz_calc.families import ExpLogFactor, LogFactor, LogLogFactor, PowerFactor, piece
+from orlicz_calc.families import (AsymPiece, ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
+                                  LogLogFactor, PowerFactor, piece)
 from orlicz_calc.grid import StepFn
 
 import paper_oracles as oracles
@@ -180,3 +181,41 @@ def test_integrable_follows_the_log_trend(orders):
     pc = piece(PowerFactor(q), log_f, loglog_f, *explogs)
     assert oracles.integrable(pc, w, end) == (oracle < 0)
     assert young.integral_sign(closed_profile(pc, end), w, end) == -oracle
+
+
+# the factors of a closed-form piece: powers, l(t) and l(l(t)) powers,
+# exp(c |log t|**k) with k in {0.25, 0.5} (coefficients that can cancel),
+# exp(c t**beta), active toward infinity for beta > 0 and toward zero for
+# beta < 0, and now and then a constant
+_FACTOR = st.one_of(
+    st.floats(-4.0, 4.0).map(PowerFactor),
+    st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)).map(LogFactor),
+    st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)).map(LogLogFactor),
+    st.builds(ExpLogFactor, st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+              st.sampled_from((0.25, 0.5))),
+    st.builds(ExpPowerFactor, st.sampled_from((-1.0, 1.0)),
+              st.sampled_from((-2.0, -0.5, 0.5, 2.0))),
+)
+_PIECE = st.one_of(
+    st.lists(_FACTOR, min_size=1, max_size=6).map(lambda fs: AsymPiece(tuple(fs))),
+    st.lists(st.one_of(_FACTOR, st.sampled_from((0.0, math.inf)).map(ConstFactor)),
+             min_size=1, max_size=4).map(lambda fs: AsymPiece(tuple(fs))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PIECE, st.sampled_from(("zero", "infinity")))
+@example(piece(ConstFactor(0.0)), "zero")
+@example(piece(ConstFactor(math.inf)), "infinity")
+@example(piece(PowerFactor(2.0), ExpLogFactor(1.0, 0.5), ExpLogFactor(-1.0, 0.5),
+               LogLogFactor(0.5)), "infinity")
+def test_profile_is_the_factor_reading(pc, end):
+    """``AsymPiece.profile`` reads the same exponents as the oracle's own
+    factor reader."""
+    assert pc.profile(end) == oracles.read_factors(pc, end).profile()
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_power_factor_needs_a_finite_exponent(p):
+    with pytest.raises(ValueError):
+        PowerFactor(p)

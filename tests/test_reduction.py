@@ -7,7 +7,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orlicz_calc import cli, families as fam, optimality, reduction as red, transforms as tr, young
+from orlicz_calc import (cli, families as fam, optimality, reduction as red, specdsl as dsl,
+                         transforms as tr, young)
 
 import paper_oracles as oracles
 from conftest import make
@@ -280,6 +281,41 @@ class TestCriticalLogGaps:
             if v.holds != (delta <= 0):
                 wrong.append((p, a, delta, end, v.holds, v.flags))
         assert not wrong, f"{len(wrong)} of 108 wrong: {wrong[:5]}"
+
+
+class TestCriticalLogLogLevel:
+    """At the critical power q* with l(t) exponent -1, the prefix integral of
+    B(s)/s^(q*+1) gains an l(l(t)) level: the domain of B reads it, and both
+    criteria decide by it.  An l(t) exponent within rounding of -1 is -1."""
+
+    B = "Pow @0 t^1.5 l(t)^-2 @inf t^1.5 l(t)^-1"
+    # 5e-13 above -1 at infinity: inside the closed-form tie band
+    B_TIED = "Pow @0 t^1.5 l(t)^-2 @inf t^1.5 l(t)^-0.9999999999995"
+    DOMAIN = "t^1 l(t)^-0.666666666667 @0 | t^1 ll(t)^0.666666666667 @inf"
+
+    @staticmethod
+    def a_with(loglog: float) -> young.YoungFn:
+        return dsl.parse_spec(f"Pow @0 t^1 l(t)^-0.5 @inf t^1 ll(t)^{loglog}").to_young()
+
+    @pytest.mark.parametrize("spec", [B, B_TIED], ids=["exact", "tied"])
+    def test_domain_gains_the_loglog_level(self, ctx31, spec):
+        B = dsl.parse_spec(spec).to_young()
+        assert tr.b_gamma(B, ctx31).closed_form.render() == self.DOMAIN
+
+    @pytest.mark.parametrize("spec", [B, B_TIED], ids=["exact", "tied"])
+    def test_a_loglog_power_below_the_domain_is_rejected_by_both(self, ctx31, spec):
+        # A = t ll(t)^0.6 at infinity lies below the domain's t ll(t)^(2/3)
+        A, B = self.a_with(0.6), dsl.parse_spec(spec).to_young()
+        for criterion in (red.criterion_iii, red.criterion_iv):
+            v = criterion(A, B, ctx31)
+            assert not v.holds and v.flags == ("tail-exponent-reject-infinity",)
+        v = red.bounded(A, B, ctx31)
+        assert not v.holds and v.flags == ("tail-exponent-reject-infinity",)
+
+    def test_a_loglog_power_above_the_domain_holds(self, ctx31):
+        v = red.bounded(self.a_with(0.7), dsl.parse_spec(self.B).to_young(), ctx31)
+        assert v.holds and v.flags == ()
+        assert v.constant == pytest.approx(1.5973, abs=1e-4)
 
 
 # powers below r* = 3, and l(t) exponents, of the inputs at (3, 1)

@@ -187,6 +187,15 @@ class TestDomainSide:
         ratio = np.asarray(BG.eval(t)) / (t * ell(t) ** (2.0 / 3.0))
         assert np.nanmax(ratio) / np.nanmin(ratio) < 4.0
 
+    def test_b_gamma_hint_below_a_critical_power_past_25(self):
+        # at (3, 2.9) q* = 30: t^27 is integrable against s^-31 toward
+        # infinity, so the domain is t there, although the end screens
+        # count an order of 25 or more as superpolynomial
+        B = make(fam.AsymptoticFamily(fam.piece(fam.PowerFactor(40)),
+                                      fam.piece(fam.PowerFactor(27))))
+        BG = tr.b_gamma(B, young.GammaContext(3, 2.9))
+        assert BG.closed_form.render() == "t^1.008403361345 @0 | t^1 @inf"
+
     def test_intout_matches_integral_form(self, ctx31):
         B = make(fam.zygmund(3, 1, 3, 1))
         simple = oracles.intout_inverse(B, ctx31)
