@@ -5,6 +5,8 @@ descriptions use the small DSL from ``specdsl``.  Reports are deterministic
 JSON (fixed field order, floats at 12 significant digits) or CSV grid dumps.
 Exit codes: 0 decision reached (negative verdicts included), 1 output pipe
 closed by the reader, 2 parse or argument error, 3 numeric indeterminacy.
+Each subcommand imports the numeric modules it runs, so a cold process loads
+no more of the package than its command needs.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ import sys
 
 import numpy as np
 
-from . import oracle, optimality, reduction
-from . import boyd as boydmod
 from . import young as youngmod
 from .grid import GridSpec
 from .specdsl import SpecParseError, parse_spec, render
-from .transforms import DoubleRangeError
-from .young import GammaContext
+from .young import DoubleRangeError, GammaContext, IndeterminateIndexError
 
 SCHEMA = "orlicz-calc/1"
 
@@ -96,6 +95,8 @@ def _boyd_payload(est) -> dict:
 
 
 def cmd_target(args, grid: GridSpec, ctx: GammaContext) -> int:
+    from . import optimality
+
     name, A = _load(args.spec, grid)
     result = optimality.optimal_target(A, ctx)
     payload = {
@@ -119,6 +120,8 @@ def cmd_target(args, grid: GridSpec, ctx: GammaContext) -> int:
 
 
 def cmd_domain(args, grid: GridSpec, ctx: GammaContext) -> int:
+    from . import optimality
+
     name, B = _load(args.spec, grid)
     result = optimality.optimal_domain(B, ctx)
     payload = {
@@ -152,6 +155,8 @@ def _cap_rejected(cap: float) -> bool:
 
 
 def cmd_bounded(args, grid: GridSpec, ctx: GammaContext) -> int:
+    from . import reduction
+
     if _cap_rejected(args.constant_cap):
         return 2
     name_a, A = _load(args.spec_a, grid)
@@ -173,6 +178,8 @@ def cmd_bounded(args, grid: GridSpec, ctx: GammaContext) -> int:
 
 
 def cmd_boyd(args, grid: GridSpec, ctx: GammaContext) -> int:
+    from . import boyd as boydmod
+
     name, A = _load(args.spec, grid)
     est = boydmod.boyd_indices(A)
     payload = {"command": "boyd", "input": name}
@@ -199,6 +206,8 @@ def cmd_conjugate(args, grid: GridSpec, ctx: GammaContext) -> int:
 
 
 def cmd_probe(args, grid: GridSpec, ctx: GammaContext) -> int:
+    from . import oracle, reduction
+
     if args.spec_a and not args.spec_b:
         print("probe needs two spec arguments", file=sys.stderr)
         return 2
@@ -299,7 +308,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (optimality.IndeterminateIndexError, DoubleRangeError) as exc:
+    except (IndeterminateIndexError, DoubleRangeError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

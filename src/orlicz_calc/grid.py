@@ -555,6 +555,20 @@ def grid_inverse(g: GridFn, out_t: np.ndarray) -> GridFn:
     return GridFn(s, np.maximum.accumulate(out))
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite values, without importing ``numpy.ma``.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call, about 10 ms of a
+    cold process.  Finite values sort and compare the same way here, so the
+    result has the same bits.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 @dataclass(frozen=True)
 class StepFn:
     """Right-continuous step function: value ``values[i]`` on [breaks[i-1], breaks[i]).
@@ -596,7 +610,7 @@ class StepFn:
         pts = [base]
         for b in self.breaks:
             pts.append(np.array([b * (1 - BREAK_EPS), b * (1 + BREAK_EPS)]))
-        t = np.unique(np.concatenate(pts))
+        t = _sorted_distinct(np.concatenate(pts))
         t = t[t > 0]
         return GridFn(t, np.asarray(self(t), dtype=float))
 
@@ -612,4 +626,4 @@ def merge_breakpoints(grid: GridSpec, extra: np.ndarray | list) -> np.ndarray:
     for b in np.atleast_1d(np.asarray(extra, dtype=float)):
         if grid.t_min < b < grid.t_max and np.isfinite(b):
             pts.append(np.array([b * (1 - BREAK_EPS), b, b * (1 + BREAK_EPS)]))
-    return np.unique(np.concatenate(pts))
+    return _sorted_distinct(np.concatenate(pts))

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import transforms as tr
 from .boyd import boyd_indices
-from .grid import GridFn
+from .grid import GridFn, _sorted_distinct
 from .young import (
     GammaContext,
+    IndeterminateIndexError,
     YoungFn,
     _with_plateau_breakpoints,
     equivalent,
@@ -40,10 +41,6 @@ from .young import (
     per_young,
     search_levels,
 )
-
-
-class IndeterminateIndexError(ValueError):
-    """A Boyd estimate straddles a decision gate and the input is tabulated."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
     # profile(t) = int_0^{2t} density(s)/s ds, accumulated in closed form on
     # the rung partition (each cell integrates coef * s^(q*-1)); the deepest
     # coefficient extends below the ladder, which only enlarges the profile
-    knots = np.unique(np.concatenate([rungs, [1.0, 1e16]]))
+    knots = _sorted_distinct(np.concatenate([rungs, [1.0, 1e16]]))
 
     def coef_at(x: np.ndarray) -> np.ndarray:
         i = np.searchsorted(rungs, x, side="right") - 1

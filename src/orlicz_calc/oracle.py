@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, merge_breakpoints
+from .grid import DEFAULT_GRID, GridFn, GridSpec, StepFn, _sorted_distinct, merge_breakpoints
 from .young import (
     GammaContext,
     IntegralDivergentError,
@@ -278,7 +278,7 @@ def rearrangement_bound_check(f: np.ndarray, ctx: GammaContext,
         s_crit = c_piece * (1.0 - g_half) / (fstar.values * g_half)
     ok = (s_crit > base) & (s_crit < breaks) & np.isfinite(s_crit)
     cands.append(s_crit[ok])
-    s_all = np.unique(np.concatenate(cands))
+    s_all = _sorted_distinct(np.concatenate(cands))
     s_all = s_all[s_all > 0]
     g_vals = s_all ** (g_half - 1.0) * prefix(s_all)
     suffix_sup = np.maximum.accumulate(g_vals[::-1])[::-1]

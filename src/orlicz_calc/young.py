@@ -46,6 +46,10 @@ class DoubleRangeError(ValueError):
     """A value is out of double range where a saturated value would be wrong."""
 
 
+class IndeterminateIndexError(ValueError):
+    """A Boyd estimate straddles a decision gate and the input is tabulated."""
+
+
 @dataclass(frozen=True)
 class GammaContext:
     """Dimension n and smoothing order gamma with the derived exponents.

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from orlicz_calc import boyd, families as fam, young
+from orlicz_calc import boyd, families as fam, optimality, reduction, specdsl as dsl, young
 from orlicz_calc.families import (AsymPiece, ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
                                   LogLogFactor, PowerFactor, piece)
 from orlicz_calc.grid import StepFn
@@ -119,6 +119,52 @@ def test_domination_defines_preorder(f1, f2):
     v_ba = young.dominates(B, A)
     eq = young.equivalent(A, B)
     assert eq.holds == (v_ab.holds and v_ba.holds)
+
+
+# -- optimality consistency --------------------------------------------------
+#
+# Where the optimal target exists, M_gamma maps L^A into L^B exactly when the
+# target embeds in B; where the optimal domain exists, exactly when A embeds
+# in the domain.  The criteria and ``dominates`` both decide through
+# ``young.ladder_verdict``, so a change there that breaks one side shows here.
+
+# exponents drawn near the critical ones of both contexts as well as at random
+_POWERS = st.one_of(st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+                    st.floats(1.0, 6.0).map(lambda x: round(x, 2)))
+_LOGS = st.one_of(st.sampled_from((-1.0, 0.0, 1.0)),
+                  st.floats(-2.0, 2.0).map(lambda x: round(x, 2)))
+_CLOSED_TEXT = st.one_of(
+    st.builds("Zygmund({},{},{},{})".format, _POWERS, _LOGS, _POWERS, _LOGS),
+    st.builds("Pow @0 t^{} l(t)^{} @inf t^{} l(t)^{}".format,
+              _POWERS, _LOGS, _POWERS, _LOGS),
+)
+
+
+def _closed(text):
+    """The Young function of a closed description, or None where the DSL
+    refuses the exponents (an order-1 end with a log exponent of the wrong
+    sign)."""
+    try:
+        return dsl.parse_spec(text).to_young()
+    except dsl.SpecParseError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CLOSED_TEXT, _CLOSED_TEXT, st.sampled_from(((3, 1.0), (1, 0.5))))
+@example("Zygmund(2,1,2,1)", "Lp(6)", (3, 1.0))
+@example("Lp(2)", "Zygmund(6,0,6,0.04)", (3, 1.0))
+def test_bounded_agrees_with_the_optimal_spaces(text_a, text_b, n_gamma):
+    A, B = _closed(text_a), _closed(text_b)
+    assume(A is not None and B is not None)
+    ctx = young.GammaContext(*n_gamma)
+    holds = reduction.bounded(A, B, ctx).holds
+    target = optimality.optimal_target(A, ctx)
+    if target.kind == "optimal":
+        assert young.dominates(target.target, B).holds == holds
+    domain = optimality.optimal_domain(B, ctx)
+    if domain.kind == "optimal":
+        assert young.dominates(A, domain.domain).holds == holds
 
 
 # -- exact end comparisons against the log-space forms at huge |log t| -------

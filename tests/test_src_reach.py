@@ -5,7 +5,11 @@ library computes: it either goes, or moves into ``tests/`` as an oracle.  A
 name counts as used when it is read as a name, an attribute or an import in
 ``src/`` (``__init__.py`` aside, since re-exporting is not using), in
 ``perfbench/*.py`` or ``tools/*.py``, or when ``perfbench/layers.py`` wraps it
-by its attribute string in ``TARGETS``.
+by its attribute string in ``TARGETS``.  The module protocol names
+(``__getattr__``, ``__dir__``, ``__all__``) and ``__version__`` are read by
+Python and by users, not by this code; what the protocol names of
+``__init__.py`` read, such as the table its ``__getattr__`` looks names up
+in, is used through them.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "orlicz_calc"
-EXEMPT = {"__version__"}
+PROTOCOL = {"__getattr__", "__dir__", "__all__"}
+EXEMPT = {"__version__"} | PROTOCOL
 
 
 def _parse(path: Path) -> ast.Module:
@@ -46,6 +51,17 @@ def _referenced(tree: ast.Module) -> set[str]:
     return out
 
 
+def _protocol_reads(tree: ast.Module) -> set[str]:
+    """Names read by the module-level definitions of the ``PROTOCOL`` names."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in PROTOCOL:
+            out |= _referenced(node)
+        elif isinstance(node, ast.Assign) and _defined(ast.Module([node], [])) & PROTOCOL:
+            out |= _referenced(node.value)
+    return out
+
+
 def _target_attrs(tree: ast.Module) -> set[str]:
     """The names in the attribute strings of ``Target(metric, owner, attr)``."""
     out = set()
@@ -63,6 +79,7 @@ def test_every_src_name_is_reached_outside_tests():
     users += sorted((ROOT / "tools").glob("*.py"))
     used = set().union(*(_referenced(_parse(p)) for p in users))
     used |= _target_attrs(_parse(ROOT / "perfbench" / "layers.py"))
+    used |= _protocol_reads(_parse(PKG / "__init__.py"))
     unused = {f"{p.stem}.{name}"
               for p in sorted(PKG.glob("*.py"))
               for name in _defined(_parse(p)) - used - EXEMPT}
