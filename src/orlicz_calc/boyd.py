@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import _Q_TOL, YoungFn, inverse_on_grid, per_young
+from .families import _Q_TOL
+from .young import YoungFn, inverse_on_grid, per_young
 
 _LADDER_EXPONENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
 

@@ -9,15 +9,20 @@ L-infinity-type profiles are two constant pieces (``linf``).
 
 All evaluation happens in log space, which keeps t**15 at t = 1e10 or
 exp(t**1.5) finite or cleanly saturated at +inf.  The exact end tests read
-the factor exponents instead, through one reader, ``AsymPiece.profile``, and
-compare them order by order through one tie-band rule, `lex_sign`.
+the factor exponents instead, through one reader, ``AsymPiece.exponents``,
+and compare them order by order through one tie-band rule, `lex_sign`.
+
+The closed-form hints of ``transforms`` and the conjugate here compose four
+maps on an end's exponents, ``inverse``, ``times``, ``running_sup`` and
+``prefix_integral`` (Bingham, Goldie and Teugels, *Regular Variation*, 1987).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,13 +44,13 @@ class EndProfile:
 
     kind: "power" (t**q l(t)**alpha l(l(t))**loglog_exponent), "plateau-zero"
     (identically 0 up to a threshold) or "plateau-infinity" (jumps to +inf at
-    a threshold).  An ``exact`` profile is built by ``AsymPiece.profile``
-    from a closed form's piece: q is its effective power, alpha its l(t)
-    exponent (+-inf when an exp(|log t|**k) factor outgrows every l(t)
-    power), loglog_exponent its l(l(t)) exponent, and ``exp_beta`` the power
-    of an exp(t**beta) factor (q is +-inf then).  A fitted one comes from the
-    table's edge decades (``young.gridfn_profile``): alpha is a local l(t)
-    exponent there and no l(l(t)) level is read.
+    a threshold).  An ``exact`` profile is read from a closed form's piece:
+    q is its effective power, alpha its l(t) exponent, loglog_exponent its
+    l(l(t)) exponent, ``explogs`` its exp(c / d**(1+k) |log t|**k) factors as
+    (k, c, d), and ``exp_beta`` the power of an exp(t**beta) factor (q is
+    +-inf then).  A fitted one comes from the table's edge decades
+    (``young.gridfn_profile``): alpha is a local l(t) exponent there and no
+    l(l(t)) level is read.
     """
 
     kind: str
@@ -55,6 +60,7 @@ class EndProfile:
     threshold: float = 0.0
     exact: bool = False
     loglog_exponent: float = 0.0
+    explogs: tuple[tuple[float, float, float], ...] = ()
 
     def render(self) -> str:
         if self.kind == "plateau-zero":
@@ -122,7 +128,8 @@ class ExpLogFactor:
 
     def render(self) -> str:
         sign = "+" if self.coef >= 0 else "-"
-        return f"exp({sign} {_fmt(abs(self.coef))} sqrtlog)"
+        level = "sqrtlog" if self.power == 0.5 else f"|log t|^{_fmt(self.power)}"
+        return f"exp({sign} {_fmt(abs(self.coef))} {level})"
 
 
 @dataclass(frozen=True)
@@ -169,9 +176,10 @@ def _coefficient(f: Factor) -> float:
 def _fmt(x: float) -> str:
     if math.isinf(x):
         return "inf"
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(round(x, 12))
+    r = round(x, 12)
+    if r == int(r) and abs(r) < 1e15:
+        return str(int(r))
+    return repr(r)
 
 
 @dataclass(frozen=True)
@@ -204,8 +212,8 @@ class AsymPiece:
             u = np.log(np.asarray(t, dtype=float))
         return _finite_exp(self.log_value(u))
 
-    def profile(self, end: str) -> EndProfile:
-        """The exact end profile toward ``end`` ("zero" or "infinity"), read
+    def exponents(self, end: str) -> EndProfile:
+        """The exact exponents toward ``end`` ("zero" or "infinity"), read
         from the factors.
 
         A constant piece is a plateau.  Otherwise the first exp(t**beta)
@@ -213,16 +221,14 @@ class AsymPiece:
         zero) makes q +inf (steeper than any power near infinity, flatter
         near zero) or -inf, with exp_beta = beta; else q, alpha and
         loglog_exponent are the summed t, l(t) and l(l(t)) exponents, and
-        alpha is +-inf, signed by its coefficient, when the exp(|log t|**k)
-        factors of the largest live k > 0 do not cancel (the l(l(t)) level
-        is not read then).
+        each exp(c |log t|**k) factor is listed as (k, c, 1).
         """
         const = next((f for f in self.factors if isinstance(f, ConstFactor)), None)
         if const is not None:
             kind = "plateau-zero" if const.value == 0.0 else "plateau-infinity"
             return EndProfile(kind, exact=True)
         q = alpha = loglog = 0.0
-        explogs: dict[float, float] = {}
+        explogs = []
         for f in self.factors:
             if isinstance(f, ExpPowerFactor):
                 if (f.power > 0) if end == "infinity" else (f.power < 0):
@@ -236,30 +242,19 @@ class AsymPiece:
             elif isinstance(f, LogLogFactor):
                 loglog += f.alpha
             elif isinstance(f, ExpLogFactor):
-                explogs[f.power] = explogs.get(f.power, 0.0) + f.coef
-        live = [(k, c) for k, c in explogs.items() if c]
-        if live and max(live)[0] > 0:
-            return EndProfile("power", q, math.copysign(math.inf, max(live)[1]),
-                              exact=True)
-        return EndProfile("power", q, alpha, exact=True, loglog_exponent=loglog)
+                explogs.append((f.power, f.coef, 1))
+        return EndProfile("power", q, alpha, exact=True, loglog_exponent=loglog,
+                          explogs=tuple(explogs))
 
-    def power_log_parts(self) -> tuple[float, float, float, list[ExpLogFactor]] | None:
-        """(q, alpha, llog, explogs): the summed t, l(t) and l(l(t)) exponents
-        and the exp-log factors; None when another kind of factor is present."""
-        q, alpha, llog = 0.0, 0.0, 0.0
-        explogs: list[ExpLogFactor] = []
-        for f in self.factors:
-            if isinstance(f, PowerFactor):
-                q += f.p
-            elif isinstance(f, LogFactor):
-                alpha += f.alpha
-            elif isinstance(f, LogLogFactor):
-                llog += f.alpha
-            elif isinstance(f, ExpLogFactor):
-                explogs.append(f)
-            else:
-                return None
-        return q, alpha, llog, explogs
+    def profile(self, end: str) -> EndProfile:
+        """The exact end profile that the end tests read: ``exponents`` with
+        alpha +-inf, signed by the coefficient, when the exp(|log t|**k)
+        factors of the largest live k > 0 do not cancel (no l(l(t)) level)."""
+        p = self.exponents(end)
+        lead = _leading(p.explogs)
+        if lead:
+            return EndProfile("power", p.q, math.copysign(math.inf, lead), exact=True)
+        return replace(p, explogs=()) if p.explogs else p
 
     def render(self) -> str:
         return " ".join(f.render() for f in self.factors)
@@ -358,61 +353,233 @@ def power_sqrtlog(p0: float, c0: float, pinf: float, cinf: float) -> AsymptoticF
                             piece(PowerFactor(pinf), ExpLogFactor(cinf)))
 
 
-# -- conjugation at the factor level ------------------------------------------
+# -- the end-profile algebra ---------------------------------------------------
+# Each map gives the exponents of the transformed function toward the same
+# end, up to equivalence, or None where it has no closed form here (and None
+# for None, so that maps compose).  Floats and Fractions alike: a hint maps
+# ``rational`` exponents, so that ``realize`` rounds each composite once.
+
+ENDS = ("zero", "infinity")
+
+# the tie bands of fitted profiles: power, then l(t) exponent
+_Q_TOL = 1e-3
+_A_TOL = 0.05
+_Q_SUPER = 25.0  # orders this large are treated as superpolynomial
 
 
-def conjugate_piece(pc: AsymPiece, end: str) -> AsymPiece | None:
-    """Closed-form Young conjugate of a product piece, or None if unmapped.
+def _bands(*profiles: EndProfile, fitted=(_Q_TOL, _A_TOL)) -> tuple[float, ...]:
+    """Tie bands of the power, l(t) and l(l(t)) levels of an end test:
+    rounding (1e-12) when every profile is read from a closed form, else
+    ``fitted``, which has no l(l(t)) level."""
+    return (1e-12,) * 3 if all(p.exact for p in profiles) else fitted
 
-    For q > 1 the Legendre pairing sends t**q l**a ll**b exp(c |log|**k) to
-    t**q' l**(-a/(q-1)) ll**(-b/(q-1)) exp(-c/(q-1)**(1+k) |log|**k) with
-    q' = q/(q-1); degenerate orders map to the exponential / constant pieces.
+
+def superpolynomial(p: EndProfile) -> bool:
+    """An order of 25 or more, or an exp(+-t**beta) scale."""
+    return p.q >= _Q_SUPER or p.q == -math.inf
+
+
+def _leading(explogs) -> float:
+    """The net coefficient of the exp(c |log t|**k) factors of the largest
+    k whose coefficients do not cancel; 0 when there is none, or that k is 0."""
+    if not explogs:
+        return 0.0
+    net: dict[float, float] = {}
+    for k, c, _ in explogs:
+        net[k] = net.get(k, 0.0) + c
+    k, c = max(((k, c) for k, c in net.items() if c), default=(0.0, 0.0))
+    return c if k > 0 else 0.0
+
+
+def end_sign(p: EndProfile, shift, end: str) -> int:
+    """Does f(t) t**shift tend to 0 (-1), to a positive finite value (0) or to
+    +inf (+1) toward the end, for f with the end profile p?
+
+    Level by level: the power, the net exp-log coefficient, the l(t)
+    exponent, the l(l(t)) exponent (the slowly varying levels tend to inf at
+    both ends), ties within ``_bands(p)``.
     """
-    p = pc.profile(end)
     if p.kind != "power":
-        return piece(PowerFactor(1.0))
-    if math.isinf(p.q):
-        if any(not isinstance(f, ExpPowerFactor) for f in pc.factors):
-            return None
-        return piece(PowerFactor(1.0), LogFactor(1.0 / p.exp_beta))
-    parts = pc.power_log_parts()
-    if parts is None:
+        return -1 if p.kind == "plateau-zero" else 1
+    flip = 1 if end == "infinity" else -1
+    bands = _bands(p)
+    return lex_sign((flip * (p.q + shift), _leading(p.explogs), p.alpha, p.loglog_exponent),
+                    (bands[0], 0.0) + bands[1:])
+
+
+def integral_sign(p: EndProfile, weight, end: str) -> int:
+    """Does the integral of f(s) s**weight ds converge (+1) or diverge (-1)
+    toward the end, for f with the end profile p?  0 is a tie at every level.
+
+    The power against the critical -1 - weight, then at the critical power
+    the l(t) exponent against -1, then the l(l(t)) exponent against -1, ties
+    within ``_bands(p)``.  The callers count a tie as divergent.
+    """
+    if p.kind != "power":
+        return 1 if p.kind == "plateau-zero" else -1
+    flip = 1 if end == "zero" else -1
+    return lex_sign((flip * (p.q + weight + 1), -1 - p.alpha, -1 - p.loglog_exponent),
+                    _bands(p))
+
+
+def _constant(exact: bool) -> EndProfile:
+    return EndProfile("power", 0, 0, exact=exact, loglog_exponent=0)
+
+
+def rational(p: EndProfile) -> EndProfile:
+    """p with its finite exponents as Fractions (0 as the integer 0)."""
+    def exact(x):
+        return (Fraction(x) if x else 0) if math.isfinite(x) else x
+    return EndProfile(p.kind, exact(p.q), exact(p.alpha), exact(p.exp_beta), p.threshold,
+                      p.exact, exact(p.loglog_exponent), p.explogs)
+
+
+def inverse(p: EndProfile, end: str) -> EndProfile | None:
+    """The generalized inverse: t**q l**a ll**b exp(c |log t|**k), 0 < q <
+    inf, inverts to t**(1/q) l**(-a/q) ll**(-b/q) exp(-c/q**(1+k) |log t|**k)
+    when every live k is at most 1/2 (beyond, the error |log t|**(2k-1) is
+    unbounded).  l**a (q = 0) and exp(+-t**(1/a)) invert each other, and so
+    do a constant and a plateau; a decreasing function has no inverse."""
+    if p is None:
         return None
-    q, alpha, llog, explogs = parts
-    tie = (1e-12,)
-    order = lex_sign((q - 1.0,), tie)
+    if p.kind != "power":
+        return _constant(p.exact)
+    if math.isinf(p.q):  # exp(+-t**beta): increasing toward the end for q = +inf
+        return EndProfile("power", 0, 1 / p.exp_beta, exact=p.exact, loglog_exponent=0) \
+            if p.q > 0 else None
+    bands = _bands(p)
+    order = lex_sign((p.q,), bands)
     if order > 0:
-        qq = q - 1.0
-        factors: list[Factor] = [PowerFactor(q / qq)]
-        if alpha:
-            factors.append(LogFactor(-alpha / qq))
-        if llog:
-            factors.append(LogLogFactor(-llog / qq))
-        for f in explogs:
-            try:
-                scale = qq ** (1.0 + f.power)
-            except OverflowError:  # the coefficient is below double range: 0
-                scale = math.inf
-            factors.append(ExpLogFactor(-f.coef / scale, f.power))
-        return AsymPiece(tuple(factors))
-    if order == 0 and not llog and not explogs:
-        # t l(t)**alpha: the conjugate jumps where alpha = 0, and is of
-        # exponential type where l(t)**alpha grows toward the end
-        sign = -1.0 if end == "zero" else 1.0
-        grows = lex_sign((sign * alpha,), tie)
-        if grows == 0:
-            return piece(ConstFactor(0.0 if end == "zero" else math.inf))
-        if grows > 0:
-            return piece(ExpPowerFactor(sign, 1.0 / alpha))
-    return None
+        if any(k > 0.5 for k, c, _ in p.explogs if c):
+            return None
+        return EndProfile("power", 1 / p.q, -p.alpha / p.q, exact=p.exact,
+                          loglog_exponent=-p.loglog_exponent / p.q,
+                          explogs=tuple((k, -c, d * p.q) for k, c, d in p.explogs))
+    if order < 0 or _leading(p.explogs) or lex_sign((p.loglog_exponent,), bands[2:]):
+        return None
+    # l(t)**alpha increases toward infinity for alpha > 0, toward zero for alpha < 0
+    grows = lex_sign((p.alpha if end == "infinity" else -p.alpha,), bands[1:])
+    if grows == 0:
+        return EndProfile("plateau-zero" if end == "zero" else "plateau-infinity",
+                          exact=p.exact)
+    return EndProfile("power", math.inf, exp_beta=1 / p.alpha, exact=p.exact) \
+        if grows > 0 else None
+
+
+def times(p: EndProfile, w, power: int = 1) -> EndProfile | None:
+    """t**w f**power for power +-1.  A plateau times t**w is the plateau,
+    and so is a ``superpolynomial`` scale, as the end tests read it; a
+    plateau's reciprocal has no end profile."""
+    if p is None or p.kind != "power" or (power == 1 and superpolynomial(p)):
+        return p if power == 1 else None
+    if power == -1:
+        p = EndProfile(p.kind, -p.q, -p.alpha, p.exp_beta, p.threshold, p.exact,
+                       -p.loglog_exponent, tuple((k, -c, d) for k, c, d in p.explogs))
+    # built directly: ``dataclasses.replace`` costs as much as the end screen
+    return EndProfile(p.kind, p.q + w, p.alpha, p.exp_beta, p.threshold, p.exact,
+                      p.loglog_exponent, p.explogs)
+
+
+def running_sup(p: EndProfile, end: str) -> EndProfile | None:
+    """sup over s <= t of f(s): f where it increases toward the end, a
+    constant where it levels off or decays toward infinity, None where it
+    blows up toward zero (the supremum is +inf); decided by ``end_sign``."""
+    if p is None or p.kind != "power":
+        return p
+    tends = end_sign(p, 0, end)
+    if tends == (1 if end == "infinity" else -1):
+        return p
+    return _constant(p.exact) if end == "infinity" or tends == 0 else None
+
+
+def prefix_integral(p: EndProfile, w, end: str) -> EndProfile | None:
+    """The integral of f(s) s**w ds/s from 0 to t: t**w f(t) above the
+    critical power -w; toward infinity, a constant where it converges; at
+    the critical power, l**(alpha+1) ll**beta for f's l**alpha ll**beta, or
+    ll**(beta+1) where an exact alpha is -1.  Exp-log factors at or below
+    the critical power are not mapped."""
+    if p is None or p.kind != "power":
+        return p
+    bands = _bands(p)
+    if lex_sign((p.q + w,), bands) > 0:
+        return times(p, w)
+    if p.explogs:
+        return None
+    if end == "infinity":
+        converges = integral_sign(p, w - 1, end)
+        if converges >= 0:
+            # a tie at every level grows past every level, slower than the
+            # last, so it is not exact
+            return _constant(p.exact and converges > 0)
+    if p.exact and lex_sign((p.alpha + 1,), bands[1:]) == 0:
+        return EndProfile("power", 0, 0, exact=True, loglog_exponent=p.loglog_exponent + 1)
+    return EndProfile("power", 0, p.alpha + 1, exact=p.exact,
+                      loglog_exponent=p.loglog_exponent)
+
+
+def _round(x) -> float:
+    """x to the nearest double; +-inf past double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def realize(p: EndProfile, end: str) -> AsymPiece:
+    """The piece with these exponents, each rounded once."""
+    if p is None or p.kind != "power":
+        return p and piece(ConstFactor(0.0 if p.kind == "plateau-zero" else math.inf))
+    if math.isinf(p.q):
+        up = (p.q > 0) == (end == "infinity")
+        return piece(ExpPowerFactor(1.0 if up else -1.0, _round(p.exp_beta)))
+    factors: list[Factor] = [PowerFactor(_round(p.q))]
+    if p.alpha:
+        factors.append(LogFactor(_round(p.alpha)))
+    if p.loglog_exponent:
+        factors.append(LogLogFactor(_round(p.loglog_exponent)))
+    for k, c, d in p.explogs:
+        try:
+            scale = _round(d) ** (1.0 + k)
+        except OverflowError:  # the coefficient is below double range: 0
+            scale = math.inf
+        factors.append(ExpLogFactor(c / scale, k))
+    return AsymPiece(tuple(factors))
+
+
+@lru_cache(maxsize=1024)
+def _mapped_end(compose, p: EndProfile, end: str, args: tuple):
+    """compose of p's exponents and args as Fractions, as a piece, and whether
+    it gave them back; kept, since one costs about 0.1 ms of Fractions."""
+    exact = rational(p)
+    out = compose(exact, end, *map(Fraction, args))
+    return realize(out, end), out == exact
+
+
+def mapped_family(ends, compose, *args, like: AsymptoticFamily | None = None
+                  ) -> AsymptoticFamily | None:
+    """The closed form whose exponents toward zero and infinity are
+    compose(p, end, *args) of the exact end profiles ``ends`` and the float
+    ``args``, both as Fractions; None when an end is fitted or unmapped.
+    Where compose gives an end's exponents back, ``like``'s piece is kept."""
+    pieces = []
+    for p, end in zip(ends, ENDS):
+        if not p.exact:
+            return None
+        pc, same = _mapped_end(compose, p, end, args)
+        if pc is None:
+            return None
+        pieces.append(like.piece(end) if same and like is not None else pc)
+    return AsymptoticFamily(*pieces)
+
+
+def _conjugate(p: EndProfile, end: str) -> EndProfile | None:
+    return inverse(times(inverse(p, end), 1, -1), end)
 
 
 def conjugate_family(family: AsymptoticFamily) -> AsymptoticFamily | None:
-    z = conjugate_piece(family.near_zero, "zero")
-    i = conjugate_piece(family.near_infinity, "infinity")
-    if z is None or i is None:
-        return None
-    return AsymptoticFamily(z, i)
+    """Closed-form Young conjugate, or None if unmapped: the inverse of
+    t / A^{-1}(t), since A^{-1}(t) A*^{-1}(t) is equivalent to t."""
+    return mapped_family((family.piece(end).exponents(end) for end in ENDS), _conjugate)
 
 
 # -- exact asymptotic comparisons --------------------------------------------

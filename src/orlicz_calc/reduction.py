@@ -16,32 +16,15 @@ geometric ladder on [1, constant_cap] that fits on the grid is the constant.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import transforms as tr
+from .families import prefix_integral, times
 # the ladder constants live with the ladder in ``young``; they are named
 # here too because the criteria below search that ladder
-from .young import (  # noqa: F401
-    CONSTANT_CAP,
-    CONSTANT_STEPS,
-    DoubleRangeError,
-    EndProfile,
-    GammaContext,
-    Verdict,
-    YoungFn,
-    _q_category,
-    constant_ladder,
-    ladder_verdict,
-)
-
-
-def _rhs_profile(pa: EndProfile, ctx: GammaContext) -> EndProfile:
-    """End profile of t -> A_gamma(t)/t^q*, mapped from the target profile."""
-    if pa.kind != "power" or _q_category(pa) == "super":
-        return pa
-    return replace(pa, q=pa.q - ctx.q_star)
+from .young import (CONSTANT_CAP, CONSTANT_STEPS, DoubleRangeError,  # noqa: F401
+                    GammaContext, Verdict, YoungFn, constant_ladder, ladder_verdict)
 
 
 def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
@@ -68,8 +51,9 @@ def criterion_iii(A: YoungFn, B: YoungFn, ctx: GammaContext, *,
         with np.errstate(over="ignore", invalid="ignore"):
             return AG._monotone_eval(c * t) / tq
 
-    return ladder_verdict("iii", lambda end: _rhs_profile(AG.end_profile(end), ctx),
-                          lambda end: tr.lower_integral_profile(B.end_profile(end), ctx, end),
+    # the end profiles of A_gamma(t)/t^q* and of L
+    return ladder_verdict("iii", lambda end: times(AG.end_profile(end), -q_star),
+                          lambda end: prefix_integral(B.end_profile(end), -q_star, end),
                           t, L.y, rhs_at, ladder)
 
 

@@ -19,17 +19,14 @@ fitted (or closed-form) power of the lowest decade plus its analytic integral.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import families as fam
-from .families import EndProfile
+from .families import end_sign, integral_sign, inverse, prefix_integral, running_sup, times
 from .grid import GridFn, GridSpec, grid_inverse
-from .young import (DoubleRangeError, GammaContext, YoungFn, _bands, _q_category, end_sign,
-                    integral_sign, inverse_on_grid, per_young)
+from .young import DoubleRangeError, GammaContext, YoungFn, inverse_on_grid, per_young
 
 
 class TransformGateError(ValueError):
@@ -41,125 +38,46 @@ class TransformGateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# closed-form asymptotics of the transform outputs
-
-def _scaled_piece(power: float, mult: float, alpha: float, llog: float,
-                  explogs) -> fam.AsymPiece:
-    factors: list = [fam.PowerFactor(power)]
-    if alpha:
-        factors.append(fam.LogFactor(alpha * mult))
-    if llog:
-        factors.append(fam.LogLogFactor(llog * mult))
-    for f in explogs:
-        factors.append(fam.ExpLogFactor(f.coef * mult ** (1.0 + f.power), f.power))
-    return fam.AsymPiece(tuple(factors))
+# closed-form asymptotics of the transform outputs: compositions of the
+# end-profile maps of ``families`` in the exact context exponents
 
 
-def _target_piece(A: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
-    """Closed-form piece of the target profile at one end, when derivable."""
-    closed = A.closed_form
-    if closed is None:
-        return None
-    pc = closed.piece(end)
-    p = pc.profile(end)
-    if end == "infinity" and (p.kind == "plateau-infinity" or p.q == math.inf):
-        # superpolynomial growth: the supremum saturates
-        return fam.piece(fam.ConstFactor(math.inf))
-    parts = pc.power_log_parts()
-    if parts is None:
-        return None
-    q, alpha, llog, explogs = parts
-    tie = _bands(p)
-    order = fam.lex_sign((q - ctx.r_star,), tie)
-    if order < 0:
-        mult = ctx.n / (ctx.n - ctx.gamma * q)
-        return _scaled_piece(q * mult, mult, alpha, llog, explogs)
-    log_sign = fam.lex_sign((alpha,), tie)
-    if end == "infinity":
-        if order > 0 or log_sign >= 0 or llog or explogs:
-            return fam.piece(fam.ConstFactor(math.inf))
-        return fam.piece(fam.ExpPowerFactor(1.0, -ctx.r_star / alpha))
-    # zero end under the admissibility condition: q = r with alpha >= 0
-    if order == 0 and not llog and not explogs:
-        if log_sign > 0:
-            return fam.piece(fam.ExpPowerFactor(-1.0, -ctx.r_star / alpha))
-        if log_sign == 0:
-            return fam.piece(fam.ConstFactor(0.0))
-    return None
+def _hint(Y: YoungFn, compose, ctx: GammaContext) -> fam.AsymptoticFamily | None:
+    """The closed form with the end exponents compose(p, end, gamma, n) of Y's
+    closed form, or of Y's exact (plateau) end profiles when it has none."""
+    closed = Y.closed_form
+    ends = (closed.piece(end).exponents(end) if closed is not None else Y.end_profile(end)
+            for end in fam.ENDS)
+    return fam.mapped_family(ends, compose, ctx.gamma, ctx.n, like=closed)
+
+
+def _target(a, end, gamma, n):
+    return inverse(running_sup(times(inverse(a, end), -gamma / n), end), end)
+
+
+def _domain(b, end, gamma, n):  # q* = n/(n - gamma)
+    return inverse(times(inverse(times(prefix_integral(b, n / (gamma - n), end), n / (n - gamma)),
+                                 end), gamma / n), end)
+
+
+def _improved(a, end, gamma, n):
+    return inverse(times(running_sup(times(inverse(a, end), -gamma / n), end), gamma / n), end)
 
 
 def target_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily | None:
-    z = _target_piece(A, ctx, "zero")
-    i = _target_piece(A, ctx, "infinity")
-    if z is None or i is None:
-        return None
-    return fam.AsymptoticFamily(z, i)
-
-
-def _domain_piece(B: YoungFn, ctx: GammaContext, end: str) -> fam.AsymPiece | None:
-    """Closed-form piece of the domain profile at one end, when derivable."""
-    closed = B.closed_form
-    if closed is None:
-        plateau = (B.zero_plateau_end > 0.0 if end == "zero"
-                   else math.isfinite(B.finite_sup))
-        return fam.piece(fam.PowerFactor(ctx.r_star)) if plateau else None
-    pc = closed.piece(end)
-    p = pc.profile(end)
-    if p.kind != "power":
-        return fam.piece(fam.PowerFactor(ctx.r_star))
-    if math.isinf(p.q):
-        if any(not isinstance(f, fam.ExpPowerFactor) for f in pc.factors):
-            return None
-        # exponential scale: the simplified inverse gives t^(n/gamma) times
-        # a log correction of exponent -(n/gamma)/beta
-        return fam.piece(fam.PowerFactor(ctx.r_star),
-                         fam.LogFactor(-ctx.r_star / p.exp_beta))
-    parts = pc.power_log_parts()
-    if parts is None:
-        return None
-    q, alpha, llog, explogs = parts
-    order = fam.lex_sign((q - ctx.q_star,), _bands(p))
-    if order > 0:
-        mult = ctx.n / (ctx.n + ctx.gamma * q)
-        return _scaled_piece(q * mult, mult, alpha, llog, explogs)
-    if llog or explogs:
-        return None
-    # at or below q*, F(t) = t^q* L(t) and the domain is t L(t)^(1 - gamma/n),
-    # for L the prefix integral of B(s)/s^(q*+1)
-    L = lower_integral_profile(p, ctx, end)
-    if L.q:
-        # an order of 25 or more passes unmapped (``young._q_category``);
-        # below q* its integral still levels off toward infinity
-        return fam.piece(fam.PowerFactor(1.0)) if end == "infinity" and order < 0 else None
-    return _scaled_piece(1.0, 1.0 - ctx.s_star, L.alpha, L.loglog_exponent, ())
+    """The target: the inverse of G = sup_{s<=t} A^{-1}(s) s^(-gamma/n)."""
+    return _hint(A, _target, ctx)
 
 
 def domain_profile_family(B: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily | None:
-    z = _domain_piece(B, ctx, "zero")
-    i = _domain_piece(B, ctx, "infinity")
-    if z is None or i is None:
-        return None
-    return fam.AsymptoticFamily(z, i)
+    """The domain: the inverse of t^(gamma/n) F^{-1}(t), F = t^q* L for L the
+    prefix integral of B(s)/s^(q*+1)."""
+    return _hint(B, _domain, ctx)
 
 
 def improved_profile_family(A: YoungFn, ctx: GammaContext) -> fam.AsymptoticFamily | None:
-    """Profile of the improved domain: the original piece where the order sits
-    below n/gamma, the pure power t^(n/gamma) beyond."""
-    closed = A.closed_form
-    if closed is None:
-        return None
-    pieces = []
-    for end in ("zero", "infinity"):
-        pc = closed.piece(end)
-        p = pc.profile(end)
-        if p.kind == "power" and math.isfinite(p.q):
-            if pc.power_log_parts() is None:
-                return None
-            if fam.lex_sign((p.q - ctx.r_star,), _bands(p)) < 0:
-                pieces.append(pc)
-                continue
-        pieces.append(fam.piece(fam.PowerFactor(ctx.r_star)))
-    return fam.AsymptoticFamily(*pieces)
+    """The improved domain: the inverse of t^(gamma/n) G(t)."""
+    return _hint(A, _improved, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +180,6 @@ def lower_fractional_integral(B: YoungFn, ctx: GammaContext) -> GridFn:
     y = np.maximum.accumulate(g.prefix_integral(-ctx.q_star - 1.0))
     y.setflags(write=False)
     return GridFn(g.t, y)
-
-
-def lower_integral_profile(pb: EndProfile, ctx: GammaContext, end: str) -> EndProfile:
-    """End profile of L(t) = int_0^t B(s)/s^(q*+1) ds, mapped from B's own
-    end profile pb.
-
-    Above the critical power q* the integral follows B(t)/t^q*.  At infinity
-    a convergent integral levels off.  At the critical power the integrand is
-    s^-1 l^alpha l(l)^beta, and the integral gains one level: l^(alpha+1)
-    l(l)^beta, or l(l)^(beta+1) when a closed form has alpha = -1.
-    """
-    if pb.kind != "power" or _q_category(pb) == "super":
-        # plateaus pass through (0 stays 0, +inf stays +inf), and so does a
-        # superpolynomial scale
-        return pb
-    bands = _bands(pb)
-    if fam.lex_sign((pb.q - ctx.q_star,), bands) > 0:
-        return replace(pb, q=pb.q - ctx.q_star)
-    if end == "infinity":
-        sign = integral_sign(pb, -ctx.q_star - 1.0, end)
-        if sign >= 0:
-            # convergent: the integral levels off; a tie at every level grows
-            # past every level, slower than the last, so it is not exact
-            return EndProfile("power", exact=pb.exact and sign > 0)
-    if pb.exact and fam.lex_sign((pb.alpha + 1.0,), bands[1:]) == 0:
-        return EndProfile("power", exact=True, loglog_exponent=pb.loglog_exponent + 1.0)
-    return EndProfile("power", 0.0, pb.alpha + 1.0, exact=pb.exact,
-                      loglog_exponent=pb.loglog_exponent)
 
 
 def f_transform(B: YoungFn, ctx: GammaContext) -> GridFn:

@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from . import families as fam
-from .families import EndProfile
+from .families import _Q_SUPER, EndProfile, _bands
 from .grid import (DEFAULT_GRID, CellQuadrature, GridFn, GridSpec, StepFn, TailFit, ell,
                    merge_breakpoints)
 
@@ -934,25 +934,9 @@ class EquivalenceVerdict:
     flags: tuple[str, ...] = ()
 
 
-# the tie bands of fitted profiles: power, then l(t) exponent
-_Q_TOL = 1e-3
-_A_TOL = 0.05
+# the wider tie bands of two fitted profiles compared with each other
 _Q_TOL_FITTED = 0.02
 _A_TOL_FITTED = 0.35
-_Q_SUPER = 25.0  # fitted exponents this large are treated as superpolynomial
-
-
-def _bands(*profiles: EndProfile, fitted=(_Q_TOL, _A_TOL)) -> tuple[float, ...]:
-    """Tie bands of the power, l(t) and l(l(t)) levels of an end test:
-    rounding (1e-12) when every profile is read from a closed form, else
-    ``fitted``, which has no l(l(t)) level."""
-    return (1e-12,) * 3 if all(p.exact for p in profiles) else fitted
-
-
-def _q_category(p: EndProfile) -> str:
-    if math.isinf(p.q) or p.q >= _Q_SUPER:
-        return "super"
-    return "poly"
 
 
 def _compare_power_profiles(pa: EndProfile, pb: EndProfile, end: str) -> bool | None:
@@ -966,14 +950,12 @@ def _compare_power_profiles(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     drift, so the bands widen and the gap between them is left to the grid.
     """
     flip = 1.0 if end == "infinity" else -1.0
-    ca, cb = _q_category(pa), _q_category(pb)
-    if ca == "super" or cb == "super":
-        if ca != cb:
+    sa, sb = fam.superpolynomial(pa), fam.superpolynomial(pb)
+    if sa or sb:
+        if sa != sb:
             # superpolynomial order means a huge function at infinity but a
             # tiny (superflat) one near zero
-            if ca == "super":
-                return end == "infinity"
-            return end == "zero"
+            return end == ("infinity" if sa else "zero")
         # at both ends a larger beta means the larger function
         gaps = (pb.exp_beta - pa.exp_beta,) if pa.exp_beta and pb.exp_beta else ()
         tols = (1e-12,)
@@ -1000,36 +982,6 @@ def _tail_admits_domination(pa: EndProfile, pb: EndProfile, end: str) -> bool | 
     if pa.kind == "plateau-zero":
         return False
     return _compare_power_profiles(pa, pb, end)
-
-
-def end_sign(p: EndProfile, shift: float, end: str) -> int:
-    """Does f(t) t**shift tend to 0 (-1), to a positive finite value (0) or to
-    +inf (+1) toward the end, for f with the end profile p?
-
-    Level by level: the power, the l(t) exponent, the l(l(t)) exponent, ties
-    within ``_bands(p)``.
-    """
-    if p.kind != "power":
-        return -1 if p.kind == "plateau-zero" else 1
-    flip = 1.0 if end == "infinity" else -1.0
-    return fam.lex_sign((flip * (p.q + shift), p.alpha, p.loglog_exponent),
-                        _bands(p))
-
-
-def integral_sign(p: EndProfile, weight: float, end: str) -> int:
-    """Does the integral of f(s) s**weight ds converge (+1) or diverge (-1)
-    toward the end, for f with the end profile p?  0 is a tie at every level.
-
-    The power against the critical -1 - weight, then at the critical power
-    the l(t) exponent against -1, then the l(l(t)) exponent against -1, ties
-    within ``_bands(p)``.  The callers count a tie as
-    divergent.
-    """
-    if p.kind != "power":
-        return 1 if p.kind == "plateau-zero" else -1
-    flip = 1.0 if end == "zero" else -1.0
-    return fam.lex_sign((flip * (p.q + weight + 1.0), -1.0 - p.alpha,
-                         -1.0 - p.loglog_exponent), _bands(p))
 
 
 @lru_cache(maxsize=64)

@@ -27,11 +27,11 @@ from orlicz_calc import transforms as tr
 from orlicz_calc.boyd import boyd_indices
 from orlicz_calc.families import (AsymPiece, ConstFactor, EndProfile, ExpLogFactor,
                                   ExpPowerFactor, LogFactor, LogLogFactor, PowerFactor,
-                                  lex_sign)
+                                  end_sign, integral_sign, lex_sign)
 from orlicz_calc.grid import GridFn
 from orlicz_calc.transforms import TransformGateError
 from orlicz_calc.young import (CONSTANT_CAP, GammaContext, YoungFn, constant_ladder,
-                               end_sign, grid_leq, integral_sign, least_constant)
+                               grid_leq, least_constant)
 
 
 # ---------------------------------------------------------------------------

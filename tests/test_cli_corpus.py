@@ -2,9 +2,10 @@
 
 The corpus replays the README commands, the ``conftest.py`` family
 battery (written in the DSL), acceptance test_10's probe pairs, the
-critical l(t)-gap pairs, the CSV outputs and the critical l(l(t)) pairs
-through ``cli.main`` in-process and compares
-each exit code and stdout text with ``data/cli_corpus.jsonl``.  A change
+critical l(t)-gap pairs, the CSV outputs, the critical l(l(t)) pairs and
+the domains of l(l(t)) factors at and below q* through ``cli.main``
+in-process and compares each exit code and stdout text with
+``data/cli_corpus.jsonl``.  A change
 that is meant to alter CLI output regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
@@ -80,6 +81,10 @@ LOGLOG_PAIRS = (
     ("Pow @0 t^1 l(t)^-0.5 @inf t^1 ll(t)^0.6", LOGLOG_B[1]),
 )
 
+# l(l(t)) factors at (3, 1): below q* = 1.5 the domain is exactly t at
+# infinity, at q* it is t l(t)^(2/3) l(l(t))^(1/3)
+LOGLOG_DOMAINS = ("Pow @0 t^2 @inf t^1.2 ll(t)^1", "Pow @0 t^2 @inf t^1.5 ll(t)^0.5")
+
 # acceptance test_10's twelve (A, B, n, gamma), probed with the default family
 PROBE_PAIRS = (
     ("Lp(1.3333333333333333)", "Lp(4)", "2", "1"),
@@ -110,6 +115,7 @@ def commands() -> list[tuple[str, ...]]:
     out.extend(CSV_COMMANDS)
     out.extend(("domain", b, "--n", "3", "--gamma", "1") for b in LOGLOG_B)
     out.extend(("bounded", a, b, "--n", "3", "--gamma", "1") for a, b in LOGLOG_PAIRS)
+    out.extend(("domain", b, "--n", "3", "--gamma", "1") for b in LOGLOG_DOMAINS)
     return out
 
 

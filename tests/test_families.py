@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from orlicz_calc import families as fam
-from orlicz_calc import young
 from orlicz_calc.families import (ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
                                   LogLogFactor, PowerFactor, piece)
 
@@ -22,7 +21,7 @@ class TestLimitSign:
     def test_loglog_decides_at_a_tied_power_and_log(self, end, ll, sign):
         pc = piece(PowerFactor(2), LogLogFactor(ll))
         assert limit_sign(pc, -2.0, end) == sign
-        assert young.end_sign(closed_profile(pc, end), -2.0, end) == sign
+        assert fam.end_sign(closed_profile(pc, end), -2.0, end) == sign
 
     @pytest.mark.parametrize("end", ["zero", "infinity"])
     @pytest.mark.parametrize("lead,sign", [(1.0, 1), (-1.0, -1)])
@@ -33,8 +32,8 @@ class TestLimitSign:
         assert limit_sign(pc, -2.0, end) == sign
         assert integrable(pc, -3.0, end) == (sign < 0)
         p = closed_profile(pc, end)
-        assert young.end_sign(p, -2.0, end) == sign
-        assert young.integral_sign(p, -3.0, end) == -sign
+        assert fam.end_sign(p, -2.0, end) == sign
+        assert fam.integral_sign(p, -3.0, end) == -sign
 
 
 class TestCompareGrowth:
@@ -172,3 +171,15 @@ def test_huge_coefficients_saturate_without_warnings(factors, want):
     t = np.array([1e-150, 1e-5, 0.5, 1.0, 2.0, 1e5, 1e150])
     got = piece(*factors).value(t)  # the suite turns warnings into errors
     assert np.allclose(got, want(t), rtol=1e-12, atol=0.0)
+
+
+def test_an_integer_exponent_renders_without_a_fraction():
+    # the integrality test reads the rounded value
+    assert PowerFactor(5.999999999999999).render() == "t^6"
+    assert LogFactor(-1e-13).render() == "l(t)^0"
+    assert LogLogFactor(0.3333333333333333).render() == "ll(t)^0.333333333333"
+
+
+def test_exp_log_render_names_its_power():
+    assert ExpLogFactor(-0.5).render() == "exp(- 0.5 sqrtlog)"
+    assert ExpLogFactor(1.0, 0.25).render() == "exp(+ 1 |log t|^0.25)"

@@ -2,13 +2,13 @@
 conjugate profiles of seeded random closed families, render and bits.
 
 Each line of ``data/hint_golden.jsonl`` holds one family (the factors of
-both pieces), its conjugate hint and, for each
-context (n, gamma) in ``CONTEXTS``, its target, domain and improved-domain
-hints.  A hint is its render and every factor parameter of both pieces, or
-null where no closed form is derived; "gated" where the transform's
-admissibility condition fails, so that it never builds the hint.  Floats are stored as their shortest
-round-trip repr, so the file pins every bit.  The
-families mix powers (some at the contexts' critical q* and n/gamma, some
+both pieces), its conjugate hint and, for each context (n, gamma) in
+``CONTEXTS``, its target, domain and improved-domain hints.  A hint is its
+render and every factor parameter of both pieces, or null where no closed
+form is derived; "gated" where the transform's admissibility condition
+fails, so that it never builds the hint.  Floats are stored as their
+shortest round-trip repr, so the file pins every bit.  The families mix
+powers (some at the contexts' critical q* and n/gamma, some
 within rounding of them), l(t), l(l(t)) and exp(c |log t|**k) factors,
 exp(+-t**beta) pieces and the constant pieces 0 and inf.  A change that is
 meant to move hints regenerates the file with

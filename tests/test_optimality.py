@@ -116,6 +116,14 @@ class TestReiteration:
         assert not (dd.improvement_strict or dd.target_optimal or dd.target_preserved)
         assert dd.flags == ("acond-failed",)
 
+    def test_domain_improvement_keeps_the_target_at_the_critical_power(self):
+        # zyg(2,1,2,1) at (1, 0.5): q = n/gamma = 2 at both ends; toward zero
+        # A^{-1}(t) t^-1/2 ~ l(t)^-1/2 -> 0, so the improved domain keeps
+        # A's t^2 l(t) there, and A and it share the target exp(-t^-2)
+        dd = op.reiterate_domain(make(fam.zygmund(2, 1, 2, 1)), young.GammaContext(1, 0.5))
+        assert dd.improved.closed_form.render() == "t^2 l(t)^1 @0 | t^2 @inf"
+        assert dd.target_preserved is True
+
     def test_domain_no_improvement_for_power(self, ctx31):
         dd = op.reiterate_domain(make(fam.lp(2)), ctx31)
         assert not dd.improvement_strict

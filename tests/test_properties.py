@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from orlicz_calc import boyd, families as fam, optimality, reduction, specdsl as dsl, young
+from orlicz_calc import boyd, families as fam, optimality, reduction, specdsl as dsl
+from orlicz_calc import transforms as tr, young
 from orlicz_calc.families import (AsymPiece, ConstFactor, ExpLogFactor, ExpPowerFactor, LogFactor,
                                   LogLogFactor, PowerFactor, piece)
 from orlicz_calc.grid import StepFn
@@ -208,7 +209,7 @@ def test_limit_sign_follows_the_log_trend(orders):
     oracle = _trend(piece(PowerFactor(q), PowerFactor(shift), *rest), end)
     pc = piece(PowerFactor(q), *rest)
     assert oracles.limit_sign(pc, shift, end) == oracle
-    assert young.end_sign(closed_profile(pc, end), shift, end) == oracle
+    assert fam.end_sign(closed_profile(pc, end), shift, end) == oracle
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +227,7 @@ def test_integrable_follows_the_log_trend(orders):
                           loglog_f, LogLogFactor(1.0), *explogs), end)
     pc = piece(PowerFactor(q), log_f, loglog_f, *explogs)
     assert oracles.integrable(pc, w, end) == (oracle < 0)
-    assert young.integral_sign(closed_profile(pc, end), w, end) == -oracle
+    assert fam.integral_sign(closed_profile(pc, end), w, end) == -oracle
 
 
 # the factors of a closed-form piece: powers, l(t) and l(l(t)) powers,
@@ -259,6 +260,71 @@ def test_profile_is_the_factor_reading(pc, end):
     """``AsymPiece.profile`` reads the same exponents as the oracle's own
     factor reader."""
     assert pc.profile(end) == oracles.read_factors(pc, end).profile()
+
+
+# pieces on which every map of the end-profile algebra is defined: a power
+# in [lo, 8] and l(t), l(l(t)) and exp(c |log t|**k) factors, k <= 1/2
+def _mapped_pieces(lo: float):
+    slow = st.one_of(st.floats(-3.0, 3.0).map(LogFactor), st.floats(-3.0, 3.0).map(LogLogFactor),
+                     st.builds(ExpLogFactor, st.floats(-2.0, 2.0), st.sampled_from((0.25, 0.5))))
+    return st.builds(lambda q, fs: AsymPiece((PowerFactor(q), *fs)),
+                     st.floats(lo, 8.0), st.lists(slow, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_pieces(0.05), st.sampled_from(fam.ENDS))
+def test_inverse_of_the_inverse_is_the_identity(pc, end):
+    """inv o inv gives back the exact exponents, and the rounded piece
+    reads the input's exponents bit for bit."""
+    p = fam.rational(pc.exponents(end))
+    twice = fam.inverse(fam.inverse(p, end), end)
+    assert twice == p
+    assert fam.realize(twice, end).exponents(end) == pc.exponents(end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_pieces(1.01), _mapped_pieces(1.01))
+def test_conjugate_hint_is_an_involution(zero, infinity):
+    """For q > 1 the conjugate of the conjugate hint is the input, up to
+    the rounding of the two composites."""
+    A = fam.AsymptoticFamily(zero, infinity)
+    back = fam.conjugate_family(fam.conjugate_family(A))
+    for end in fam.ENDS:
+        got, want = back.piece(end).exponents(end), A.piece(end).exponents(end)
+        assert [k for k, _, _ in got.explogs] == [k for k, _, _ in want.explogs]
+        pairs = [(got.q, want.q), (got.alpha, want.alpha),
+                 (got.loglog_exponent, want.loglog_exponent),
+                 *((c, c0) for (_, c, _), (_, c0, _) in zip(got.explogs, want.explogs))]
+        for x, y in pairs:
+            assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12), (end, x, y)
+
+
+_CONTEXTS = ((3, 1.0), (1, 0.5), (2, 1.0), (3, 2.9))
+# powers at each context's n/gamma, where the improved domain departs from A
+_ORDERS = st.one_of(st.sampled_from([young.GammaContext(*c).r_star for c in _CONTEXTS]),
+                    st.floats(1.0, 6.0))
+_POWER_PIECE = st.builds(lambda q, fs: AsymPiece((PowerFactor(q), *fs)), _ORDERS, st.lists(
+    st.one_of(st.sampled_from((-1.0, -0.5, 0.5, 1.0)).map(LogFactor),
+              st.sampled_from((-1.0, -0.5, 0.5, 1.0)).map(LogLogFactor),
+              st.builds(ExpLogFactor, st.sampled_from((-1.0, 1.0)), st.sampled_from((0.25, 0.5)))),
+    max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POWER_PIECE, st.one_of(_POWER_PIECE, st.sampled_from(
+    (piece(ExpPowerFactor(1.0, 1.0)), piece(ConstFactor(math.inf))))), st.sampled_from(_CONTEXTS))
+@example(piece(PowerFactor(2.0), LogFactor(1.0)), piece(PowerFactor(2.0), LogFactor(1.0)),
+         (1, 0.5))
+def test_improved_domain_keeps_the_target_hint(zero, infinity, n_gamma):
+    """The paper's reiteration at the hint level: where A passes the
+    A-condition, A and its improved domain have the same target."""
+    ctx = young.GammaContext(*n_gamma)
+    A = young.from_family(fam.AsymptoticFamily(zero, infinity))
+    assume(tr.check_acond(A, ctx))
+    improved = tr.improved_profile_family(A, ctx)
+    assert improved is not None
+    assert (tr.target_profile_family(young.from_family(improved), ctx)
+            == tr.target_profile_family(A, ctx))
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])

@@ -263,6 +263,62 @@ class TestImprovedDomain:
         assert young.equivalent(AS, ASS).holds
 
 
+class TestHints:
+    """The closed-form hints: compositions of the end-profile maps."""
+
+    def test_target_claims_no_plateau_where_g_grows(self, ctx31):
+        # t^3 ll(t)^-1 toward infinity at n/gamma = 3: G ~ ll(t)^(1/3) is
+        # unbounded, and its inverse, exp(exp(t^3)), has no closed form here
+        A = make(fam.AsymptoticFamily(fam.piece(fam.PowerFactor(3)),
+                                      fam.piece(fam.PowerFactor(3), fam.LogLogFactor(-1))))
+        assert tr.target_profile_family(A, ctx31) is None
+        assert tr.a_gamma(A, ctx31).closed_form is None
+
+    @pytest.mark.parametrize("pinf,want", [
+        # below q* = 1.5 the integral of B(s)/s^2.5 converges at infinity
+        ((fam.PowerFactor(1.2), fam.LogLogFactor(1)), "t^1.2 @0 | t^1 @inf"),
+        ((fam.PowerFactor(1.5), fam.LogLogFactor(0.5)),
+         "t^1.2 @0 | t^1 l(t)^0.666666666667 ll(t)^0.333333333333 @inf"),
+    ])
+    def test_domain_of_loglog_factors_at_and_below_q_star(self, ctx31, pinf, want):
+        B = make(fam.AsymptoticFamily(fam.piece(fam.PowerFactor(2)), fam.piece(*pinf)))
+        assert tr.b_gamma(B, ctx31).closed_form.render() == want
+
+    def test_an_integer_exponent_is_rounded_once(self, ctx31):
+        # 1/(1/2 - 1/3) in doubles is 5.999999999999999; the exact composite is 6
+        AG = tr.target_profile_family(make(fam.lp(2)), ctx31)
+        assert AG.near_zero.factors == (fam.PowerFactor(6.0),)
+
+    def test_identity_keeps_the_input_piece(self, ctx31):
+        pc = fam.piece(fam.LogFactor(0.5), fam.PowerFactor(2), fam.ExpLogFactor(-1.0))
+        A = make(fam.AsymptoticFamily(pc, pc))
+        assert tr.improved_profile_family(A, ctx31).near_zero is pc
+
+    def test_exp_log_powers_past_one_half_are_not_inverted(self):
+        pc = fam.piece(fam.PowerFactor(2), fam.ExpLogFactor(1.0, 0.75))
+        assert fam.inverse(pc.exponents("infinity"), "infinity") is None
+        assert fam.conjugate_family(fam.AsymptoticFamily(pc, pc)) is None
+
+    def test_conjugate_of_a_huge_order_drops_its_exp_log_coefficient(self):
+        pc = fam.piece(fam.PowerFactor(1e300), fam.ExpLogFactor(1.0))
+        conj = fam.conjugate_family(fam.AsymptoticFamily(pc, pc))
+        assert conj.near_infinity.factors == (fam.PowerFactor(1.0), fam.ExpLogFactor(-0.0))
+
+    def test_reciprocal_of_a_plateau_is_unmapped(self):
+        assert fam.times(fam.EndProfile("plateau-zero", exact=True), 1, -1) is None
+
+    @pytest.mark.parametrize("pc", [fam.piece(fam.ExpPowerFactor(-1.0, 1.0)),
+                                    fam.piece(fam.PowerFactor(-1.0))])
+    def test_a_decreasing_end_has_no_inverse(self, pc):
+        assert fam.inverse(pc.exponents("infinity"), "infinity") is None
+
+    @pytest.mark.parametrize("kind,end", [("plateau-zero", "zero"),
+                                          ("plateau-infinity", "infinity")])
+    def test_running_sup_keeps_a_plateau(self, kind, end):
+        p = fam.EndProfile(kind, exact=True)
+        assert fam.running_sup(p, end) is p
+
+
 class TestClosedFormTables:
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
