@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -428,6 +427,8 @@ def _constant(exact: bool) -> EndProfile:
 
 def rational(p: EndProfile) -> EndProfile:
     """p with its finite exponents as Fractions (0 as the integer 0)."""
+    from fractions import Fraction  # with decimal, only where a hint is built
+
     def exact(x):
         return (Fraction(x) if x else 0) if math.isfinite(x) else x
     return EndProfile(p.kind, exact(p.q), exact(p.alpha), exact(p.exp_beta), p.threshold,
@@ -550,6 +551,8 @@ def realize(p: EndProfile, end: str) -> AsymPiece:
 def _mapped_end(compose, p: EndProfile, end: str, args: tuple):
     """compose of p's exponents and args as Fractions, as a piece, and whether
     it gave them back; kept, since one costs about 0.1 ms of Fractions."""
+    from fractions import Fraction
+
     exact = rational(p)
     out = compose(exact, end, *map(Fraction, args))
     return realize(out, end), out == exact

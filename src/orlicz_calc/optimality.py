@@ -158,7 +158,7 @@ _SCAN_FLOOR = 1e-60
 _SCAN_PPD = 16
 _MAX_RUNGS = 12
 _TAU_ROOT = (math.log(1e-90), 0.0)
-# Newton steps of the guess that seeds each tau bisection
+# Newton steps of the guess that each tau bracket grows around
 _TAU_GUESS_STEPS = 5
 # the rung scan bisects its candidates in blocks of this many, doubling
 _FIRST_BLOCK = 16
@@ -234,11 +234,14 @@ def _tau_many(B: YoungFn, levels: np.ndarray) -> np.ndarray:
     """sup{s in (0, 1]: B(s)/s <= level} for every level at once.
 
     phi = B(s)/s is nondecreasing: 0.0 where the level lies below
-    phi(1e-90), 1.0 where B(1) <= level, else ``search_levels`` over the root
-    bracket [log 1e-90, 0] of log s with up to 80 halvings, through libm's
-    exp so that the rungs do not depend on numpy's.  ``guess_levels`` reads
-    the table of phi on B's abscissae.  Each level is answered on its own,
-    with the bits of the search from the root."""
+    phi(1e-90), 1.0 where B(1) <= level, else ``search_levels`` inside the
+    root bracket [log 1e-90, 0] of log s with up to 80 halvings, through
+    libm's exp so that the rungs do not depend on numpy's, from the guess
+    that ``guess_levels`` reads from the table of phi on B's abscissae.
+    Each level is answered on its own.  Where phi is monotone over the
+    doubles, tau has the bits of the search from the root; where it is not
+    in its last bits, tau is one of the several s with phi(s) <= level at
+    which phi fails at the next double."""
     lo_s = math.exp(_TAU_ROOT[0])
     phi_lo = B._monotone_eval(np.array([lo_s]))[0] / lo_s
     phi_1 = B._monotone_eval(np.array([1.0]))[0]

@@ -138,32 +138,27 @@ def libm_exp(u: np.ndarray) -> np.ndarray:
 _EXP_ADJACENT_WIDTH = 1e-15
 
 
-def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
-               used=0) -> np.ndarray:
-    """Halve the brackets [lo, hi] of u = log x until each has had ``iters``
-    halvings in all, ``used`` of them (one count for all or one each) before
-    this call; ``ok`` holds at each lo and fails at each hi.  Returns the
-    final lo.
+def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp) -> np.ndarray:
+    """Halve the brackets [lo, hi] of u = log x, at most ``iters`` times,
+    until exp(lo) can no longer move; ``ok`` holds at each lo and fails at
+    each hi.  Returns the final lo.
 
     ``ok(u, idx)`` takes the midpoints u of the brackets idx, exponentiates
     them itself with ``exp`` (the caller's, which also maps the returned lo),
     and moves lo up where it holds, hi down where it fails.  A bracket is
     final when its midpoint rounds to one of its ends, or when exp(lo) and
     exp(hi) are equal or adjacent doubles: exp of any later midpoint is one
-    of the two, where ``ok`` is known, so exp(lo) can no longer move.  Such
-    brackets drop out, and the search ends when none is left, with the
-    exp(lo) that all ``iters`` halvings would give.  The brackets halve in
+    of the two, where ``ok`` is known.  Such brackets drop out, and the
+    search ends when none is left.  Where ``ok`` is monotone over the
+    doubles of u, exp(lo) is then the largest value of exp at which it
+    holds, whatever bracket the search started from.  The brackets halve in
     step, so the exp check starts once the narrowest is narrower than
     _EXP_ADJACENT_WIDTH.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    left = iters - np.asarray(used)  # the halvings left, for all or each
-    least = int(np.min(left, initial=iters))
     idx = np.arange(lo.size)
     width = float(np.min(hi - lo, initial=math.inf))
-    for step in range(int(np.max(left, initial=0))):
-        if step >= least:
-            idx = idx[left[idx] > step]
+    for _ in range(iters):
         lo_i, hi_i = lo[idx], hi[idx]
         mid = 0.5 * (lo_i + hi_i)
         live = (mid != lo_i) & (mid != hi_i)
@@ -179,73 +174,14 @@ def log_bisect(ok, lo: np.ndarray, hi: np.ndarray, iters: int, exp,
     return lo
 
 
-# ``search_levels`` starts each bisection at a node of the root search's
-# tree: the one at the deepest of _SEED_DEPTHS that straddles the level.
-# ``inverse_many`` searches u = log t on the root [_U_LO, _U_HI], where a
-# node 50 halvings deep is 1.2e-12 wide, still some 10 doubles of u at
-# |u| = 691, so above it no midpoint has rounded to an end and no exp check
-# has started.  The witness's tau search runs on [log 1e-90, 0], where such
-# a node is 1.8e-13 wide, some 6 doubles of u at |u| = 207
+# ``inverse_many`` searches u = log t on the root [_U_LO, _U_HI]
 _U_LO, _U_HI = math.log(_TINY), math.log(_HUGE)
-_SEED_DEPTHS = (50, 24)
 
-
-def tree_node(c: np.ndarray, depths: tuple[int, ...],
-              root: tuple[float, float] = (_U_LO, _U_HI)) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes [lo, hi] that hold c after each of ``depths`` halvings of
-    the root bracket ``root`` (by default the inverse's [_U_LO, _U_HI]), one
-    row per depth: where ``log_bisect`` goes when ``ok`` reads u <= c.
-    One walk records every depth.  It forms the search's own midpoints
-    0.5 * (lo + hi) and evaluates nothing."""
-    lo, hi = np.full_like(c, root[0]), np.full_like(c, root[1])
-    nodes, walked = {}, 0
-    for depth in sorted(depths):
-        for _ in range(depth - walked):
-            mid = 0.5 * (lo + hi)
-            right = mid <= c
-            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-        nodes[depth], walked = (lo, hi), depth
-    return np.array([nodes[d][0] for d in depths]), np.array([nodes[d][1] for d in depths])
-
-
-def seed_brackets(guess: np.ndarray, ok, root: tuple[float, float]):
-    """Where the bisection of each level starts: the node of the root
-    bracket's tree at the deepest of _SEED_DEPTHS whose ends straddle the
-    level (``ok`` holds at its lo and fails at its hi), else the root; with
-    the halvings that reach it.
-
-    The nodes that hold ``guess`` (a guess of each level's answer in u) are
-    checked in one call of ``ok(u, idx)`` on their ends; a node that lies
-    left of the level (``ok`` holds at both ends) is retried once as its
-    right neighbour, one that lies right of it as its left neighbour.  For
-    a monotone ``ok`` a straddling node is the root search's own: each
-    midpoint above it lies on the side of the level that the descent took,
-    so from it the search makes exactly the root search's remaining steps.
-    """
-    n = guess.size
-    lo, hi = tree_node(guess, _SEED_DEPTHS, root)
-    level = np.broadcast_to(np.arange(n), lo.shape)
-    good = np.zeros(lo.shape, dtype=bool)
-
-    def check(pick):
-        holds = ok(np.concatenate([lo[pick], hi[pick]]), np.tile(level[pick], 2))
-        at_lo, at_hi = np.split(holds, 2)
-        good[pick] = at_lo & ~at_hi
-        return at_lo
-
-    at_lo = check(np.ones(lo.shape, dtype=bool)).reshape(lo.shape)
-    retry = ~good
-    if retry.any():
-        toward = np.where(at_lo, hi, np.nextafter(lo, -np.inf))
-        for k in np.flatnonzero(retry.any(axis=1)):
-            pick = retry[k]
-            node_lo, node_hi = tree_node(toward[k, pick], (_SEED_DEPTHS[k],), root)
-            lo[k, pick], hi[k, pick] = node_lo[0], node_hi[0]
-        check(retry)
-    found = good.any(axis=0)
-    k, cols = np.argmax(good, axis=0), np.arange(n)
-    return (np.where(found, lo[k, cols], root[0]), np.where(found, hi[k, cols], root[1]),
-            np.where(found, np.array(_SEED_DEPTHS)[k], 0))
+# ``search_levels`` first tries the bracket that reaches this far on each
+# side of the guess, relative to max(1, |u|): a few doubles of u, so that a
+# good guess leaves few halvings.  Each round that misses the level makes
+# the next bracket 4 times as wide
+_GUESS_HALF_WIDTH = 1e-14
 
 
 def newton_log(view, u: np.ndarray, logs: np.ndarray, slope: np.ndarray,
@@ -269,26 +205,50 @@ def newton_log(view, u: np.ndarray, logs: np.ndarray, slope: np.ndarray,
 
 def search_levels(view, s: np.ndarray, guess: np.ndarray, root: tuple[float, float],
                   iters: int, exp) -> np.ndarray:
-    """sup{x : view(x) <= s} per level: ``log_bisect`` of u = log x with up
-    to ``iters`` halvings of the bracket ``root``, started at the node of its
-    tree that ``seed_brackets`` checks around ``guess`` (in u).  Each level
-    gets the bits of the search from the root, whatever else is in the call.
-    The caller answers the levels whose answer lies outside the root."""
+    """sup{x : view(x) <= s} per level, for levels whose answer lies inside
+    the bracket ``root`` of u = log x: the caller checks that view(exp(u))
+    <= s holds at root[0] and fails at root[1].
+
+    Each level's bracket starts _GUESS_HALF_WIDTH * max(1, |u|) to each side
+    of its ``guess`` (in u, clipped to the root; the whole root where the
+    guess is NaN).  While the level lies past an end, the bracket moves to
+    that side: the end becomes the far end, and the new end lies 4 times as
+    far from the guess, clipped to the root.  Then ``log_bisect`` halves it
+    to adjacent doubles, up to ``iters`` times.  No level's search reads
+    another's, so each level is answered on its own."""
     def ok(u, i):
         return view(exp(u)) <= s[i]
 
-    lo, hi, used = seed_brackets(guess, ok, root)
-    return exp(log_bisect(ok, lo, hi, iters, exp, used))
+    g = np.clip(guess, *root)
+    half = np.where(np.isnan(g), np.inf, _GUESS_HALF_WIDTH * np.maximum(1.0, np.abs(g)))
+    g = np.nan_to_num(g)
+    lo, hi = np.clip(g - half, *root), np.clip(g + half, *root)
+    at_lo, at_hi = np.split(ok(np.concatenate([lo, hi]), np.tile(np.arange(s.size), 2)), 2)
+    while True:
+        up = np.flatnonzero(at_hi & (hi < root[1]))
+        down = np.flatnonzero(~at_lo & ~at_hi & (lo > root[0]))
+        if not (up.size or down.size):
+            break
+        lo[up], at_lo[up] = hi[up], True
+        hi[down], at_hi[down] = lo[down], False
+        half[up] *= 4.0
+        half[down] *= 4.0
+        hi[up] = np.minimum(g[up] + half[up], root[1])
+        lo[down] = np.maximum(g[down] - half[down], root[0])
+        holds = ok(np.concatenate([hi[up], lo[down]]), np.concatenate([up, down]))
+        at_hi[up], at_lo[down] = np.split(holds, [up.size])
+    return exp(log_bisect(ok, lo, hi, iters, exp))
 
 
 def guess_levels(view, table: GridFn, s: np.ndarray, steps: int,
                  root: tuple[float, float]) -> np.ndarray:
-    """A guess of log sup{x : view(x) <= s} per level, for ``seed_brackets``:
+    """A guess of log sup{x : view(x) <= s} per level, for ``search_levels``:
     ``table``, samples of the view, inverted by ``GridFn.inverse`` and
     clipped to ``root``; then ``steps`` Newton steps on the view
     (``newton_log``) from the exponent of the cell that holds the guess.
-    One step leaves levels of order-1 and log-factor profiles too far from
-    their answer for the deepest node."""
+    The closer the guess, the narrower the bracket that ``search_levels``
+    bisects: one step leaves levels of order-1 and log-factor profiles
+    far from their answer."""
     t = table.inverse(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.clip(np.nan_to_num(np.log(t), nan=0.0), *root)
@@ -538,12 +498,11 @@ class YoungFn:
         the table's power interpolant (``_table_inverse``), each s is
         inverted in closed form; elsewhere (an exact pointwise evaluator,
         closed-form extrapolation past the table, a table that decreases
-        somewhere) it is ``search_levels``: the bisection of u = log t that
-        halves the root bracket [log 1e-300, log 1e300] up to 90 times,
-        started at a checked node of its tree that ``guess_levels`` picks
-        from the table and two Newton steps.  The node gives the same bits
-        and skips the halvings above it, so every s is answered on its own:
-        its result does not depend on the other levels of the call.
+        somewhere) it is ``search_levels`` on the root bracket
+        [log 1e-300, log 1e300] of u = log t: a bracket grown around the
+        guess that ``guess_levels`` reads from the table and two Newton
+        steps, then bisected to adjacent doubles.  Every s is answered on
+        its own: its result does not depend on the other levels of the call.
         """
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -61,7 +62,6 @@ def young_battery(family_battery):
 
 def bisect_inverse(evaluator, s, lo=1e-60, hi=1e60, iters=200):
     """Independent right-continuous inverse oracle: sup{t : f(t) <= s}."""
-    import math
     if evaluator(lo) > s:
         return 0.0
     if evaluator(hi) <= s:
@@ -128,3 +128,86 @@ def gridfn_builds(monkeypatch):
 
     monkeypatch.setattr(grid.GridFn, "__init__", counted)
     return counts
+
+
+# -- the bits of a level search -----------------------------------------------
+
+_SIGN = np.uint64(1 << 63)
+
+
+def _rank(u: float) -> int:
+    """The place of the double u in the order of all doubles (both zeros
+    at 0): adjacent doubles have adjacent ranks."""
+    k = int(np.float64(u).view(np.int64))
+    return k if k >= 0 else -(k & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _doubles(ranks) -> np.ndarray:
+    """The doubles of the given ranks."""
+    r = np.asarray(ranks, dtype=np.int64)
+    bits = np.abs(r).astype(np.uint64)
+    return np.where(r < 0, bits | _SIGN, bits).view(np.float64)
+
+
+def _least_double(cond, near: float) -> float:
+    """The least double u where ``cond(u)`` holds, for a cond that fails
+    below some u near ``near`` and holds from there on."""
+    reach = 1e-12 * max(1.0, abs(near))
+    lo, hi = _rank(near - reach), _rank(near + reach)
+    assert not cond(_doubles(lo)) and cond(_doubles(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if cond(_doubles(mid)) else (mid, hi)
+    return float(_doubles(hi))
+
+
+def _flips(ok, i, first: int, stop: int) -> int:
+    """How often ``ok`` of level i flips over the doubles of ranks first,
+    ..., stop - 1: at least as often as between the first two and the last;
+    counted one by one only when that is not more than once."""
+    ends = np.unique([first, first + 1, stop - 1])
+    seen = ok(_doubles(ends), np.full(ends.size, i))
+    flips = int(np.count_nonzero(seen[1:] != seen[:-1]))
+    if flips > 1:
+        return flips
+    flips, last = 0, None
+    for start in range(first, stop, 1 << 16):
+        ranks = np.arange(start, min(start + (1 << 16), stop))
+        seen = ok(_doubles(ranks), np.full(ranks.size, i))
+        flips += int(np.count_nonzero(seen[1:] != seen[:-1])) + (
+            last is not None and bool(seen[0] != last))
+        last = seen[-1]
+    return flips
+
+
+def assert_level_bits(ok, exp, got, want, label=""):
+    """A level search's answers ``got``, sup{x : ok} per level, against the
+    root search's ``want``; returns how many differ in their bits.
+
+    ``ok(u, idx)`` tells whether the levels idx hold at the doubles u, read
+    through ``exp`` (x = exp(u)).  Each answer has the root search's bits,
+    or ``ok`` is not monotone between the two answers: over the doubles of
+    u whose exp lies from one answer to the other it flips more than once,
+    and it holds at got while it fails at the next value of exp past got.
+    Any search that ends on adjacent doubles can end there."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, label
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+
+    def least_past(x, strict):
+        """The least double u with exp(u) > x (strict) or >= x."""
+        def past(u):
+            y = float(exp(np.array([u]))[0])
+            return y > x if strict else y >= x
+        return _least_double(past, math.log(x))
+
+    for i in differ:
+        where = (label, i, got[i], want[i])
+        x, a, b = got[i], min(got[i], want[i]), max(got[i], want[i])
+        at = least_past(x, False)
+        assert exp(np.array([at]))[0] == x, where
+        holds = ok(np.array([at, least_past(x, True)]), np.array([i, i]))
+        assert holds.tolist() == [True, False], where
+        first, stop = _rank(least_past(a, False)), _rank(least_past(b, True))
+        assert _flips(ok, i, first, stop) > 1, where
+    return differ.size

@@ -39,6 +39,7 @@ from orlicz_calc import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules,
+                  "exact": sorted({"decimal", "fractions"} & set(sys.modules)),
                   "modules": sorted(m.split(".", 1)[1] for m in sys.modules
                                     if m.startswith("orlicz_calc."))}),
       file=sys.stderr)
@@ -58,6 +59,14 @@ def test_each_command_loads_only_its_modules(argv, extra):
     assert report["modules"] == sorted(BASE | extra)
     # np.unique imports numpy.ma on its first call; the CLI path avoids it
     assert not report["numpy.ma"]
+
+
+def test_a_command_that_builds_no_hint_loads_no_fractions():
+    # Fraction, and the decimal it imports, serve only the closed-form hints
+    proc = _cold(_LOADED, "boyd", "Zygmund(2,1,2,1)")
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    assert report["exact"] == []
 
 
 def test_import_loads_no_submodule():

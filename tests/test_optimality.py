@@ -8,7 +8,7 @@ import pytest
 from orlicz_calc import families as fam, optimality as op, reduction as red
 from orlicz_calc import transforms as tr, young
 
-from conftest import make
+from conftest import assert_level_bits, make
 
 
 def mixed(p0, pinf):
@@ -178,6 +178,15 @@ def scalar_tau(B, level):
     return math.exp(lo)
 
 
+def tau_ok(B, levels):
+    """The predicate of the tau search, B(s)/s <= level at s = exp(u) by
+    libm's exp, as ``assert_level_bits`` reads it."""
+    def ok(u, idx):
+        s = young.libm_exp(u)
+        return B._monotone_eval(s) / s <= levels[idx]
+    return ok
+
+
 class TestTauMany:
 
     @pytest.fixture(params=["small-domain", "t^2"])
@@ -191,9 +200,9 @@ class TestTauMany:
         hi = float(profile._monotone_eval(np.array([1.0]))[0])
         rng = np.random.default_rng(4)
         levels = np.exp(rng.uniform(math.log(lo) - 3.0, math.log(hi) + 3.0, 40))
-        taus = op._tau_many(profile, levels)
-        for level, tau in zip(levels, taus):
-            assert tau == scalar_tau(profile, float(level))
+        want = [scalar_tau(profile, float(level)) for level in levels]
+        assert_level_bits(tau_ok(profile, levels), young.libm_exp,
+                          op._tau_many(profile, levels), want)
 
     def test_end_values(self, profile):
         lo = float(profile._monotone_eval(np.array([1e-90]))[0]) / 1e-90

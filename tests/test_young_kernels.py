@@ -2,9 +2,12 @@
 versions they replaced, kept here as references: the table inverse of
 ``YoungFn.inverse_many`` against its 90-step bisection (and against a
 50-digit inverse of the same power interpolant), every bisection of
-``inverse_many``, started at a node of the root search's tree, against a
-plain 90-step bisection from the root bracket, ``young.log_bisect`` and
-the 64-way plateau search against plain bisections (bit for bit), the
+``inverse_many``, from a bracket grown around its guess, against a plain
+90-step bisection from the root bracket (bit for bit, or, where the view
+is not monotone in its last bits, by the exact rule of
+``conftest.assert_level_bits``), the search's cost in evaluations,
+``young.log_bisect`` and the 64-way plateau search against plain
+bisections (bit for bit), the
 lower hull that normalises every source and carries the conjugate against
 exact integer cross products, the hull-based conjugate evaluator against
 the dense (points x nodes) maximum,
@@ -27,6 +30,8 @@ from orlicz_calc import young
 from orlicz_calc.grid import GridFn, GridSpec, StepFn
 from orlicz_calc.specdsl import parse_spec
 from orlicz_calc.young import GammaContext
+
+from conftest import assert_level_bits
 
 CONTEXTS = (GammaContext(3, 1.0), GammaContext(1, 0.5))
 
@@ -176,12 +181,12 @@ LOG_BISECT = young.log_bisect
 
 def _bisections(A, s, monkeypatch):
     """``A.inverse_many(s)``, and per ``log_bisect`` call that it made: the
-    predicate, the returned lo and the halvings each bracket started with."""
+    predicate and the returned lo."""
     calls = []
 
-    def recording(ok, lo, hi, iters, exp, used=0):
-        got = LOG_BISECT(ok, lo, hi, iters, exp, used)
-        calls.append((ok, got, np.broadcast_to(used, got.shape)))
+    def recording(ok, lo, hi, iters, exp):
+        got = LOG_BISECT(ok, lo, hi, iters, exp)
+        calls.append((ok, got))
         return got
 
     with monkeypatch.context() as m:
@@ -192,67 +197,100 @@ def _bisections(A, s, monkeypatch):
 def _assert_bisected_from_root(A, s, label, monkeypatch):
     """Every level that ``A.inverse_many(s)`` bisects gets the bits of
     ``plain_log_bisect`` over 90 steps from the root bracket
-    [log 1e-300, log 1e300]; returns the halvings each bisection skipped."""
+    [log 1e-300, log 1e300], or ends where the view is not monotone in its
+    last bits (``assert_level_bits``); returns how many levels differ."""
     _, calls = _bisections(A, s, monkeypatch)
-    for ok, got, _ in calls:
+    differ = 0
+    for ok, got in calls:
         n = got.size
         want = plain_log_bisect(ok, np.full(n, ROOT[0]), np.full(n, ROOT[1]), 90)
-        assert np.exp(got).tobytes() == np.exp(want).tobytes(), label
-    return np.concatenate([used for *_, used in calls] or [np.zeros(0, int)])
+        differ += assert_level_bits(ok, np.exp, np.exp(got), np.exp(want), label)
+    return differ
 
 
 def test_inverse_matches_bisection_on_transform_outputs(views, monkeypatch):
     for label, X in views["transform"].items():
         s = _asked_levels(X)
         _assert_inverses_agree(X, s, label)
-        _assert_bisected_from_root(X, s, label, monkeypatch)
+        assert _assert_bisected_from_root(X, s, label, monkeypatch) == 0, label
     assert len(views["transform"]) > 40
 
 
 def test_live_bisection_is_plain_bisection_on_exact_sources(views, monkeypatch):
     # closed forms, callables and conjugates whose evaluator backs the
-    # monotone view: every level between the extreme ones is bisected, most
-    # from the deepest node of the root's tree and few from the root (the
-    # level 0, and guesses past the table that ignore a log factor)
-    skipped = []
+    # monotone view: every level between the extreme ones is bisected.  The
+    # closed forms and callables keep the root search's bits; the levels
+    # that move are those of conjugates whose Legendre view is not monotone
+    # in its last bits (t^1.5 and zyg-1branch, closed and callable)
     for label, A in views["exact"].items():
-        skipped.append(_assert_bisected_from_root(A, _asked_levels(A), label, monkeypatch))
-    for label, C in views["conjugate"].items():
-        skipped.append(_assert_bisected_from_root(C, _asked_levels(C)[::8], label,
-                                                  monkeypatch))
-    skipped = np.concatenate(skipped)
-    assert skipped.size > 50_000
-    assert np.mean(skipped == max(young._SEED_DEPTHS)) > 0.8
-    assert np.mean(skipped == 0) < 0.02
+        assert _assert_bisected_from_root(A, _asked_levels(A), label, monkeypatch) == 0
+    moved = {label: _assert_bisected_from_root(C, _asked_levels(C)[::8], label,
+                                               monkeypatch)
+             for label, C in views["conjugate"].items()}
+    assert {label for label, n in moved.items() if n} <= {
+        f"conj {name}, {form}" for name in ("t^1.5", "zyg-1branch")
+        for form in ("closed", "callable")}
+
+
+def test_inverse_points_on_exact_sources(views, young_calls):
+    # the points at which inverse_many evaluates the views (and what they
+    # read) on every asked level of the exact sources and every 8th of
+    # their conjugates: 1,528,377 with the bracket grown around the guess,
+    # 2,019,455 when each bisection started at a checked node of the root
+    # search's tree
+    before = young_calls.points["_monotone_eval"]
+    for A in views["exact"].values():
+        A.inverse_many(_asked_levels(A))
+    for C in views["conjugate"].values():
+        C.inverse_many(_asked_levels(C)[::8])
+    assert young_calls.points["_monotone_eval"] - before <= 1_600_000
+
+
+def test_each_inverse_level_is_answered_on_its_own(views):
+    # a level's result does not depend on the other levels of the call:
+    # every 97th asked level of the exact sources and every 401st of their
+    # conjugates, and every 9th of the levels past a transform output's
+    # table inverse (the others are read from its table), each asked alone
+    for kind, step in (("exact", 97), ("conjugate", 401), ("transform", 9)):
+        for label, A in views[kind].items():
+            s = _asked_levels(A)
+            if kind == "transform":
+                s = s[np.isnan(A._table_inverse(s))]
+            s = s[::step]
+            got = A.inverse_many(s)
+            alone = np.concatenate([A.inverse_many(s[i:i + 1]) for i in range(s.size)])
+            assert got.tobytes() == alone.tobytes(), label
 
 
 @pytest.mark.parametrize("guess", [lambda t: 10.0 * t, lambda t: np.full_like(t, np.nan)],
                          ids=["ten-times-off", "nan"])
 def test_bad_guesses_keep_the_root_bits(views, monkeypatch, guess):
-    # the table's power-cell inverse seeds the descent; made 10x off or NaN,
-    # the straddle check, the neighbours and the shallower nodes still end
-    # every bisection on the root's bits (views whose table inverse answers
-    # some levels read it too, so only exact sources are run)
+    # the table's power-cell inverse is where the guess starts; made 10x off
+    # or NaN (read as t = 1 before the Newton steps), the bracket grows
+    # further and still ends on the root's bits, but where the view is not
+    # monotone in its last bits (views whose table inverse answers some
+    # levels read it too, so only exact sources are run)
     inverse = GridFn.inverse
-    skipped = []
     with monkeypatch.context() as m:
         m.setattr(GridFn, "inverse", lambda self, s: guess(inverse(self, s)))
         for label, A in views["exact"].items():
             if A._mono_source:
                 s = _asked_levels(A)
-                got, calls = _bisections(A, s, monkeypatch)
-                assert got.tobytes() == bisect_inverse_many(A, s).tobytes(), label
-                skipped += [used for *_, used in calls]
-    skipped = np.concatenate(skipped)
-    assert np.any(skipped < max(young._SEED_DEPTHS))
+
+                def ok(u, i):
+                    return A._monotone_eval(np.exp(u)) <= s[i]
+
+                assert_level_bits(ok, np.exp, A.inverse_many(s),
+                                  bisect_inverse_many(A, s), label)
 
 
 def test_bisection_past_the_table_keeps_the_root_bits():
     # a domain level past the table, where the closed-form extension of the
     # view is not monotone in its last bit: across adjacent doubles of u
-    # the predicate flips more than once, so a bracket that is not a node
-    # of the root's tree can end on another flip (an arbitrary bracket
-    # around the guess once moved this level by 2.8e-14 relative)
+    # the predicate flips more than once, so a search from another bracket
+    # can end on another flip (a secant search once moved this level by
+    # 2.8e-14 relative); the bracket grown around the guess ends on the
+    # root search's
     D = optimality.optimal_domain(young.from_family(fam.zygmund(2, 1, 2, 1)),
                                   GammaContext(3, 1.0)).domain
     s = np.logspace(-150, 150, 301)[87:88]
@@ -265,41 +303,12 @@ def test_bisection_past_the_table_keeps_the_root_bits():
     assert np.count_nonzero(holds[1:] != holds[:-1]) > 1
 
 
-def test_seed_nodes_lie_above_the_exits_of_the_root_search():
-    # at the deepest seed depth a node is still several doubles of u wide
-    # where those are sparsest, at the root's ends, and wider than where
-    # the exp check starts: the root search reaches every node by plain
-    # halvings, with none of its exits taken
-    c = np.array([ROOT[0], -1.0, 0.0, 1e-20, 1.0, ROOT[1]])
-    (lo,), (hi,) = young.tree_node(c, (max(young._SEED_DEPTHS),))
-    assert np.all((lo <= c) & ((c < hi) | (hi == ROOT[1])))
-    assert np.all(hi - lo > 4.0 * np.spacing(ROOT[1]))
-    assert np.all(hi - lo > young._EXP_ADJACENT_WIDTH)
-
-
-def test_log_bisect_stops_each_bracket_at_its_budget():
-    # brackets that used 0, 30 and 85 of the 90 halvings: each makes the
-    # rest, as a plain bisection of as many steps
-    def ok(u, idx):
-        return u <= 0.123
-
-    lo, hi = np.full(3, ROOT[0]), np.full(3, ROOT[1])
-    got = young.log_bisect(ok, lo, hi, 90, np.exp, np.array([0, 30, 85]))
-    for k, used in enumerate((0, 30, 85)):
-        want = plain_log_bisect(ok, lo[:1], hi[:1], 90 - used)
-        assert np.exp(got[k]) == np.exp(want[0]), used
-
-
 def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
     # the level s = 1 of every closed form's inverse_on_grid: its bracket
     # closes on u = 0, where doubles of u are far denser than those of
     # exp(u), so no midpoint rounds to an end and, without the check of
-    # exp(lo) against exp(hi), it runs all 90 halvings.  Started at the
-    # node of the root's tree that holds u = 0, it makes the same steps
-    # after that node, within the same 90 halvings in total
-    depth = max(young._SEED_DEPTHS)
+    # exp(lo) against exp(hi), it runs all 90 halvings
     lo, hi = np.full(1, ROOT[0]), np.full(1, ROOT[1])
-    node = [row[0] for row in young.tree_node(np.zeros(1), (depth,))]
     for name in ("t^2", "t^3", "zyg(2,1)", "sqrtlog"):
         A = young.from_family(family_battery[name])
         steps = []
@@ -309,15 +318,32 @@ def test_bracket_at_one_ends_once_exp_cannot_move(family_battery):
             return A._monotone_eval(np.exp(u)) <= 1.0
 
         got = young.log_bisect(ok, lo, hi, 90, np.exp)
-        root_steps, steps[:] = len(steps), []
-        seeded = young.log_bisect(ok, *node, 90, np.exp, depth)
         want = plain_log_bisect(lambda u, i: A._monotone_eval(np.exp(u)) <= 1.0,
                                 lo, hi, 90)
-        assert root_steps <= 63, name
-        assert len(steps) == root_steps - depth, name
+        assert len(steps) <= 63, name
         assert np.exp(got).tobytes() == np.exp(want).tobytes(), name
-        assert np.exp(seeded).tobytes() == np.exp(want).tobytes(), name
         assert np.exp(got)[0] == 1.0, name
+
+
+def test_search_levels_grows_each_bracket_within_the_root():
+    # exact guesses, guesses far below and above the answer, one past the
+    # root, one whose answer lies next to a root end and NaN: each bracket
+    # grows, clipped to the root, until it holds its level, and a view
+    # monotone over the doubles gives the root search's bits
+    root = (math.log(1e-30), math.log(1e30))
+    s = np.array([2.0, 1e-40, 1e40, 1e-40, 1.000001e-60, 9.99999e59, 3.0])
+    guess = np.array([math.log(2.0) / 2, 0.0, 0.0, 2 * root[1], root[1], root[0], np.nan])
+    seen = []
+
+    def view(x):
+        seen.extend(x.tolist())
+        return x * x
+
+    got = young.search_levels(view, s, guess, root, 90, np.exp)
+    want = plain_log_bisect(lambda u, i: np.exp(u) * np.exp(u) <= s[i],
+                            np.full(s.size, root[0]), np.full(s.size, root[1]), 90)
+    assert got.tobytes() == np.exp(want).tobytes()
+    assert {math.exp(root[0]), math.exp(root[1])} <= set(seen)
 
 
 @pytest.mark.parametrize("y_of_t", [

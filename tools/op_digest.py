@@ -13,7 +13,9 @@ points.  An op that raises is hashed by its error message.  With
 the exit code is 1 if any did (2 if the files hold different op names or
 seeds).  Stderr also gets the number of ``YoungFn._monotone_eval`` calls the
 ops of the round made and the points they passed (the hashing's own reads
-are not counted).  Nothing under ``perfbench/`` is written.
+are not counted); ``--out`` writes them to its file too, and ``--against``
+prints them as "FILE's -> this tree's".  Nothing under ``perfbench/`` is
+written.
 """
 
 from __future__ import annotations
@@ -135,8 +137,11 @@ def main(argv=None) -> int:
     p.add_argument("--against", help="compare with the digests in this JSON file")
     args = p.parse_args(argv)
     evals: dict = {}
-    doc = {"seed": args.seed, "digests": op_digests(args.seed, evals)}
-    print(f"_monotone_eval: {evals['calls']} calls on {evals['points']} points "
+    doc = {"seed": args.seed, "digests": op_digests(args.seed, evals), "evals": evals}
+    old = json.loads(Path(args.against).read_text()) if args.against else {}
+    counts = {k: f"{old['evals'][k]} -> {v}" if "evals" in old else v
+              for k, v in evals.items()}
+    print(f"_monotone_eval: {counts['calls']} calls on {counts['points']} points "
           "in the ops of the round", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
@@ -144,7 +149,6 @@ def main(argv=None) -> int:
         if not args.out:
             print(json.dumps(doc, indent=1))
         return 0
-    old = json.loads(Path(args.against).read_text())
     if old["seed"] != doc["seed"] or old["digests"].keys() != doc["digests"].keys():
         print(f"{args.against} holds other ops or another seed", file=sys.stderr)
         return 2
