@@ -84,14 +84,18 @@ def _load(text: str, grid: GridSpec) -> tuple[str, youngmod.YoungFn]:
     return render(spec), spec.to_young(grid=grid)
 
 
-def _boyd_payload(est) -> dict:
-    return {
-        "i_lower": est.i_lower,
-        "I_upper": est.I_upper,
-        "ci_halfwidth": est.ci_halfwidth,
-        "method": est.method,
-        "flags": list(est.flags),
-    }
+def _optimal_report(args, key: str, name: str, fn, **fields) -> int:
+    """The report of an optimal space: its CSV table when asked for and
+    found, else JSON with its description and ``<key>_record`` when found."""
+    if args.format == "csv" and fn is not None:
+        _emit_grid_csv(fn)
+        return 0
+    payload = {"command": key, "input": name, "n": args.n, "gamma": args.gamma, **fields}
+    if fn is not None:
+        payload[key] = fn.describe()
+        payload[f"{key}_record"] = young_record(fn)
+    _emit_json(payload)
+    return 0
 
 
 def cmd_target(args, grid: GridSpec, ctx: GammaContext) -> int:
@@ -99,24 +103,9 @@ def cmd_target(args, grid: GridSpec, ctx: GammaContext) -> int:
 
     name, A = _load(args.spec, grid)
     result = optimality.optimal_target(A, ctx)
-    payload = {
-        "command": "target",
-        "input": name,
-        "n": args.n,
-        "gamma": args.gamma,
-        "kind": result.kind,
-        "i_Agamma": result.index_value,
-        "gate": result.gate,
-        "flags": list(result.flags),
-    }
-    if result.target is not None:
-        payload["target"] = result.target.describe()
-        payload["target_record"] = young_record(result.target)
-    if args.format == "csv" and result.target is not None:
-        _emit_grid_csv(result.target)
-    else:
-        _emit_json(payload)
-    return 0
+    return _optimal_report(args, "target", name, result.target, kind=result.kind,
+                           i_Agamma=result.index_value, gate=result.gate,
+                           flags=list(result.flags))
 
 
 def cmd_domain(args, grid: GridSpec, ctx: GammaContext) -> int:
@@ -124,23 +113,8 @@ def cmd_domain(args, grid: GridSpec, ctx: GammaContext) -> int:
 
     name, B = _load(args.spec, grid)
     result = optimality.optimal_domain(B, ctx)
-    payload = {
-        "command": "domain",
-        "input": name,
-        "n": args.n,
-        "gamma": args.gamma,
-        "kind": result.kind,
-        "simplified": result.simplified,
-        "flags": list(result.flags),
-    }
-    if result.domain is not None:
-        payload["domain"] = result.domain.describe()
-        payload["domain_record"] = young_record(result.domain)
-    if args.format == "csv" and result.domain is not None:
-        _emit_grid_csv(result.domain)
-    else:
-        _emit_json(payload)
-    return 0
+    return _optimal_report(args, "domain", name, result.domain, kind=result.kind,
+                           simplified=result.simplified, flags=list(result.flags))
 
 
 def _cap_rejected(cap: float) -> bool:
@@ -182,9 +156,9 @@ def cmd_boyd(args, grid: GridSpec, ctx: GammaContext) -> int:
 
     name, A = _load(args.spec, grid)
     est = boydmod.boyd_indices(A)
-    payload = {"command": "boyd", "input": name}
-    payload.update(_boyd_payload(est))
-    _emit_json(payload)
+    _emit_json({"command": "boyd", "input": name, "i_lower": est.i_lower,
+                "I_upper": est.I_upper, "ci_halfwidth": est.ci_halfwidth,
+                "method": est.method, "flags": list(est.flags)})
     return 3 if "indeterminate" in est.flags else 0
 
 

@@ -283,11 +283,6 @@ class AsymptoticFamily:
         out[t == 0.0] = 0.0
         return float(out[0]) if scalar else out
 
-    def log_value(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= 0, self.near_zero.log_value(u),
-                        self.near_infinity.log_value(u))
-
     def render(self) -> str:
         z, i = self.near_zero.render(), self.near_infinity.render()
         if z == i:

@@ -2,15 +2,21 @@
 
 Grammar (whitespace-insensitive):
 
-    spec  := name '(' [num {',' num}] ')' ('@0' piece)? ('@inf' piece)?
+    spec  := name ['(' [num {',' num}] ')'] {('@0' | '@inf') piece}
     piece := factor+
     factor:= 't' '^' num | 'l(t)' '^' num | 'll(t)' '^' num
-           | 'exp(' sign num 'sqrtlog' ')'
+           | 'exp' '(' num 'sqrtlog' ')'
+    num   := ['+' | '-'] decimal
 
 Families: Lp(p), Zygmund(p0, a0, pinf, ainf), ExpType(b0, binf), Linf, L1,
 and Pow (pieces supplied entirely by the @0 / @inf clauses).  A piece clause
 replaces the corresponding asymptotic piece of the base family.  Parse errors
 carry the byte offset of the offending token.
+
+Each part of the grammar is read from one table: ``_TOKEN`` is the pattern
+of every token, tried in order; ``_FACTORS`` maps the keyword of each
+``keyword '^' num`` factor to its constructor; ``_FAMILIES`` maps each family
+name to its parameter count and constructor.
 """
 
 from __future__ import annotations
@@ -32,51 +38,27 @@ class SpecParseError(ValueError):
         self.position = position
 
 
+# one token after optional whitespace, the first alternative that matches;
+# the group's name is the token's kind, except that a keyword, a clause tag
+# and a punctuation mark are their own kind
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<keyword>ll\(t\)|l\(t\)|(?:sqrtlog|exp|t)(?!\w))
+    | (?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<clause>@inf|@0)
+    | (?P<punct>[(),^+-])
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<bad>\S))""", re.VERBOSE)
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    spec_words = ("ll(t)", "l(t)", "sqrtlog", "exp", "t")
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        matched = False
-        for word in spec_words:
-            if text.startswith(word, pos):
-                nxt = pos + len(word)
-                if word in ("t", "exp", "sqrtlog") and nxt < len(text) \
-                        and (text[nxt].isalnum() or text[nxt] == "_"):
-                    continue
-                tokens.append((word, word, pos))
-                pos = nxt
-                matched = True
-                break
-        if matched:
-            continue
-        m = re.match(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text[pos:])
-        if m:
-            tokens.append(("num", m.group(0), pos))
-            pos += m.end()
-            continue
-        if text.startswith("@inf", pos):
-            tokens.append(("@inf", "@inf", pos))
-            pos += 4
-            continue
-        if text.startswith("@0", pos):
-            tokens.append(("@0", "@0", pos))
-            pos += 2
-            continue
-        if ch in "(),^+-":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos:])
-        if m:
-            tokens.append(("word", m.group(0), pos))
-            pos += m.end()
-            continue
-        raise SpecParseError(f"unexpected character {ch!r}", pos)
+    while m := _TOKEN.match(text, pos):
+        kind, value = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            raise SpecParseError(f"unexpected character {value!r}", m.start(kind))
+        tokens.append((kind if kind in ("num", "word") else value, value, m.start(kind)))
+        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -97,22 +79,18 @@ class _Cursor:
         return tok
 
 
+# the factors written keyword '^' num; exp(num sqrtlog) is the other one
+_FACTORS = {"t": fam.PowerFactor, "l(t)": fam.LogFactor, "ll(t)": fam.LogLogFactor}
+
+
 def _parse_piece(cur: _Cursor) -> fam.AsymPiece:
     factors: list[fam.Factor] = []
     while True:
-        kind, _, pos = cur.peek()
-        if kind == "t":
-            cur.take("t")
+        kind = cur.peek()[0]
+        if kind in _FACTORS:
+            cur.take(kind)
             cur.take("^")
-            factors.append(fam.PowerFactor(_num(cur)))
-        elif kind == "l(t)":
-            cur.take("l(t)")
-            cur.take("^")
-            factors.append(fam.LogFactor(_num(cur)))
-        elif kind == "ll(t)":
-            cur.take("ll(t)")
-            cur.take("^")
-            factors.append(fam.LogLogFactor(_num(cur)))
+            factors.append(_FACTORS[kind](_num(cur)))
         elif kind == "exp":
             cur.take("exp")
             cur.take("(")
@@ -143,7 +121,6 @@ class SpaceSpec:
     """A parsed space description: family name, parameters, optional piece
     overrides, and the resulting closed-form profile."""
 
-    source: str
     name: str
     params: tuple[float, ...]
     family: fam.AsymptoticFamily
@@ -153,18 +130,22 @@ class SpaceSpec:
         return from_family(self.family, grid=grid, label=render(self))
 
 
-_FAMILY_ARITY = {"Lp": 1, "Zygmund": 4, "ExpType": 2, "Linf": 0, "L1": 0, "Pow": 0}
+# name -> (parameter count, constructor); Pow has none, its two pieces come
+# from the @0 and @inf clauses
+_FAMILIES = {"Lp": (1, fam.lp), "Zygmund": (4, fam.zygmund), "ExpType": (2, fam.exp_type),
+             "Linf": (0, fam.linf), "L1": (0, fam.l1), "Pow": (0, None)}
 
 
 def parse_spec(text: str) -> SpaceSpec:
     """Parse a space description; raises SpecParseError with a byte offset."""
     cur = _Cursor(_tokenize(text))
     kind, name, pos = cur.peek()
-    if kind not in ("word",):
+    if kind != "word":
         raise SpecParseError("expected a family name", pos)
     cur.take("word")
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise SpecParseError(f"unknown family {name!r}", pos)
+    count, build = _FAMILIES[name]
     params: list[float] = []
     if cur.peek()[0] == "(":
         cur.take("(")
@@ -174,48 +155,31 @@ def parse_spec(text: str) -> SpaceSpec:
                 cur.take(",")
                 params.append(_num(cur))
         cur.take(")")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise SpecParseError(
-            f"{name} takes {_FAMILY_ARITY[name]} parameter(s), got {len(params)}", pos)
+    if len(params) != count:
+        raise SpecParseError(f"{name} takes {count} parameter(s), got {len(params)}", pos)
 
     overrides: list[str] = []
-    piece0 = pieceinf = None
+    pieces: dict[str, fam.AsymPiece] = {}
     while cur.peek()[0] in ("@0", "@inf"):
-        tag = cur.take(cur.peek()[0])
-        pc = _parse_piece(cur)
-        if tag[0] == "@0":
-            piece0 = pc
-            overrides.append("@0")
-        else:
-            pieceinf = pc
-            overrides.append("@inf")
+        tag = cur.take(cur.peek()[0])[0]
+        pieces[tag] = _parse_piece(cur)
+        overrides.append(tag)
     cur.take("end")
 
+    piece0, pieceinf = pieces.get("@0"), pieces.get("@inf")
+    if build is None and len(pieces) < 2:
+        raise SpecParseError("Pow requires @0 and @inf pieces", pos)
     try:
-        if name == "Lp":
-            family = fam.lp(params[0])
-        elif name == "Zygmund":
-            family = fam.zygmund(*params)
-        elif name == "ExpType":
-            family = fam.exp_type(*params)
-        elif name == "Linf":
-            family = fam.linf()
-        elif name == "L1":
-            family = fam.l1()
-        else:  # Pow: both pieces must come from the clauses
-            if piece0 is None or pieceinf is None:
-                raise SpecParseError("Pow requires @0 and @inf pieces", pos)
-            family = fam.AsymptoticFamily(piece0, pieceinf)
+        family = build(*params) if build else fam.AsymptoticFamily(piece0, pieceinf)
     except ValueError as exc:
         raise SpecParseError(f"invalid parameters: {exc}", pos) from None
 
-    if piece0 is not None or pieceinf is not None:
-        if name != "Pow":
-            family = fam.AsymptoticFamily(piece0 or family.near_zero,
-                                          pieceinf or family.near_infinity)
+    if pieces:
+        family = fam.AsymptoticFamily(piece0 or family.near_zero,
+                                      pieceinf or family.near_infinity)
         _check_piece(family.near_zero, "zero", pos)
         _check_piece(family.near_infinity, "infinity", pos)
-    return SpaceSpec(text, name, tuple(params), family, tuple(overrides))
+    return SpaceSpec(name, tuple(params), family, tuple(overrides))
 
 
 def _check_piece(pc: fam.AsymPiece, end: str, pos: int) -> None:
@@ -237,7 +201,7 @@ def _check_piece(pc: fam.AsymPiece, end: str, pos: int) -> None:
 def render(spec: SpaceSpec) -> str:
     """Canonical string for a parsed spec; parse(render(s)) == s."""
     body = spec.name
-    if _FAMILY_ARITY[spec.name] or spec.params:
+    if spec.params:
         body += "(" + ", ".join(_fmt_num(p) for p in spec.params) + ")"
     if "@0" in spec.overrides or spec.name == "Pow":
         body += " @0 " + spec.family.near_zero.render()

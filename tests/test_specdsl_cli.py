@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orlicz_calc import cli, specdsl as dsl
+from orlicz_calc.specdsl import SpecParseError
 
 
 class TestParser:
@@ -51,11 +53,88 @@ class TestParser:
         with pytest.raises(dsl.SpecParseError) as err:
             dsl.parse_spec(bad)
         assert fragment in str(err.value)
+        assert str(err.value).count("(at offset") == 1
         assert err.value.position >= 0
 
     def test_to_young(self):
         A = dsl.parse_spec("Lp(2)").to_young()
         assert A.eval(3.0) == pytest.approx(9.0)
+
+
+def reference_tokenize(text: str):
+    """The tokenizer that ``specdsl._tokenize``'s one pattern replaced, kept
+    word for word as the reference that the pattern is checked against."""
+    tokens = []
+    pos = 0
+    spec_words = ("ll(t)", "l(t)", "sqrtlog", "exp", "t")
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        matched = False
+        for word in spec_words:
+            if text.startswith(word, pos):
+                nxt = pos + len(word)
+                if word in ("t", "exp", "sqrtlog") and nxt < len(text) \
+                        and (text[nxt].isalnum() or text[nxt] == "_"):
+                    continue
+                tokens.append((word, word, pos))
+                pos = nxt
+                matched = True
+                break
+        if matched:
+            continue
+        m = re.match(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text[pos:])
+        if m:
+            tokens.append(("num", m.group(0), pos))
+            pos += m.end()
+            continue
+        if text.startswith("@inf", pos):
+            tokens.append(("@inf", "@inf", pos))
+            pos += 4
+            continue
+        if text.startswith("@0", pos):
+            tokens.append(("@0", "@0", pos))
+            pos += 2
+            continue
+        if ch in "(),^+-":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos:])
+        if m:
+            tokens.append(("word", m.group(0), pos))
+            pos += m.end()
+            continue
+        raise SpecParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+# the grammar's characters, with a Unicode digit (٣), a Unicode letter (é),
+# whitespace and "_": the keyword boundary reads Unicode, the identifier rule
+# ASCII only
+_ALPHABET = "tlexpsqrogLZyumndETPwfia0123456789.+-@(),^\u0663\u00e9_ \t\n"
+_CHUNKS = ("ll(t)", "l(t)", "sqrtlog", "exp", "t", "@inf", "@0", "Lp", "Pow", "1e5",
+           "2.", ".5", "e-3")
+_TEXTS = st.one_of(
+    st.text(_ALPHABET, max_size=24),
+    st.lists(st.sampled_from(_CHUNKS + tuple(_ALPHABET)), max_size=12).map("".join))
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except SpecParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_TEXTS)
+@example(text="t\u0663 exp\u00e9 sqrtlog_ Lp(\u0663)\t@infinity")
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens_or_error(dsl._tokenize, text) == _tokens_or_error(reference_tokenize, text)
 
 
 def run_cli(capsys, *argv):

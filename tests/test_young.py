@@ -96,6 +96,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             young.YoungFn()
 
+    @pytest.mark.parametrize("family,text", [
+        (fam.lp(2), "~ t^2"),  # both ends fit alike
+        (fam.linf(), "~ 0 on (0,1] @0 | inf beyond 1 @inf"),  # both plateaus
+    ])
+    def test_describe_a_tabulated_function(self, family, text):
+        assert young.from_callable(family.value).describe() == text
+
 
 class TestInverse:
     def test_power(self):
