@@ -100,12 +100,11 @@ def _dilations(A: YoungFn, ts: np.ndarray) -> np.ndarray:
 
 
 def _symbolic_indices(A: YoungFn) -> tuple[float, float] | None:
-    closed = A.closed_form
-    if closed is None:
+    if A.closed_form is None:
         return None
     orders = []
     for end in ("zero", "infinity"):
-        p = closed.piece(end).profile(end)
+        p = A.end_profile(end)
         if p.kind != "power":
             orders.append(math.inf)
             continue

@@ -206,11 +206,6 @@ class AsymPiece:
         big = max(abs(_coefficient(f)) for f in self.factors)
         return big if big * len(self.factors) >= _P_OVERFLOW else 1.0
 
-    def value(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            u = np.log(np.asarray(t, dtype=float))
-        return _finite_exp(self.log_value(u))
-
     def exponents(self, end: str) -> EndProfile:
         """The exact exponents toward ``end`` ("zero" or "infinity"), read
         from the factors.

@@ -100,14 +100,13 @@ class TailFit:
 
     kind "power": value ~ exp(log_coefficient) * t**exponent * l(t)**log_exponent,
     with l(t) = 1 + |log t|; "zero" / "infinity": identically 0 / inf.
-    ``exact`` marks exponents taken from a closed form rather than fitted.
+    A fitted tail has no log factor (log_exponent 0); a closed form's can.
     """
 
     kind: str  # "power" | "zero" | "infinity"
     exponent: float = 0.0
     log_coefficient: float = 0.0
     log_exponent: float = 0.0
-    exact: bool = False
 
     def log_value(self, logx: np.ndarray) -> np.ndarray:
         logv = self.log_coefficient + self.exponent * logx
@@ -223,7 +222,7 @@ def _tail_integral(tail: TailFit, te: float, weight: float, zero: bool) -> float
         edge = math.exp(logv) if logv < _LOG_TOP else math.inf
     a = tail.exponent + weight + 1.0
     away = a if zero else -a  # positive when s**a decays away from the edge
-    b = tail.log_exponent if tail.exact else 0.0
+    b = tail.log_exponent
     tol = 1e-9
     if away > tol:
         val = edge / away
@@ -299,11 +298,8 @@ class GridFn:
 
     # -- basic structure ---------------------------------------------------
 
-    def nondecreasing(self, rtol: float = 0.0) -> bool:
-        prev, nxt = self.y[:-1], self.y[1:]
-        slack = rtol * np.abs(np.where(np.isfinite(prev), prev, 0.0))
-        with np.errstate(invalid="ignore"):
-            return bool(np.all(nxt >= prev - slack))
+    def nondecreasing(self) -> bool:
+        return bool(np.all(self.y[1:] >= self.y[:-1]))
 
     # -- evaluation --------------------------------------------------------
 
@@ -398,7 +394,7 @@ class GridFn:
         end's tail.
 
         The integrand is c s**(a-1) l(s)**b there, with b the tail's log
-        exponent when exact and 0 when fitted.  It converges when a > 0 at
+        exponent (0 when fitted).  It converges when a > 0 at
         zero or a < 0 at infinity, with the first-order correction of the
         log factor from an integration by parts; at a = 0 it converges
         exactly when b < -1.
@@ -415,10 +411,6 @@ class GridFn:
         """
         return _prefix_sums(self.tail_integral(weight, "zero"),
                             _cell_integrals(CellGeometry(self.t, weight), self.y))
-
-    def total_integral(self, weight: float = 0.0) -> float:
-        p = self.prefix_integral(weight)
-        return float(p[-1] + self.tail_integral(weight, "infinity"))
 
 
 def _prefix_sums(head: float, cells: np.ndarray) -> np.ndarray:
@@ -456,9 +448,9 @@ class CellGeometry:
 
 class CellQuadrature:
     """Integrals of y(s) * s**w over (0, inf) for value arrays y on fixed
-    abscissae t: ``GridFn(t, y).total_integral(w)``, fitted tails and all,
-    with the work that depends only on t (the cell geometry and the tail fit
-    windows) done once."""
+    abscissae t: the last prefix integral of ``GridFn(t, y)`` plus its tail
+    integral at infinity, fitted tails and all, with the work that depends
+    only on t (the cell geometry and the tail fit windows) done once."""
 
     __slots__ = ("t", "geometry", "_windows")
 
@@ -600,10 +592,6 @@ class StepFn:
         if scalar:
             return float(out[0])
         return out
-
-    def total_integral(self) -> float:
-        widths = np.diff(np.concatenate(([0.0], self.breaks)))
-        return float(np.dot(widths, self.values))
 
     def to_gridfn(self, grid: GridSpec = DEFAULT_GRID) -> GridFn:
         base = grid.abscissae()

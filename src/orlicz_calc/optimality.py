@@ -164,16 +164,15 @@ _TAU_GUESS_STEPS = 5
 _FIRST_BLOCK = 16
 
 
-def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
-    """Manufacture a comparison profile from B on the d_k = 1/log(k+1) ladder.
+def _auxiliary_profile(B: YoungFn, ctx: GammaContext, scan: np.ndarray,
+                       prefix: np.ndarray) -> YoungFn | None:
+    """Manufacture a comparison profile from B on the d_k = 1/log(k+1) ladder,
+    given B's prefix integral of B(s)/s^(q*+1) on the scan abscissae.
 
-    Returns (profile, rung abscissae); the profile's density is piecewise
-    d_k t^q* below 1 and C t^q* beyond, integrated over (0, 2t).  The
-    profile is None when the ladder has no rung: B's prefix integral
-    exceeds d_1 on all of the scan."""
+    The profile's density is piecewise d_k t^q* below 1 and C t^q* beyond,
+    integrated over (0, 2t).  It is None when the ladder has no rung: B's
+    prefix integral exceeds d_1 on all of the scan."""
     q_star = ctx.q_star
-    scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.31, 1.0 / _SCAN_PPD))
-    prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
     total_below_1 = float(np.interp(1.0, scan, prefix))
 
     t_rungs = [1.0]
@@ -187,7 +186,7 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
         t_rungs.append(float(scan[idx[-1]]))
     rungs = np.array(t_rungs[1:][::-1])  # ascending
     if not rungs.size:
-        return None, rungs
+        return None
     dvals = np.array([1.0 / math.log(k + 1.0)
                       for k in range(len(rungs), 0, -1)])
     top = max(total_below_1, 1.0 / math.log(2.0)) * 1.01
@@ -218,9 +217,8 @@ def _auxiliary_profile(B: YoungFn, ctx: GammaContext):
         out = cum[idx] + kcoef[idx] * (u ** q_star - knots[idx] ** q_star) / q_star
         return np.where(deep, dvals[0] * u ** q_star / q_star, out)
 
-    D = from_callable(profile, grid=B.grid, label="auxiliary-profile",
-                      normalize=False)
-    return D, rungs
+    return from_callable(profile, grid=B.grid, label="auxiliary-profile",
+                         normalize=False)
 
 
 @per_young
@@ -328,13 +326,16 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
     q_star = ctx.q_star
     flags: list[str] = []
     auxiliary = None
+    # B's prefix integral to just past 1; the defining inequality reads (0, 1)
+    scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.31, 1.0 / _SCAN_PPD))
+    prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
 
     # case split on D(t)/t^q* near zero: vanishing -> direct, bounded below ->
     # manufacture the auxiliary profile from B itself
     probe = np.array([B.grid.t_min, 1e-6, 1.0])
     dr = np.atleast_1d(np.asarray(D._monotone_eval(probe), dtype=float)) / probe ** q_star
     if not (dr[0] < 0.25 * dr[2]):
-        D_used, _ = _auxiliary_profile(B, ctx)
+        D_used = _auxiliary_profile(B, ctx, scan, prefix)
         auxiliary = D_used
         flags.append("auxiliary-profile")
         if D_used is None:
@@ -345,8 +346,8 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
         D_used = D
 
     # the constant in the defining inequality against D_used on (0, 1)
-    scan = np.power(10.0, np.arange(math.log10(_SCAN_FLOOR), 0.0, 1.0 / _SCAN_PPD))
-    prefix = B.sampled(scan).prefix_integral(-q_star - 1.0)
+    below = scan < 1.0
+    scan, prefix = scan[below], prefix[below]
 
     def d_scaled(c: float) -> np.ndarray:
         """D(c t)/t^q* on the scan, as c^q* * D(ct)/(ct)^q*."""
@@ -383,7 +384,7 @@ def witness_improvement(B: YoungFn, D: YoungFn, ctx: GammaContext) -> WitnessRes
     bps = tuple(float(x) for x in np.concatenate([tk, tauk]))
     B1 = _with_plateau_breakpoints(bps, raw=b1, grid=B.grid,
                                    label=f"witness({B.label})", normalize=False,
-                                   profile_hint=B.closed_form)
+                                   closed_form=B.closed_form)
 
     # growth evidence along the ladder and the 5C bound on (0, 1); below the
     # deepest rung B1 is B, so its prefix carries B's exact zero tail

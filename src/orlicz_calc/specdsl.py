@@ -2,11 +2,12 @@
 
 Grammar (whitespace-insensitive):
 
-    spec  := name ['(' [num {',' num}] ')'] {('@0' | '@inf') piece}
+    spec  := name ['(' [num {',' num}] ')'] {clause}
+    clause:= ('@0' | '@inf') piece      (each tag at most once)
     piece := factor+
     factor:= 't' '^' num | 'l(t)' '^' num | 'll(t)' '^' num
            | 'exp' '(' num 'sqrtlog' ')'
-    num   := ['+' | '-'] decimal
+    num   := ['+' | '-'] decimal        (ASCII digits)
 
 Families: Lp(p), Zygmund(p0, a0, pinf, ainf), ExpType(b0, binf), Linf, L1,
 and Pow (pieces supplied entirely by the @0 / @inf clauses).  A piece clause
@@ -43,7 +44,7 @@ class SpecParseError(ValueError):
 # and a punctuation mark are their own kind
 _TOKEN = re.compile(r"""\s*(?:
       (?P<keyword>ll\(t\)|l\(t\)|(?:sqrtlog|exp|t)(?!\w))
-    | (?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<num>[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
     | (?P<clause>@inf|@0)
     | (?P<punct>[(),^+-])
     | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
@@ -158,12 +159,12 @@ def parse_spec(text: str) -> SpaceSpec:
     if len(params) != count:
         raise SpecParseError(f"{name} takes {count} parameter(s), got {len(params)}", pos)
 
-    overrides: list[str] = []
     pieces: dict[str, fam.AsymPiece] = {}
     while cur.peek()[0] in ("@0", "@inf"):
-        tag = cur.take(cur.peek()[0])[0]
+        tag, _, at = cur.take(cur.peek()[0])
+        if tag in pieces:
+            raise SpecParseError(f"repeated {tag} clause", at)
         pieces[tag] = _parse_piece(cur)
-        overrides.append(tag)
     cur.take("end")
 
     piece0, pieceinf = pieces.get("@0"), pieces.get("@inf")
@@ -179,7 +180,7 @@ def parse_spec(text: str) -> SpaceSpec:
                                       pieceinf or family.near_infinity)
         _check_piece(family.near_zero, "zero", pos)
         _check_piece(family.near_infinity, "infinity", pos)
-    return SpaceSpec(name, tuple(params), family, tuple(overrides))
+    return SpaceSpec(name, tuple(params), family, tuple(pieces))
 
 
 def _check_piece(pc: fam.AsymPiece, end: str, pos: int) -> None:

@@ -128,7 +128,7 @@ def _integral_young(core: GridFn, label: str, grid,
     vals = core.prefix_integral(-1.0)
     vals = np.maximum.accumulate(vals)
     table = GridFn(core.t, vals)
-    return YoungFn(table=table, grid=grid, label=label, profile_hint=hint)
+    return YoungFn(table=table, grid=grid, label=label, closed_form=hint)
 
 
 @per_young

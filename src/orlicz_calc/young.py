@@ -312,33 +312,26 @@ def per_young(fn):
 
 
 class YoungFn:
-    """A Young function with symbolic, callable and tabulated views.
+    """A Young function with closed-form, callable and tabulated views.
 
     Immutable once built: setting an attribute raises ``AttributeError``.
     Derived results (the ``per_young`` functions) are computed once and kept
     on the instance.
     """
 
-    def __init__(self, *, symbolic: fam.AsymptoticFamily | None = None,
-                 raw=None, table: GridFn | None = None,
+    def __init__(self, *, raw=None, table: GridFn | None = None,
+                 closed_form: fam.AsymptoticFamily | None = None,
                  grid: GridSpec = DEFAULT_GRID, label: str = "",
                  normalize: bool = True,
-                 breakpoints: tuple[float, ...] = (),
-                 profile_hint: fam.AsymptoticFamily | None = None):
-        # the pointwise evaluator: the exact callable, else the closed form,
-        # else none (the table alone)
-        self._source = raw if raw is not None else (
-            symbolic.value if symbolic is not None else None)
-        if (self._source is None) == (table is None):
-            raise ValueError("need exactly one of a table and a source "
-                             "(a profile or a callable)")
-        self.symbolic = symbolic
-        self.raw = raw
+                 breakpoints: tuple[float, ...] = ()):
+        # the pointwise evaluator, if any; ``closed_form`` is the closed-form
+        # asymptotics, which the evaluator need not agree with pointwise
+        if (raw is None) == (table is None):
+            raise ValueError("need exactly one of a table and a callable")
+        self._source = raw
+        self.closed_form = closed_form
         self.grid = grid
-        # closed-form asymptotics known for a numerically built function;
-        # metadata only (no pointwise agreement implied, unlike ``symbolic``)
-        self.profile_hint = profile_hint
-        self.label = label or (symbolic.render() if symbolic else "tabulated")
+        self.label = label or "tabulated"
 
         if table is not None:
             self.table = table
@@ -374,14 +367,6 @@ class YoungFn:
         object.__setattr__(self, name, value)
 
     # -- basic views ---------------------------------------------------------
-
-    @property
-    def closed_form(self) -> fam.AsymptoticFamily | None:
-        """Closed-form asymptotics: the exact profile, else the attached hint."""
-        return self.symbolic if self.symbolic is not None else self.profile_hint
-
-    def __call__(self, t):
-        return self.eval(t)
 
     def eval(self, t) -> np.ndarray | float:
         """A(t) as an extended real, from the pointwise evaluator when present."""
@@ -446,12 +431,12 @@ class YoungFn:
         tail = None
         t0, v0 = float(t[0]), float(vals[0])
         if self.closed_form is not None and 0.0 < v0 < math.inf:
-            p = self.closed_form.piece("zero").profile("zero")
+            p = self.end_profile("zero")
             if (p.kind == "power" and math.isfinite(p.q) and math.isfinite(p.alpha)
                     and not p.loglog_exponent):
                 log_coef = (math.log(v0) - p.q * math.log(t0)
                             - p.alpha * math.log(float(ell(t0))))
-                tail = TailFit("power", p.q, log_coef, p.alpha, exact=True)
+                tail = TailFit("power", p.q, log_coef, p.alpha)
         return GridFn(t, vals, tail_zero=tail)
 
     def _structural_jump(self, end: str) -> bool | None:
@@ -486,9 +471,6 @@ class YoungFn:
                                 self.grid.t_min / 10.0, self.grid.t_max)
 
     # -- generalized inverse --------------------------------------------------
-
-    def inverse(self, s: float) -> float:
-        return float(self.inverse_many(np.array([float(s)]))[0])
 
     def inverse_many(self, s: np.ndarray) -> np.ndarray:
         """sup{t : A(t) <= s} of the monotone view, searched on [1e-300, 1e300].
@@ -630,13 +612,13 @@ def _with_plateau_breakpoints(breakpoints: tuple[float, ...] = (),
 
 def from_family(family: fam.AsymptoticFamily, grid: GridSpec = DEFAULT_GRID,
                 label: str = "") -> YoungFn:
-    return _with_plateau_breakpoints(symbolic=family, grid=grid, label=label)
+    return _with_plateau_breakpoints(raw=family.value, closed_form=family, grid=grid,
+                                     label=label or family.render())
 
 
 def from_callable(fn, grid: GridSpec = DEFAULT_GRID, label: str = "",
-                  breakpoints: tuple[float, ...] = (), normalize: bool = True) -> YoungFn:
-    return _with_plateau_breakpoints(breakpoints, raw=fn, grid=grid, label=label,
-                                     normalize=normalize)
+                  normalize: bool = True) -> YoungFn:
+    return _with_plateau_breakpoints(raw=fn, grid=grid, label=label, normalize=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +844,8 @@ def conjugate(A: YoungFn) -> YoungFn:
     """
     # the computed supremum stays the evaluation path; the factor-level
     # conjugate, when there is one, rides along as the asymptotic view
-    mapped = fam.conjugate_family(A.symbolic) if A.symbolic is not None else None
-    return _with_plateau_breakpoints(symbolic=mapped, raw=_Legendre(A), grid=A.grid,
+    mapped = fam.conjugate_family(A.closed_form) if A.closed_form is not None else None
+    return _with_plateau_breakpoints(raw=_Legendre(A), closed_form=mapped, grid=A.grid,
                                      label=f"conj({A.label})", normalize=False)
 
 
@@ -1036,7 +1018,7 @@ def _modular(A: YoungFn, g: GridFn | StepFn):
     abscissae are cut to the support of g and one sample either side.  Their
     cell geometry and tail fit windows are built once (``CellQuadrature``);
     each evaluation is A(g/lam) and one quadrature pass, the same bits as
-    ``GridFn(ts, A(g/lam)).total_integral(0.0)`` on the uncut abscissae.
+    the integral of ``GridFn(ts, A(g/lam))`` over (0, inf), uncut.
     """
     if isinstance(g, StepFn):
         widths = np.diff(np.concatenate(([0.0], g.breaks)))

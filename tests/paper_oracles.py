@@ -15,7 +15,9 @@ of a result that the library reaches another way, valid under a gate:
 * ``limit_sign`` / ``integrable``: the end limit and the end integral of a
   closed-form piece, read from its factors; compared with ``end_sign`` and
   ``integral_sign`` on the piece's end profile;
-* ``validate``: the representation invariants of a ``YoungFn``.
+* ``validate``: the representation invariants of a ``YoungFn``;
+* ``grid_total_integral`` / ``step_total_integral``: the integral over
+  (0, inf) of a sampled function and of a step function.
 """
 
 import math
@@ -28,7 +30,7 @@ from orlicz_calc.boyd import boyd_indices
 from orlicz_calc.families import (AsymPiece, ConstFactor, EndProfile, ExpLogFactor,
                                   ExpPowerFactor, LogFactor, LogLogFactor, PowerFactor,
                                   end_sign, integral_sign, lex_sign)
-from orlicz_calc.grid import GridFn
+from orlicz_calc.grid import GridFn, StepFn
 from orlicz_calc.transforms import TransformGateError
 from orlicz_calc.young import (CONSTANT_CAP, GammaContext, YoungFn, constant_ladder,
                                grid_leq, least_constant)
@@ -213,7 +215,9 @@ def integrable(pc: AsymPiece, weight: float, end: str) -> bool:
 # representation invariants
 
 
-# relative slack of validate's convexity and k A(t) <= A(k t) checks
+# relative slack of validate's monotonicity, convexity and k A(t) <= A(k t)
+# checks
+_RTOL_MONOTONE = 1e-12
 _RTOL_CONVEX = 1e-9
 _RTOL_KT = 1e-6
 
@@ -222,7 +226,8 @@ def validate(A: YoungFn) -> list[str]:
     """Check the representation invariants; returns a list of violations."""
     issues: list[str] = []
     t, y = A.table.t, A.table.y
-    if not A.table.nondecreasing(rtol=1e-12):
+    slack = _RTOL_MONOTONE * np.abs(np.where(np.isfinite(y[:-1]), y[:-1], 0.0))
+    if not np.all(y[1:] >= y[:-1] - slack):
         issues.append("values not nondecreasing")
     fin = np.isfinite(y)
     tf, yf = t[fin], y[fin]
@@ -244,16 +249,16 @@ def validate(A: YoungFn) -> list[str]:
         bad &= ~(np.isinf(rhs))
         if bad.any():
             issues.append(f"k*A(t) <= A(k t) violated for k={k}")
-    if A.symbolic is not None and not _views_agree(A):
-        issues.append("symbolic and tabulated views are not equivalent")
+    if A.closed_form is not None and not _views_agree(A):
+        issues.append("closed-form and tabulated views are not equivalent")
     return issues
 
 
 def _views_agree(A: YoungFn) -> bool:
-    """Cross-domination of the raw profile and the normalized table on the
+    """Cross-domination of the closed form and the normalized table on the
     grid, restricted to float-representable values (no tail extrapolation)."""
     t = A.table.t
-    sym = lambda x: np.atleast_1d(np.asarray(A.symbolic.value(x), dtype=float))
+    sym = lambda x: np.atleast_1d(np.asarray(A.closed_form.value(x), dtype=float))
     tab = lambda x: np.atleast_1d(np.asarray(A.table(x), dtype=float))
     ladder = constant_ladder(CONSTANT_CAP)
 
@@ -263,3 +268,19 @@ def _views_agree(A: YoungFn) -> bool:
             lambda c: grid_leq(lower_v, upper(c * t), floor=1e-280), ladder) is not None
 
     return dominated(tab, sym) and dominated(sym, tab)
+
+
+# ---------------------------------------------------------------------------
+# reference integrals
+
+
+def grid_total_integral(g: GridFn) -> float:
+    """Integral of g over (0, inf): the last prefix integral plus the tail
+    integral beyond the last abscissa."""
+    return float(g.prefix_integral(0.0)[-1] + g.tail_integral(0.0, "infinity"))
+
+
+def step_total_integral(f: StepFn) -> float:
+    """Integral of a step function over (0, inf): its values times the
+    widths of their cells."""
+    return float(np.dot(np.diff(np.concatenate(([0.0], f.breaks))), f.values))

@@ -56,6 +56,19 @@ class TestParser:
         assert str(err.value).count("(at offset") == 1
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize("bad,message", [
+        # each clause at most once: the second one is the error, not a silent
+        # replacement of the first
+        ("Lp(2) @0 t^2 @inf t^3 @0 t^4", "repeated @0 clause (at offset 22)"),
+        ("Pow @inf t^2 @inf t^3", "repeated @inf clause (at offset 13)"),
+        # numbers are ASCII: float() would read the Arabic-Indic digit three
+        ("Lp(\u0663) @inf t^\u0663", "unexpected character '\u0663' (at offset 3)"),
+    ])
+    def test_rejected_spellings(self, bad, message):
+        with pytest.raises(dsl.SpecParseError) as err:
+            dsl.parse_spec(bad)
+        assert str(err.value) == message
+
     def test_to_young(self):
         A = dsl.parse_spec("Lp(2)").to_young()
         assert A.eval(3.0) == pytest.approx(9.0)
@@ -63,7 +76,8 @@ class TestParser:
 
 def reference_tokenize(text: str):
     """The tokenizer that ``specdsl._tokenize``'s one pattern replaced, kept
-    word for word as the reference that the pattern is checked against."""
+    as the reference that the pattern is checked against: word for word, but
+    that numbers read ASCII digits only ([0-9], not the Unicode \\d)."""
     tokens = []
     pos = 0
     spec_words = ("ll(t)", "l(t)", "sqrtlog", "exp", "t")
@@ -85,7 +99,7 @@ def reference_tokenize(text: str):
                 break
         if matched:
             continue
-        m = re.match(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text[pos:])
+        m = re.match(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text[pos:])
         if m:
             tokens.append(("num", m.group(0), pos))
             pos += m.end()
@@ -113,8 +127,8 @@ def reference_tokenize(text: str):
 
 
 # the grammar's characters, with a Unicode digit (٣), a Unicode letter (é),
-# whitespace and "_": the keyword boundary reads Unicode, the identifier rule
-# ASCII only
+# whitespace and "_": the keyword boundary reads Unicode, the number and
+# identifier rules ASCII only
 _ALPHABET = "tlexpsqrogLZyumndETPwfia0123456789.+-@(),^\u0663\u00e9_ \t\n"
 _CHUNKS = ("ll(t)", "l(t)", "sqrtlog", "exp", "t", "@inf", "@0", "Lp", "Pow", "1e5",
            "2.", ".5", "e-3")

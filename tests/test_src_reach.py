@@ -1,18 +1,27 @@
-"""Every module-level name in ``src/orlicz_calc`` is used by the program.
+"""Every name in ``src/orlicz_calc`` is used by the program.
 
 A function, class or constant that only tests reach is not part of what the
-library computes: it either goes, or moves into ``tests/`` as an oracle.  A
-name counts as used when it is read as a name, an attribute or an import in
-``src/`` (``__init__.py`` aside, since re-exporting is not using), in
-``perfbench/*.py`` or ``tools/*.py``, or when ``perfbench/layers.py`` wraps it
-by its attribute string in ``TARGETS``.  The module protocol names
+library computes: it either goes, or moves into ``tests/`` as an oracle.
+
+Two checks.  Statically, a module-level name counts as used when it is read
+as a name, an attribute or an import in ``src/`` (``__init__.py`` aside,
+since re-exporting is not using), in ``perfbench/*.py`` or ``tools/*.py``, or
+when ``perfbench/layers.py`` wraps it by its attribute string in
+``TARGETS``.  The module protocol names
 (``__getattr__``, ``__dir__``, ``__all__``) and ``__version__`` are read by
 Python and by users, not by this code; what the protocol names of
 ``__init__.py`` read, such as the table its ``__getattr__`` looks names up
-in, is used through them.
+in, is used through them.  Dynamically, every function of ``src/`` (methods
+and nested functions included) is called when the program runs: one round of
+each perfbench workload at seed 5 and every command of the CLI corpus, as
+``tools/line_hits.py --program --calls`` records it.  The few that are not are
+listed in ``NEVER_CALLED``, each with the reason it stays.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +93,27 @@ def test_every_src_name_is_reached_outside_tests():
               for p in sorted(PKG.glob("*.py"))
               for name in _defined(_parse(p)) - used - EXEMPT}
     assert not unused, "reached only from tests: " + ", ".join(sorted(unused))
+
+
+# the functions of src/ that the program never calls, and why each stays
+NEVER_CALLED = {
+    "boyd.dilation": "perfbench/layers.py wraps it by name",
+    "grid._tail_shape": "reached on near-critical exact log tails; "
+                        "tests/test_grid.py::TestTailIntegral covers it",
+    "specdsl.SpecParseError.__init__": "raised only on input the runs do not hold",
+    "transforms.TransformGateError.__init__": "raised only on input the runs do not hold",
+    "__init__.__dir__": "the module protocol: dir(orlicz_calc) calls it",
+}
+
+
+def test_every_function_runs_in_the_program():
+    # a fresh process, so that no cache filled by another test hides a call
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "line_hits.py"),
+                           "--program", "--calls"],
+                          capture_output=True, text=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    never = set(proc.stdout.split())
+    assert never == set(NEVER_CALLED), (
+        f"never called, not listed: {sorted(never - set(NEVER_CALLED))}; "
+        f"listed, but called: {sorted(set(NEVER_CALLED) - never)}")

@@ -32,6 +32,7 @@ from orlicz_calc.specdsl import parse_spec
 from orlicz_calc.young import GammaContext
 
 from conftest import assert_level_bits
+from paper_oracles import grid_total_integral
 
 CONTEXTS = (GammaContext(3, 1.0), GammaContext(1, 0.5))
 
@@ -570,7 +571,7 @@ def test_minorant_stays_below_the_samples(family_battery):
 
 
 def _assert_conjugate_is_dense(C, label):
-    L = C.raw
+    L = C._source
     near_ties = L.edge_slopes[np.isfinite(L.edge_slopes) & (L.edge_slopes > 0)]
     ts = np.concatenate([np.geomspace(1e-40, 1e40, 801),
                          near_ties * (1.0 - 1e-15), near_ties, near_ties * (1.0 + 1e-15)])
@@ -591,7 +592,7 @@ def test_conjugate_matches_dense_maximum_on_a_non_convex_table():
                             * (2.0 + np.sin(3.0 * np.log(np.asarray(t, float)))),
                             normalize=False)
     C = young.conjugate(A)
-    assert len(C.raw.hull) < len(C.raw.s_i)
+    assert len(C._source.hull) < len(C._source.s_i)
     _assert_conjugate_is_dense(C, "non-convex")
 
 
@@ -603,8 +604,8 @@ def test_conjugate_is_the_same_alone_and_in_a_batch(views):
     for name in ("t^1.5", "zyg-1branch", "zyg(2,1)", "sqrtlog"):
         for form in ("closed", "callable"):
             C = views["conjugate"][f"conj {name}, {form}"]
-            alone = np.concatenate([C(ts[k:k + 1]) for k in range(ts.size)])
-            assert C(ts).tobytes() == alone.tobytes(), f"{name}, {form}"
+            alone = np.concatenate([C.eval(ts[k:k + 1]) for k in range(ts.size)])
+            assert C.eval(ts).tobytes() == alone.tobytes(), f"{name}, {form}"
 
 
 def test_conjugate_memory_is_linear():
@@ -685,7 +686,7 @@ def reference_modular(A, g):
     def modular(lam):
         with np.errstate(over="ignore", invalid="ignore"):
             hv = A._monotone_eval(gv / lam)
-        return GridFn(ts, hv).total_integral(0.0)
+        return grid_total_integral(GridFn(ts, hv))
 
     return modular
 

@@ -1,7 +1,8 @@
 """List the statements of ``src/orlicz_calc`` that a run never executes.
 
-    PYTHONPATH=src python3 tools/line_hits.py              # the tier-1 tests
-    PYTHONPATH=src python3 tools/line_hits.py --program    # the program
+    PYTHONPATH=src python3 tools/line_hits.py                    # the tier-1 tests
+    PYTHONPATH=src python3 tools/line_hits.py --program          # the program
+    PYTHONPATH=src python3 tools/line_hits.py --program --calls  # its calls only
 
 By default the run is the test suite, in-process.  With ``--program`` it is
 the program itself: one round of each perfbench workload at seed 5 through
@@ -14,7 +15,9 @@ lines that never ran are printed as ``path:line  source``, then each named
 function that was never called (outermost only) as
 ``path:line  never called: qualname``, then one summary line per module.
 Tracing makes a run a few times slower (the suite takes about 5 minutes on
-2 cores).
+2 cores).  With ``--calls`` the run goes under ``sys.setprofile`` instead,
+which sees calls but no lines, and the output is only the functions never
+called, one ``module.qualname`` a line.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", action="store_true",
                         help="trace the workloads and the CLI corpus, not the tests")
+    parser.add_argument("--calls", action="store_true",
+                        help="record calls only; print only the functions never called")
     args = parser.parse_args(argv)
 
     prefix = str(SRC) + "/"
@@ -108,13 +113,27 @@ def main(argv=None) -> int:
         calls.setdefault(name, set()).add(frame.f_code.co_firstlineno)
         return local
 
-    threading.settrace(tracer)
-    sys.settrace(tracer)
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            calls.setdefault(frame.f_code.co_filename, set()).add(frame.f_code.co_firstlineno)
+
+    if args.calls:
+        setters, hook = (threading.setprofile, sys.setprofile), profiler
+    else:
+        setters, hook = (threading.settrace, sys.settrace), tracer
+    for setter in setters:
+        setter(hook)
     try:
         code = run_program() if args.program else run_tests()
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        for setter in setters:
+            setter(None)
+
+    if args.calls:
+        for path in sorted(SRC.glob("*.py")):
+            for _, name in uncalled(path, calls.get(str(path), set())):
+                print(f"{path.stem}.{name}")
+        return code
 
     listed, summary = [], []
     for path in sorted(SRC.glob("*.py")):
